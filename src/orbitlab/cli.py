@@ -30,11 +30,6 @@ def format_state(state: PairState) -> str:
     return " ".join(f"{gi}{sep}{ki}" for gi, ki in state.rows())
 
 
-def _row_strings(state: PairState) -> list[str]:
-    sep = "" if all(d <= 10 for d in state.spec.moduli) else ":"
-    return [f"{gi}{sep}{ki}" for gi, ki in state.rows()]
-
-
 def _resolve_budget(args) -> int | None:
     if args.budget is not None:
         return args.budget
@@ -47,16 +42,25 @@ def _resolve_budget(args) -> int | None:
         raise ValueError(f"{ENV_BUDGET} must be an integer, got {env!r}") from None
 
 
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _emit(fmt: str, header: list[str], rows: list[list[str]], payload,
+          text: list[str] | None = None) -> None:
+    """Write one result to stdout in the chosen format.
 
-
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    text: the text lines, by default each row joined by spaces; csv: header
+    then rows; json: payload, indented.
+    """
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        sys.stdout.write(buf.getvalue())
+    else:
+        if text is None:
+            text = [" ".join(row) for row in rows]
+        sys.stdout.write("".join(f"{line}\n" for line in text))
 
 
 def cmd_orbits(args) -> int:
@@ -70,77 +74,48 @@ def cmd_orbits(args) -> int:
         count = orbits.count_orbits_canonical(spec, budget).orbit_count
     else:
         count = orbits.count_orbits_burnside(spec).orbit_count
+    payload = {"p": args.p, "n": args.n, "method": args.method,
+               "orbit_count": str(count)}
 
     if not args.list:
-        if args.format == "text":
-            print(count)
-        elif args.format == "csv":
-            _emit_csv(["p", "n", "method", "orbit_count"],
-                      [[str(args.p), str(args.n), args.method, str(count)]])
-        else:
-            _emit_json({"p": args.p, "n": args.n, "method": args.method,
-                        "orbit_count": str(count)})
+        _emit(args.format, ["p", "n", "method", "orbit_count"],
+              [[str(args.p), str(args.n), args.method, str(count)]],
+              payload, text=[str(count)])
         return 0
 
-    summaries = orbits.orbit_summaries(spec, budget)
-    stab = [("-" if s.stabilizer_order is None else str(s.stabilizer_order))
-            for s in summaries]
-    if args.format == "text":
-        for s, st in zip(summaries, stab):
-            print(f"{format_state(s.representative)} {s.size} {st}")
-    elif args.format == "csv":
-        _emit_csv(["representative", "size", "stabilizer_order"],
-                  [[format_state(s.representative), str(s.size), st]
-                   for s, st in zip(summaries, stab)])
-    else:
-        _emit_json({
-            "p": args.p, "n": args.n, "method": args.method,
-            "orbit_count": str(count),
-            "orbits": [{"representative": format_state(s.representative),
-                        "size": str(s.size), "stabilizer_order": st}
-                       for s, st in zip(summaries, stab)]})
+    header = ["representative", "size", "stabilizer_order"]
+    rows = [[format_state(s.representative), str(s.size),
+             "-" if s.stabilizer_order is None else str(s.stabilizer_order)]
+            for s in orbits.orbit_summaries(spec, budget)]
+    if args.format == "json":  # tens of thousands of dicts; skip them otherwise
+        payload["orbits"] = [dict(zip(header, row)) for row in rows]
+    _emit(args.format, header, rows, payload)
     return 0
 
 
 def cmd_words(args) -> int:
     budget = _resolve_budget(args)
     if args.list:
-        listed = words.enumerate_words(args.m, budget)
-        if args.format == "text":
-            for w in listed:
-                print(w)
-        elif args.format == "csv":
-            _emit_csv(["word"], [[str(w)] for w in listed])
-        else:
-            _emit_json({"m": args.m, "count": str(len(listed)),
-                        "words": [str(w) for w in listed]})
+        listed = [str(w) for w in words.enumerate_words(args.m, budget)]
+        _emit(args.format, ["word"], [[w] for w in listed],
+              {"m": args.m, "count": str(len(listed)), "words": listed})
         return 0
 
-    count = words.count_words(args.m)
-    if args.format == "text":
-        print(count)
-    elif args.format == "csv":
-        _emit_csv(["m", "count"], [[str(args.m), str(count)]])
-    else:
-        _emit_json({"m": args.m, "count": str(count)})
+    count = str(words.count_words(args.m))
+    _emit(args.format, ["m", "count"], [[str(args.m), count]],
+          {"m": args.m, "count": count}, text=[count])
     return 0
 
 
 def cmd_encode(args) -> int:
     word = words.word_from_string(args.word)
-    if not word.letters:
-        raise ValueError("cannot encode the empty word")
     state = bridge.encode_word(word)
-    canon = orbits.canonical_form(state)
-    if args.format == "text":
-        print(f"rows: {format_state(state)}")
-        print(f"canonical: {format_state(canon)}")
-    elif args.format == "csv":
-        _emit_csv(["word", "rows", "canonical"],
-                  [[str(word), format_state(state), format_state(canon)]])
-    else:
-        _emit_json({"word": str(word), "rows": _row_strings(state),
-                    "canonical": _row_strings(canon)})
+    rows = format_state(state)
+    canon = format_state(orbits.canonical_form(state))
+    _emit(args.format, ["word", "rows", "canonical"], [[str(word), rows, canon]],
+          {"word": str(word), "rows": rows.split(" "),
+           "canonical": canon.split(" ")},
+          text=[f"rows: {rows}", f"canonical: {canon}"])
     return 0
 
 
@@ -152,11 +127,12 @@ def cmd_verify(args) -> int:
     all_ok = True
     for m in range(1, args.m_max + 1):
         spec = GroupSpec.uniform(2, m)
-        bfs = orbits.count_orbits_bfs(spec, budget).orbit_count
+        # verify_bridge's census is the BFS route, so it is the BFS count
+        report = bridge.verify_bridge(m, budget)
+        bfs = report.orbit_count
         can = orbits.count_orbits_canonical(spec, budget).orbit_count
         bur = orbits.count_orbits_burnside(spec).orbit_count
         r = formulas.r_formula(2, m)
-        report = bridge.verify_bridge(m, budget)
 
         methods_ok = bfs == can == bur
         formula_ok = bfs == r and formulas.r_p2_product(m) == r
@@ -170,26 +146,15 @@ def cmd_verify(args) -> int:
                      flag(words_ok), flag(bridge_ok), flag(ok), str(r)])
 
     header = ["m", "methods", "formula", "words", "bridge", "result", "r"]
-    if args.format == "text":
-        print(" ".join(header))
-        for row in rows:
-            print(" ".join(row))
-    elif args.format == "csv":
-        _emit_csv(header, rows)
-    else:
-        _emit_json([dict(zip(header, row)) for row in rows])
+    _emit(args.format, header, rows, [dict(zip(header, row)) for row in rows],
+          text=[" ".join(row) for row in [header, *rows]])
     return 0 if all_ok else 1
 
 
 def cmd_sequence(args) -> int:
     table = formulas.sequence_table(args.p, args.n_max)
-    if args.format == "text":
-        for n, r in table:
-            print(f"{n} {r}")
-    elif args.format == "csv":
-        _emit_csv(["n", "r"], [[str(n), str(r)] for n, r in table])
-    else:
-        _emit_json([{"n": n, "r": str(r)} for n, r in table])
+    _emit(args.format, ["n", "r"], [[str(n), str(r)] for n, r in table],
+          [{"n": n, "r": str(r)} for n, r in table])
     return 0
 
 

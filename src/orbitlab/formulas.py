@@ -9,15 +9,38 @@ remainder, because a nonzero remainder can only mean a bug or a composite p.
 from __future__ import annotations
 
 
+# Miller-Rabin with the first thirteen prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; the inputs here are tiny."""
+    """Deterministic Miller-Rabin; raises ValueError at or above 3.3e24,
+    where the fixed base set is no longer known to be exact."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 41 * 41:  # a composite this small has a factor among the bases
+        return True
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -27,11 +27,6 @@ from .residues import (
     vector_unrank,
 )
 
-# Above this many states the visited map is bit-packed (<= 32 MiB at the
-# default budget); below it a plain bytearray is faster.
-_BYTE_MAP_LIMIT = 1 << 24
-
-
 @dataclass(frozen=True, slots=True)
 class OrbitSummary:
     """One equivalence class: minimal member, size, stabilizer order.
@@ -50,7 +45,6 @@ class CensusReport:
     spec: GroupSpec
     method: str
     orbit_count: int
-    summaries: list[OrbitSummary] | None = None
 
 
 def _require_uniform_prime(spec: GroupSpec) -> None:
@@ -108,7 +102,7 @@ def orbit_of(s: PairState) -> set[PairState]:
 
 
 def _bfs_census(spec: GroupSpec, budget: int | None, collect: bool):
-    """Visited sweep in index order.
+    """Visited sweep in index order, one visited byte per state.
 
     Each unvisited index starts one orbit BFS; the sweep start is therefore
     the minimal index of its orbit.  Returns (count, [(rep, size)] or None).
@@ -118,53 +112,30 @@ def _bfs_census(spec: GroupSpec, budget: int | None, collect: bool):
     s_of, t_of = _index_moves(spec)
     orbits: list[tuple[int, int]] | None = [] if collect else None
     count = 0
-    if total <= _BYTE_MAP_LIMIT:
-        visited = bytearray(total)
-        for start in range(total):
-            if visited[start]:
-                continue
-            count += 1
-            size = 0
-            visited[start] = 1
-            queue = deque([start])
-            while queue:
-                i = queue.popleft()
-                size += 1
-                for j in (s_of(i), t_of(i)):
-                    if not visited[j]:
-                        visited[j] = 1
-                        queue.append(j)
-            if collect:
-                orbits.append((start, size))
-    else:
-        visited = bytearray((total + 7) >> 3)
-        for start in range(total):
-            if visited[start >> 3] & (1 << (start & 7)):
-                continue
-            count += 1
-            size = 0
-            visited[start >> 3] |= 1 << (start & 7)
-            queue = deque([start])
-            while queue:
-                i = queue.popleft()
-                size += 1
-                for j in (s_of(i), t_of(i)):
-                    if not visited[j >> 3] & (1 << (j & 7)):
-                        visited[j >> 3] |= 1 << (j & 7)
-                        queue.append(j)
-            if collect:
-                orbits.append((start, size))
+    visited = bytearray(total)
+    for start in range(total):
+        if visited[start]:
+            continue
+        count += 1
+        size = 0
+        visited[start] = 1
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            size += 1
+            for j in (s_of(i), t_of(i)):
+                if not visited[j]:
+                    visited[j] = 1
+                    queue.append(j)
+        if collect:
+            orbits.append((start, size))
     return count, orbits
 
 
-def count_orbits_bfs(spec: GroupSpec, budget: int | None = None,
-                     include_summaries: bool = False) -> CensusReport:
+def count_orbits_bfs(spec: GroupSpec, budget: int | None = None) -> CensusReport:
     """Exact orbit count by visited-sweep BFS; works for any moduli."""
-    count, pairs = _bfs_census(spec, budget, include_summaries)
-    summaries = None
-    if include_summaries:
-        summaries = [_summary(rep, size, spec) for rep, size in pairs]
-    return CensusReport(spec, "bfs", count, summaries)
+    count, _ = _bfs_census(spec, budget, False)
+    return CensusReport(spec, "bfs", count)
 
 
 def _summary(rep: int, size: int, spec: GroupSpec) -> OrbitSummary:

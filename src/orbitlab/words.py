@@ -15,17 +15,34 @@ from .budget import check_budget
 ALPHABET = (1, 2, 3, 4)
 
 
-def is_valid_word(letters) -> bool:
-    """True iff letters form a restricted growth word; never raises."""
+def _growth_violation(letters) -> str | None:
+    """The first broken constraint of a word, or None if it is valid.
+
+    Never raises: a letter outside the alphabet is reported, not compared.
+    """
+    letters = tuple(letters)
     running = 1
     for a in letters:
         if a not in ALPHABET:
-            return False
-        if a > running + 1:
-            return False
+            break
         if a > running:
+            if a > running + 1:
+                break
             running = a
-    return True
+    else:
+        return None
+    # The offending letter is the first occurrence of its value: an earlier
+    # copy would have broken the same rule first.
+    pos = letters.index(a) + 1
+    if a not in ALPHABET:
+        return f"letter {a!r} at position {pos} is outside the alphabet 1..4"
+    return (f"letter {a} at position {pos} breaks the growth bound: "
+            f"at most running maximum {running} plus 1 is allowed")
+
+
+def is_valid_word(letters) -> bool:
+    """True iff letters form a restricted growth word; never raises."""
+    return _growth_violation(letters) is None
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,8 +51,9 @@ class RGWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
-        if not is_valid_word(self.letters):
-            raise ValueError(f"not a restricted growth word: {self.letters}")
+        violation = _growth_violation(self.letters)
+        if violation is not None:
+            raise ValueError(violation)
 
     def __str__(self) -> str:
         return "".join(str(a) for a in self.letters)
@@ -44,23 +62,13 @@ class RGWord:
         return len(self.letters)
 
 
+_DIGITS = {str(a): a for a in ALPHABET}
+
+
 def word_from_string(text: str) -> RGWord:
-    """Parse a digit string, naming the first violated constraint."""
-    letters = []
-    for pos, ch in enumerate(text, 1):
-        if ch not in "1234":
-            raise ValueError(
-                f"letter {ch!r} at position {pos} is outside the alphabet 1..4")
-        letters.append(int(ch))
-    running = 1
-    for pos, a in enumerate(letters, 1):
-        if a > running + 1:
-            raise ValueError(
-                f"letter {a} at position {pos} breaks the growth bound: "
-                f"at most running maximum {running} plus 1 is allowed")
-        if a > running:
-            running = a
-    return RGWord(tuple(letters))
+    """Parse a digit string; the error names the first violated constraint."""
+    # a character outside 1..4 stays a string so the error can quote it
+    return RGWord(tuple(_DIGITS.get(ch, ch) for ch in text))
 
 
 def enumerate_words(m: int, budget: int | None = None) -> list[RGWord]:

@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from orbitlab import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -142,6 +148,11 @@ class TestEncode:
         assert out == ""
         assert "growth bound" in err
 
+    def test_empty_word(self, capsys):
+        code, out, err = run(capsys, "encode", "")
+        assert (code, out) == (2, "")
+        assert "empty word" in err
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "encode", "234", "--format", "json")
         payload = json.loads(out)
@@ -216,6 +227,21 @@ class TestSequence:
     def test_non_prime(self, capsys):
         assert run(capsys, "sequence", "--p", "9", "--n-max", "3")[0] == 2
 
+    def test_large_prime_finishes(self):
+        # 2^61 - 1: trial division would need ~1.5e9 steps per primality test
+        result = subprocess.run(
+            [sys.executable, "-m", "orbitlab", "sequence",
+             "--p", "2305843009213693951", "--n-max", "1"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (result.returncode, result.stdout) == (0, "0 1\n1 2\n")
+
+    def test_prime_beyond_exact_range(self, capsys):
+        code, out, err = run(capsys, "sequence", "--p",
+                             "3317044064679887385961991", "--n-max", "1")
+        assert (code, out) == (2, "")
+        assert "exact only below" in err
+
 
 class TestContract:
     def test_usage_error_exit_2(self, capsys):
@@ -231,3 +257,304 @@ class TestContract:
         _, out, _ = run(capsys, "sequence", "--p", "2", "--n-max", "2",
                         "--format", "csv")
         assert "\r" not in out
+
+
+# Exact stdout of every subcommand in every format, recorded from the CLI
+# before its emitters were merged; any byte of drift fails here.
+GOLDEN = {
+    ("orbits --p 3 --n 2 --method bfs", "text"): '7\n',
+    ("orbits --p 3 --n 2 --method bfs", "csv"): (
+        'p,n,method,orbit_count\n'
+        '3,2,bfs,7\n'
+    ),
+    ("orbits --p 3 --n 2 --method bfs", "json"): (
+        '{\n'
+        '  "p": 3,\n'
+        '  "n": 2,\n'
+        '  "method": "bfs",\n'
+        '  "orbit_count": "7"\n'
+        '}\n'
+    ),
+    ("orbits --p 3 --n 2 --method canonical", "text"): '7\n',
+    ("orbits --p 3 --n 2 --method canonical", "csv"): (
+        'p,n,method,orbit_count\n'
+        '3,2,canonical,7\n'
+    ),
+    ("orbits --p 3 --n 2 --method canonical", "json"): (
+        '{\n'
+        '  "p": 3,\n'
+        '  "n": 2,\n'
+        '  "method": "canonical",\n'
+        '  "orbit_count": "7"\n'
+        '}\n'
+    ),
+    ("orbits --p 3 --n 2 --method burnside", "text"): '7\n',
+    ("orbits --p 3 --n 2 --method burnside", "csv"): (
+        'p,n,method,orbit_count\n'
+        '3,2,burnside,7\n'
+    ),
+    ("orbits --p 3 --n 2 --method burnside", "json"): (
+        '{\n'
+        '  "p": 3,\n'
+        '  "n": 2,\n'
+        '  "method": "burnside",\n'
+        '  "orbit_count": "7"\n'
+        '}\n'
+    ),
+    ("orbits --p 3 --n 2 --method formula", "text"): '7\n',
+    ("orbits --p 3 --n 2 --method formula", "csv"): (
+        'p,n,method,orbit_count\n'
+        '3,2,formula,7\n'
+    ),
+    ("orbits --p 3 --n 2 --method formula", "json"): (
+        '{\n'
+        '  "p": 3,\n'
+        '  "n": 2,\n'
+        '  "method": "formula",\n'
+        '  "orbit_count": "7"\n'
+        '}\n'
+    ),
+    ("orbits --p 2 --n 2 --list", "text"): (
+        '00 00 1 6\n'
+        '00 01 3 2\n'
+        '01 00 3 2\n'
+        '01 01 3 2\n'
+        '01 10 6 1\n'
+    ),
+    ("orbits --p 2 --n 2 --list", "csv"): (
+        'representative,size,stabilizer_order\n'
+        '00 00,1,6\n'
+        '00 01,3,2\n'
+        '01 00,3,2\n'
+        '01 01,3,2\n'
+        '01 10,6,1\n'
+    ),
+    ("orbits --p 2 --n 2 --list", "json"): (
+        '{\n'
+        '  "p": 2,\n'
+        '  "n": 2,\n'
+        '  "method": "bfs",\n'
+        '  "orbit_count": "5",\n'
+        '  "orbits": [\n'
+        '    {\n'
+        '      "representative": "00 00",\n'
+        '      "size": "1",\n'
+        '      "stabilizer_order": "6"\n'
+        '    },\n'
+        '    {\n'
+        '      "representative": "00 01",\n'
+        '      "size": "3",\n'
+        '      "stabilizer_order": "2"\n'
+        '    },\n'
+        '    {\n'
+        '      "representative": "01 00",\n'
+        '      "size": "3",\n'
+        '      "stabilizer_order": "2"\n'
+        '    },\n'
+        '    {\n'
+        '      "representative": "01 01",\n'
+        '      "size": "3",\n'
+        '      "stabilizer_order": "2"\n'
+        '    },\n'
+        '    {\n'
+        '      "representative": "01 10",\n'
+        '      "size": "6",\n'
+        '      "stabilizer_order": "1"\n'
+        '    }\n'
+        '  ]\n'
+        '}\n'
+    ),
+    ("orbits --p 11 --n 1 --list", "text"): (
+        '0:0 1 1320\n'
+        '0:1 120 11\n'
+    ),
+    ("orbits --p 11 --n 1 --list", "csv"): (
+        'representative,size,stabilizer_order\n'
+        '0:0,1,1320\n'
+        '0:1,120,11\n'
+    ),
+    ("orbits --p 11 --n 1 --list", "json"): (
+        '{\n'
+        '  "p": 11,\n'
+        '  "n": 1,\n'
+        '  "method": "bfs",\n'
+        '  "orbit_count": "2",\n'
+        '  "orbits": [\n'
+        '    {\n'
+        '      "representative": "0:0",\n'
+        '      "size": "1",\n'
+        '      "stabilizer_order": "1320"\n'
+        '    },\n'
+        '    {\n'
+        '      "representative": "0:1",\n'
+        '      "size": "120",\n'
+        '      "stabilizer_order": "11"\n'
+        '    }\n'
+        '  ]\n'
+        '}\n'
+    ),
+    ("orbits --p 2 --n 0 --list", "text"): '- 1 -\n',
+    ("orbits --p 2 --n 0 --list", "csv"): (
+        'representative,size,stabilizer_order\n'
+        '-,1,-\n'
+    ),
+    ("orbits --p 2 --n 0 --list", "json"): (
+        '{\n'
+        '  "p": 2,\n'
+        '  "n": 0,\n'
+        '  "method": "bfs",\n'
+        '  "orbit_count": "1",\n'
+        '  "orbits": [\n'
+        '    {\n'
+        '      "representative": "-",\n'
+        '      "size": "1",\n'
+        '      "stabilizer_order": "-"\n'
+        '    }\n'
+        '  ]\n'
+        '}\n'
+    ),
+    ("words --m 3", "text"): '15\n',
+    ("words --m 3", "csv"): (
+        'm,count\n'
+        '3,15\n'
+    ),
+    ("words --m 3", "json"): (
+        '{\n'
+        '  "m": 3,\n'
+        '  "count": "15"\n'
+        '}\n'
+    ),
+    ("words --m 2 --list", "text"): (
+        '11\n'
+        '12\n'
+        '21\n'
+        '22\n'
+        '23\n'
+    ),
+    ("words --m 2 --list", "csv"): (
+        'word\n'
+        '11\n'
+        '12\n'
+        '21\n'
+        '22\n'
+        '23\n'
+    ),
+    ("words --m 2 --list", "json"): (
+        '{\n'
+        '  "m": 2,\n'
+        '  "count": "5",\n'
+        '  "words": [\n'
+        '    "11",\n'
+        '    "12",\n'
+        '    "21",\n'
+        '    "22",\n'
+        '    "23"\n'
+        '  ]\n'
+        '}\n'
+    ),
+    ("encode 234", "text"): (
+        'rows: 10 11 01\n'
+        'canonical: 01 10 11\n'
+    ),
+    ("encode 234", "csv"): (
+        'word,rows,canonical\n'
+        '234,10 11 01,01 10 11\n'
+    ),
+    ("encode 234", "json"): (
+        '{\n'
+        '  "word": "234",\n'
+        '  "rows": [\n'
+        '    "10",\n'
+        '    "11",\n'
+        '    "01"\n'
+        '  ],\n'
+        '  "canonical": [\n'
+        '    "01",\n'
+        '    "10",\n'
+        '    "11"\n'
+        '  ]\n'
+        '}\n'
+    ),
+    ("verify --m-max 3", "text"): (
+        'm methods formula words bridge result r\n'
+        '1 PASS PASS PASS PASS PASS 2\n'
+        '2 PASS PASS PASS PASS PASS 5\n'
+        '3 PASS PASS PASS PASS PASS 15\n'
+    ),
+    ("verify --m-max 3", "csv"): (
+        'm,methods,formula,words,bridge,result,r\n'
+        '1,PASS,PASS,PASS,PASS,PASS,2\n'
+        '2,PASS,PASS,PASS,PASS,PASS,5\n'
+        '3,PASS,PASS,PASS,PASS,PASS,15\n'
+    ),
+    ("verify --m-max 3", "json"): (
+        '[\n'
+        '  {\n'
+        '    "m": "1",\n'
+        '    "methods": "PASS",\n'
+        '    "formula": "PASS",\n'
+        '    "words": "PASS",\n'
+        '    "bridge": "PASS",\n'
+        '    "result": "PASS",\n'
+        '    "r": "2"\n'
+        '  },\n'
+        '  {\n'
+        '    "m": "2",\n'
+        '    "methods": "PASS",\n'
+        '    "formula": "PASS",\n'
+        '    "words": "PASS",\n'
+        '    "bridge": "PASS",\n'
+        '    "result": "PASS",\n'
+        '    "r": "5"\n'
+        '  },\n'
+        '  {\n'
+        '    "m": "3",\n'
+        '    "methods": "PASS",\n'
+        '    "formula": "PASS",\n'
+        '    "words": "PASS",\n'
+        '    "bridge": "PASS",\n'
+        '    "result": "PASS",\n'
+        '    "r": "15"\n'
+        '  }\n'
+        ']\n'
+    ),
+    ("sequence --p 3 --n-max 3", "text"): (
+        '0 1\n'
+        '1 2\n'
+        '2 7\n'
+        '3 40\n'
+    ),
+    ("sequence --p 3 --n-max 3", "csv"): (
+        'n,r\n'
+        '0,1\n'
+        '1,2\n'
+        '2,7\n'
+        '3,40\n'
+    ),
+    ("sequence --p 3 --n-max 3", "json"): (
+        '[\n'
+        '  {\n'
+        '    "n": 0,\n'
+        '    "r": "1"\n'
+        '  },\n'
+        '  {\n'
+        '    "n": 1,\n'
+        '    "r": "2"\n'
+        '  },\n'
+        '  {\n'
+        '    "n": 2,\n'
+        '    "r": "7"\n'
+        '  },\n'
+        '  {\n'
+        '    "n": 3,\n'
+        '    "r": "40"\n'
+        '  }\n'
+        ']\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(GOLDEN), ids=lambda v: v)
+def test_golden_stdout(capsys, command, fmt):
+    code, out, err = run(capsys, *command.split(), "--format", fmt)
+    assert (code, out, err) == (0, GOLDEN[command, fmt], "")

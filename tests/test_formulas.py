@@ -21,6 +21,28 @@ def test_is_prime_small():
     assert not is_prime(-7)
 
 
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [
+        n for n in range(10 ** 5) if trial(n)]
+
+
+def test_is_prime_large():
+    assert is_prime(2 ** 61 - 1)
+    assert is_prime(1_000_000_000_039)
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+
+
+def test_is_prime_refuses_beyond_exact_range():
+    assert not is_prime(3317044064679887385961980)
+    with pytest.raises(ValueError, match="exact only below"):
+        is_prime(3317044064679887385961981)
+
+
 def test_exact_div_rejects_remainder():
     assert exact_div(56, 8) == 7
     with pytest.raises(ArithmeticError):

@@ -77,20 +77,18 @@ class TestBfsCensus:
                 == count_orbits_bfs(GroupSpec((2, 3))).orbit_count)
 
     def test_summaries_partition_the_states(self):
-        for spec in [Z2_2, GroupSpec((2, 3)), GroupSpec((4,))]:
-            report = count_orbits_bfs(spec, include_summaries=True)
-            assert len(report.summaries) == report.orbit_count
-            assert sum(s.size for s in report.summaries) == spec.state_count
+        for spec in [Z2_2, GroupSpec.uniform(3, 2), GroupSpec.uniform(2, 3)]:
+            summaries = orbit_summaries(spec)
+            assert len(summaries) == count_orbits_bfs(spec).orbit_count
+            assert sum(s.size for s in summaries) == spec.state_count
 
     def test_budget_error_names_limit(self):
         with pytest.raises(BudgetExceeded, match="10"):
             count_orbits_bfs(GroupSpec.uniform(2, 3), budget=10)
 
     def test_deterministic(self):
-        a = count_orbits_bfs(Z2_2, include_summaries=True)
-        b = count_orbits_bfs(Z2_2, include_summaries=True)
-        assert a.orbit_count == b.orbit_count
-        assert a.summaries == b.summaries
+        assert count_orbits_bfs(Z2_2).orbit_count == count_orbits_bfs(Z2_2).orbit_count
+        assert orbit_summaries(Z2_2) == orbit_summaries(Z2_2)
 
 
 class TestCanonicalForm:
