@@ -66,8 +66,12 @@ def _emit(fmt: str, header: list[str], rows: list[list[str]], payload,
 def cmd_orbits(args) -> int:
     budget = _resolve_budget(args)
     spec = GroupSpec.uniform(args.p, args.n)
+    summaries = None
     if args.method == "formula":
         count = formulas.r_formula(args.p, args.n)
+    elif args.method == "bfs" and args.list:  # the listing is the BFS census
+        summaries = orbits.orbit_summaries(spec, budget)
+        count = len(summaries)
     elif args.method == "bfs":
         count = orbits.count_orbits_bfs(spec, budget).orbit_count
     elif args.method == "canonical":
@@ -86,7 +90,7 @@ def cmd_orbits(args) -> int:
     header = ["representative", "size", "stabilizer_order"]
     rows = [[format_state(s.representative), str(s.size),
              "-" if s.stabilizer_order is None else str(s.stabilizer_order)]
-            for s in orbits.orbit_summaries(spec, budget)]
+            for s in summaries or orbits.orbit_summaries(spec, budget)]
     if args.format == "json":  # tens of thousands of dicts; skip them otherwise
         payload["orbits"] = [dict(zip(header, row)) for row in rows]
     _emit(args.format, header, rows, payload)
@@ -127,20 +131,29 @@ def cmd_verify(args) -> int:
     all_ok = True
     for m in range(1, args.m_max + 1):
         spec = GroupSpec.uniform(2, m)
-        # verify_bridge's census is the BFS route, so it is the BFS count
         report = bridge.verify_bridge(m, budget)
-        bfs = report.orbit_count
+        bfs = orbits.count_orbits_bfs(spec, budget).orbit_count
         can = orbits.count_orbits_canonical(spec, budget).orbit_count
         bur = orbits.count_orbits_burnside(spec).orbit_count
         r = formulas.r_formula(2, m)
+        wc = words.count_words(m)
 
         methods_ok = bfs == can == bur
         formula_ok = bfs == r and formulas.r_p2_product(m) == r
-        words_ok = words.count_words(m) == r and report.word_count == r
+        words_ok = wc == r and report.word_count == r
         bridge_ok = (report.is_injective_on_orbits
                      and report.is_surjective_on_orbits)
         ok = methods_ok and formula_ok and words_ok and bridge_ok
         all_ok = all_ok and ok
+        if not ok:  # the evidence: every count, the first certificate of each kind
+            pair = "/".join(map(str, report.collisions[0])) if report.collisions else "-"
+            miss = (format_state(report.missed_orbits[0]).replace(" ", ",")
+                    if report.missed_orbits else "-")
+            print(f"verify: m={m} FAIL bfs={bfs} canonical={can} burnside={bur} "
+                  f"formula={r} words={wc} bridge_words={report.word_count} "
+                  f"collisions={len(report.collisions)} first_collision={pair} "
+                  f"missed={len(report.missed_orbits)} first_missed={miss}",
+                  file=sys.stderr)
         flag = lambda b: "PASS" if b else "FAIL"
         rows.append([str(m), flag(methods_ok), flag(formula_ok),
                      flag(words_ok), flag(bridge_ok), flag(ok), str(r)])

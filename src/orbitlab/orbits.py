@@ -101,22 +101,20 @@ def orbit_of(s: PairState) -> set[PairState]:
     return seen
 
 
-def _bfs_census(spec: GroupSpec, budget: int | None, collect: bool):
+def _bfs_orbits(spec: GroupSpec, budget: int | None):
     """Visited sweep in index order, one visited byte per state.
 
     Each unvisited index starts one orbit BFS; the sweep start is therefore
-    the minimal index of its orbit.  Returns (count, [(rep, size)] or None).
+    the minimal index of its orbit.  Yields (rep, size) per orbit, in
+    representative order.
     """
     total = spec.state_count
     check_budget(total, budget)
     s_of, t_of = _index_moves(spec)
-    orbits: list[tuple[int, int]] | None = [] if collect else None
-    count = 0
     visited = bytearray(total)
     for start in range(total):
         if visited[start]:
             continue
-        count += 1
         size = 0
         visited[start] = 1
         queue = deque([start])
@@ -127,33 +125,25 @@ def _bfs_census(spec: GroupSpec, budget: int | None, collect: bool):
                 if not visited[j]:
                     visited[j] = 1
                     queue.append(j)
-        if collect:
-            orbits.append((start, size))
-    return count, orbits
+        yield start, size
 
 
 def count_orbits_bfs(spec: GroupSpec, budget: int | None = None) -> CensusReport:
     """Exact orbit count by visited-sweep BFS; works for any moduli."""
-    count, _ = _bfs_census(spec, budget, False)
-    return CensusReport(spec, "bfs", count)
-
-
-def _summary(rep: int, size: int, spec: GroupSpec) -> OrbitSummary:
-    p = spec.prime
-    stab = exact_div(p * (p * p - 1), size) if p is not None else None
-    return OrbitSummary(state_from_index(rep, spec), size, stab)
+    return CensusReport(spec, "bfs", sum(1 for _ in _bfs_orbits(spec, budget)))
 
 
 @lru_cache(maxsize=None)
 def _canonical_engine(spec: GroupSpec):
-    """Return (canon, is_min) over packed indices for a uniform prime spec.
+    """Return least(i, first=False) over packed indices for a uniform prime spec.
 
-    canon(i) is the least index in the full matrix orbit of i; is_min(i)
-    short-circuits as soon as any image beats i.
+    least(i) is the least index in the full matrix orbit of i.  With first
+    set it stops at the first image below i and returns that image, so
+    least(i, True) == i exactly when i is its orbit's minimum.
     """
     n = spec.n
     if n == 0:
-        return (lambda i: 0), (lambda i: True)
+        return lambda i, first=False: 0
     p = spec.prime
     mats = enumerate_sl2(p)
 
@@ -162,7 +152,7 @@ def _canonical_engine(spec: GroupSpec):
         # Column selector code a*2 + c picks g, k, or g^k; 0 cannot occur.
         codes = [(m.a * 2 + m.c, m.b * 2 + m.d) for m in mats]
 
-        def canon(i: int) -> int:
+        def least(i: int, first: bool = False) -> int:
             g = i >> n
             k = i & mask
             vals = (0, k, g, g ^ k)
@@ -170,19 +160,12 @@ def _canonical_engine(spec: GroupSpec):
             for cg, ck in codes:
                 cand = (vals[cg] << n) | vals[ck]
                 if cand < best:
+                    if first:
+                        return cand
                     best = cand
             return best
 
-        def is_min(i: int) -> bool:
-            g = i >> n
-            k = i & mask
-            vals = (0, k, g, g ^ k)
-            for cg, ck in codes:
-                if (vals[cg] << n) | vals[ck] < i:
-                    return False
-            return True
-
-        return canon, is_min
+        return least
 
     order = spec.group_order
     # contrib[j][row] is what row value g_i*p + k_i at the j-th least
@@ -194,40 +177,27 @@ def _canonical_engine(spec: GroupSpec):
         a, b, c, d = m.a, m.b, m.c, m.d
         row_maps.append([((a * gi + c * ki) % p) * p + (b * gi + d * ki) % p
                          for gi in range(p) for ki in range(p)])
+    rng = range(n)
 
-    def decode_rows(i: int) -> list[int]:
+    def least(i: int, first: bool = False) -> int:
         gr, kr = divmod(i, order)
         rows = []
-        for _ in range(n):
+        for _ in rng:
             gr, gd = divmod(gr, p)
             kr, kd = divmod(kr, p)
             rows.append(gd * p + kd)
-        return rows
-
-    def canon(i: int) -> int:
-        rows = decode_rows(i)
-        rng = range(n)
         best = i
         for rmap in row_maps:
             cand = 0
             for j in rng:
                 cand += contrib[j][rmap[rows[j]]]
             if cand < best:
+                if first:
+                    return cand
                 best = cand
         return best
 
-    def is_min(i: int) -> bool:
-        rows = decode_rows(i)
-        rng = range(n)
-        for rmap in row_maps:
-            cand = 0
-            for j in rng:
-                cand += contrib[j][rmap[rows[j]]]
-            if cand < i:
-                return False
-        return True
-
-    return canon, is_min
+    return least
 
 
 def canonical_form(s: PairState) -> PairState:
@@ -236,16 +206,16 @@ def canonical_form(s: PairState) -> PairState:
     Idempotent and constant on orbits, so it identifies an orbit.
     """
     _require_uniform_prime(s.spec)
-    canon, _ = _canonical_engine(s.spec)
-    return state_from_index(canon(state_index(s)), s.spec)
+    least = _canonical_engine(s.spec)
+    return state_from_index(least(state_index(s)), s.spec)
 
 
 def count_orbits_canonical(spec: GroupSpec, budget: int | None = None) -> CensusReport:
     """Count states equal to their own canonical form; O(1) extra memory."""
     _require_uniform_prime(spec)
     check_budget(spec.state_count, budget)
-    _, is_min = _canonical_engine(spec)
-    count = sum(1 for i in range(spec.state_count) if is_min(i))
+    least = _canonical_engine(spec)
+    count = sum(1 for i in range(spec.state_count) if least(i, True) == i)
     return CensusReport(spec, "canonical", count)
 
 
@@ -280,5 +250,7 @@ def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
 def orbit_summaries(spec: GroupSpec, budget: int | None = None) -> list[OrbitSummary]:
     """One summary per orbit, sorted by representative index."""
     _require_uniform_prime(spec)
-    _, pairs = _bfs_census(spec, budget, True)
-    return [_summary(rep, size, spec) for rep, size in pairs]
+    p = spec.prime  # None only at n = 0, where no matrix group acts
+    return [OrbitSummary(state_from_index(rep, spec), size,
+                         exact_div(p * (p * p - 1), size) if p else None)
+            for rep, size in _bfs_orbits(spec, budget)]

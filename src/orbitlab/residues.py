@@ -107,13 +107,6 @@ class PairState:
     def zero(cls, spec: GroupSpec) -> "PairState":
         return cls(ResidueVector.zero(spec), ResidueVector.zero(spec))
 
-    @classmethod
-    def from_rows(cls, rows, spec: GroupSpec) -> "PairState":
-        rows = list(rows)
-        g = ResidueVector(tuple(r[0] for r in rows), spec)
-        k = ResidueVector(tuple(r[1] for r in rows), spec)
-        return cls(g, k)
-
     def rows(self) -> list[tuple[int, int]]:
         return list(zip(self.g.entries, self.k.entries))
 

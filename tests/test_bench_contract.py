@@ -1,0 +1,56 @@
+"""The benchmark's calls into orbitlab, at its small sizes.
+
+perfbench/workloads.py checks every result it times against values computed
+outside orbitlab's census routes, and its CLI commands against expected
+stdout.  Running its steps, probe bundles and commands here keeps a change to
+the public API (a report field, a summary field, an output line) from
+surfacing only when the benchmark runs.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from orbitlab import cli
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+def _run_steps(steps) -> dict:
+    results = {}
+    for step in steps:
+        _, out, error = workloads.attempt(step)
+        assert error is None, f"{step.label}: {error}"
+        results[step.label] = out
+    return results
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_steps_and_commands(name, capsys):
+    wl = workloads.build(name, seed=1, small=True)
+    workloads.warm_up(wl, lambda label, fn: fn())
+    results = _run_steps(wl.steps())
+    capsys.readouterr()
+    for cmd in wl.commands(results):
+        code = cli.main(cmd.args)
+        out = capsys.readouterr().out
+        assert code == 0 and cmd.check(out), "orbitlab " + " ".join(cmd.args)
+
+
+def test_probe_bundles():
+    for bundle in workloads.probes(Random(1)):
+        _run_steps(bundle)

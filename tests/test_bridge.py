@@ -1,5 +1,6 @@
 import pytest
 
+from orbitlab import bridge
 from orbitlab.bridge import encode_letter, encode_word, verify_bridge
 from orbitlab.budget import BudgetExceeded
 from orbitlab.orbits import canonical_form, orbit_summaries
@@ -103,3 +104,28 @@ class TestVerifyBridge:
             verify_bridge(6, budget=100)
         with pytest.raises(ValueError):
             verify_bridge(0)
+
+    def test_dropped_word_is_certified_as_missed_orbit(self, monkeypatch):
+        real = bridge.enumerate_words
+        dropped = real(4)[17]
+        monkeypatch.setattr(
+            bridge, "enumerate_words",
+            lambda m, budget=None: [w for w in real(m, budget) if w != dropped])
+        report = verify_bridge(4)
+        assert report.word_count == 50
+        assert report.orbit_count == 51
+        assert report.is_injective_on_orbits
+        assert not report.is_surjective_on_orbits
+        assert report.missed_orbits == [canonical_form(encode_word(dropped))]
+
+    def test_duplicate_word_is_certified_as_collision(self, monkeypatch):
+        real = bridge.enumerate_words
+        extra = real(4)[17]
+        monkeypatch.setattr(bridge, "enumerate_words",
+                            lambda m, budget=None: real(m, budget) + [extra])
+        report = verify_bridge(4)
+        assert report.word_count == 52
+        assert report.collisions == [(extra, extra)]
+        assert not report.is_injective_on_orbits
+        assert report.is_surjective_on_orbits
+        assert report.missed_orbits == []

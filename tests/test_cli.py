@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitlab import cli
+from orbitlab import bridge, cli, orbits
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -31,6 +31,19 @@ class TestOrbits:
     def test_burnside_p3(self, capsys):
         code, out, _ = run(capsys, "orbits", "--p", "3", "--n", "2", "--method", "burnside")
         assert (code, out) == (0, "7\n")
+
+    def test_each_answer_sweeps_the_states_at_most_once(self, capsys, monkeypatch):
+        # _index_moves is built once per BFS visited sweep and nowhere else
+        sweeps = []
+        real = orbits._index_moves
+        monkeypatch.setattr(orbits, "_index_moves",
+                            lambda spec: sweeps.append(spec) or real(spec))
+        code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "3", "--list")
+        assert (code, len(out.splitlines()), len(sweeps)) == (0, 15, 1)
+        sweeps.clear()
+        report = bridge.verify_bridge(4)
+        assert report.is_injective_on_orbits and report.is_surjective_on_orbits
+        assert sweeps == []
 
     def test_list_text(self, capsys):
         code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "1", "--list")
@@ -192,9 +205,10 @@ class TestVerify:
     def test_failure_exit_code(self, capsys, monkeypatch):
         # simulate a broken count to exercise the failure path
         monkeypatch.setattr(cli.words, "count_words", lambda m: 0)
-        code, out, _ = run(capsys, "verify", "--m-max", "2")
+        code, out, err = run(capsys, "verify", "--m-max", "2")
         assert code == 1
         assert "FAIL" in out
+        assert "words=0" in err
 
     def test_m_max_validation(self, capsys):
         assert run(capsys, "verify", "--m-max", "0")[0] == 2
