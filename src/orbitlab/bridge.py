@@ -5,8 +5,9 @@ Each letter becomes one row of an m x 2 bit matrix (1 -> 00, 2 -> 10,
 canonical form hits every orbit exactly once: bijectivity is checked, never
 assumed.  Injectivity is a scan for words sharing a canonical image;
 surjectivity is pigeonhole, since each image is its orbit's minimum, against
-the independent Burnside count.  Only when that fails does it sweep the
-states for the missed orbits, as explicit certificates.
+the independent Burnside count (four diagonals at p = 2).  Only when that
+fails does it sweep the states for the missed orbits, as explicit
+certificates.
 """
 
 from __future__ import annotations

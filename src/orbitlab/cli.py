@@ -134,7 +134,7 @@ def cmd_verify(args) -> int:
         report = bridge.verify_bridge(m, budget)
         bfs = orbits.count_orbits_bfs(spec, budget).orbit_count
         can = orbits.count_orbits_canonical(spec, budget).orbit_count
-        bur = orbits.count_orbits_burnside(spec).orbit_count
+        bur = report.orbit_count  # verify_bridge's Burnside census
         r = formulas.r_formula(2, m)
         wc = words.count_words(m)
 

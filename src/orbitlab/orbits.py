@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .budget import check_budget
 from .formulas import exact_div
@@ -42,8 +43,6 @@ class OrbitSummary:
 
 @dataclass(slots=True)
 class CensusReport:
-    spec: GroupSpec
-    method: str
     orbit_count: int
 
 
@@ -130,7 +129,7 @@ def _bfs_orbits(spec: GroupSpec, budget: int | None):
 
 def count_orbits_bfs(spec: GroupSpec, budget: int | None = None) -> CensusReport:
     """Exact orbit count by visited-sweep BFS; works for any moduli."""
-    return CensusReport(spec, "bfs", sum(1 for _ in _bfs_orbits(spec, budget)))
+    return CensusReport(sum(1 for _ in _bfs_orbits(spec, budget)))
 
 
 @lru_cache(maxsize=None)
@@ -140,57 +139,47 @@ def _canonical_engine(spec: GroupSpec):
     least(i) is the least index in the full matrix orbit of i.  With first
     set it stops at the first image below i and returns that image, so
     least(i, True) == i exactly when i is its orbit's minimum.
+
+    Matrix (a, b, c, d) sends [g | k] to [a g + c k | b g + d k], so both
+    image columns are entries of the state's table vals[x*p + y], the rank
+    of x g + y k, and each image index is two lookups.  At p = 2 that table
+    is (0, k, g, g ^ k); otherwise it is the sum of one row per entry of the
+    state, taken from n per-position tables of p^4 entries each.
     """
     n = spec.n
     if n == 0:
         return lambda i, first=False: 0
     p = spec.prime
-    mats = enumerate_sl2(p)
+    order = spec.group_order
+    codes = [(m.a * p + m.c, m.b * p + m.d) for m in enumerate_sl2(p)]
+    mask = order - 1
+    # tables[j][g_j*p + k_j][x*p + y]: entry j of x g + y k times its place
+    # value p^j, j counted from the least significant entry
+    tables = []
+    for j in range(n if p > 2 else 0):
+        place = [r * p ** j for r in range(p)]
+        tables.append([[place[(x * gj + y * kj) % p]
+                        for x in range(p) for y in range(p)]
+                       for gj in range(p) for kj in range(p)])
 
-    if p == 2:
-        mask = (1 << n) - 1
-        # Column selector code a*2 + c picks g, k, or g^k; 0 cannot occur.
-        codes = [(m.a * 2 + m.c, m.b * 2 + m.d) for m in mats]
-
-        def least(i: int, first: bool = False) -> int:
+    def least(i: int, first: bool = False) -> int:
+        if p == 2:
             g = i >> n
             k = i & mask
             vals = (0, k, g, g ^ k)
-            best = i
-            for cg, ck in codes:
-                cand = (vals[cg] << n) | vals[ck]
-                if cand < best:
-                    if first:
-                        return cand
-                    best = cand
-            return best
-
-        return least
-
-    order = spec.group_order
-    # contrib[j][row] is what row value g_i*p + k_i at the j-th least
-    # significant position adds to the packed index.
-    contrib = [[(p ** j) * ((r // p) * order + r % p) for r in range(p * p)]
-               for j in range(n)]
-    row_maps = []
-    for m in mats:
-        a, b, c, d = m.a, m.b, m.c, m.d
-        row_maps.append([((a * gi + c * ki) % p) * p + (b * gi + d * ki) % p
-                         for gi in range(p) for ki in range(p)])
-    rng = range(n)
-
-    def least(i: int, first: bool = False) -> int:
-        gr, kr = divmod(i, order)
-        rows = []
-        for _ in rng:
-            gr, gd = divmod(gr, p)
-            kr, kd = divmod(kr, p)
-            rows.append(gd * p + kd)
+        else:
+            gr, kr = divmod(i, order)
+            vals = None
+            for table in tables:
+                gr, gj = divmod(gr, p)
+                kr, kj = divmod(kr, p)
+                row = table[gj * p + kj]
+                vals = row if vals is None else map(add, vals, row)
+            if n > 1:  # at n = 1 the row is the table itself
+                vals = list(vals)
         best = i
-        for rmap in row_maps:
-            cand = 0
-            for j in rng:
-                cand += contrib[j][rmap[rows[j]]]
+        for cg, ck in codes:
+            cand = vals[cg] * order + vals[ck]
             if cand < best:
                 if first:
                     return cand
@@ -216,35 +205,32 @@ def count_orbits_canonical(spec: GroupSpec, budget: int | None = None) -> Census
     check_budget(spec.state_count, budget)
     least = _canonical_engine(spec)
     count = sum(1 for i in range(spec.state_count) if least(i, True) == i)
-    return CensusReport(spec, "canonical", count)
+    return CensusReport(count)
 
 
 def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
-    """Average fixed-point counts over the matrix group.
+    """Average fixed-point counts over the matrix group, by diagonal (a, d).
 
     A matrix fixes a state iff every row lies in the fixed space of the row
-    action, so its fixed count is p^(n * (2 - rank(A - I))).  The averaged
-    sum must divide exactly; a remainder is a hard error.
+    action, so its fixed count is p^(n * (2 - rank(A - I))).  The rank is 0
+    only at the identity; otherwise det(A - I) = 2 - trace makes it 1 exactly
+    when a + d = 2, and 2 elsewhere.  bc = ad - 1 has 2p - 1 solutions (b, c)
+    when ad = 1 and p - 1 otherwise, so O(p^2) diagonals cover all
+    p(p^2 - 1) matrices.  The averaged sum must divide exactly; a remainder
+    is a hard error.
     """
     _require_uniform_prime(spec)
     n = spec.n
     if n == 0:
-        return CensusReport(spec, "burnside", 1)
+        return CensusReport(1)
     p = spec.prime
-    total = 0
-    for m in enumerate_sl2(p):
-        e00 = (m.a - 1) % p
-        e01 = m.b
-        e10 = m.c
-        e11 = (m.d - 1) % p
-        if not (e00 or e01 or e10 or e11):
-            rank = 0
-        elif (e00 * e11 - e01 * e10) % p == 0:
-            rank = 1
-        else:
-            rank = 2
-        total += p ** (n * (2 - rank))
-    return CensusReport(spec, "burnside", exact_div(total, p * (p * p - 1)))
+    fixed = (p ** (2 * n), p ** n, 1)  # by rank of A - I
+    total = fixed[0] - fixed[1]  # the identity, counted below as rank 1
+    for a in range(p):
+        for d in range(p):
+            solutions = 2 * p - 1 if a * d % p == 1 else p - 1
+            total += solutions * fixed[1 if (a + d - 2) % p == 0 else 2]
+    return CensusReport(exact_div(total, p * (p * p - 1)))
 
 
 def orbit_summaries(spec: GroupSpec, budget: int | None = None) -> list[OrbitSummary]:

@@ -45,6 +45,27 @@ class TestOrbits:
         assert report.is_injective_on_orbits and report.is_surjective_on_orbits
         assert sweeps == []
 
+    def test_canonical_engine_memory(self):
+        # the engine holds p(p^2 - 1) code pairs and p^4 = 923,521 table entries
+        code = ("import resource, sys\n"
+                "from orbitlab import cli\n"
+                "cli.main(['orbits', '--p', '31', '--n', '1', '--method', 'canonical'])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (result.returncode, result.stdout) == (0, "2\n")
+        assert int(result.stderr) < 128 * 1024  # ru_maxrss is in KiB on Linux
+
+    def test_burnside_large_prime_finishes(self):
+        # O(p^2) diagonals: about a million steps here
+        result = subprocess.run(
+            [sys.executable, "-m", "orbitlab", "orbits",
+             "--p", "1009", "--n", "1", "--method", "burnside"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (result.returncode, result.stdout) == (0, "2\n")
+
     def test_list_text(self, capsys):
         code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "1", "--list")
         assert code == 0

@@ -116,8 +116,11 @@ class TestCanonicalForm:
                 assert all(canonical_form(t) == canon for t in orbit_of(s))
 
     def test_is_orbit_minimum(self):
-        for s in all_states(GroupSpec.uniform(3, 2)):
-            assert canonical_form(s) == min(orbit_of(s), key=state_index)
+        # Z_3^2 and Z_5^2 sum one table row per entry; Z_2^3 takes the bit path
+        for spec in (GroupSpec.uniform(3, 2), GroupSpec.uniform(5, 2),
+                     GroupSpec.uniform(2, 3)):
+            for s in all_states(spec):
+                assert canonical_form(s) == min(orbit_of(s), key=state_index), s
 
     def test_rejects_non_uniform(self):
         with pytest.raises(ValueError):
@@ -151,6 +154,11 @@ class TestBurnsideCensus:
         count = count_orbits_burnside(spec).orbit_count
         assert count == 40  # 2 + F(1) + F(2) = 2 + 5 + 33
         assert count == count_orbits_bfs(spec).orbit_count
+
+    @pytest.mark.parametrize("p", [11, 13, 31])
+    def test_matches_formula_beyond_the_grid(self, p):
+        for n in range(9):
+            assert count_orbits_burnside(GroupSpec.uniform(p, n)).orbit_count == r_formula(p, n)
 
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
