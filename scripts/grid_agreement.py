@@ -3,7 +3,9 @@
 
 For each (p, n) on the grid, computes the orbit count by BFS sweep,
 canonical-form counting, fixed-point averaging, and the closed form, and
-reports how long each route took.  Exits nonzero on any disagreement.
+lists the orbits from their echelon minima, and reports how long each route
+took.  The listing must have one entry per BFS orbit, with sizes summing to
+p^(2n).  Exits nonzero on any disagreement.
 """
 
 import argparse
@@ -15,6 +17,7 @@ from orbitlab.orbits import (
     count_orbits_bfs,
     count_orbits_burnside,
     count_orbits_canonical,
+    orbit_summaries,
 )
 from orbitlab.residues import GroupSpec
 
@@ -36,20 +39,25 @@ def main() -> int:
     grid = [(2, args.p2_max)] + DEFAULT_GRID[1:]
     mismatches = 0
     print(f"{'p':>3} {'n':>3} {'states':>10} {'count':>12} "
-          f"{'bfs[s]':>8} {'canon[s]':>9} {'burn[s]':>8}")
+          f"{'bfs[s]':>8} {'canon[s]':>9} {'burn[s]':>8} {'list[s]':>8}")
     for p, n_max in grid:
         for n in range(n_max + 1):
             spec = GroupSpec.uniform(p, n)
             bfs, t_bfs = timed(lambda: count_orbits_bfs(spec).orbit_count)
             canon, t_canon = timed(lambda: count_orbits_canonical(spec).orbit_count)
             burn, t_burn = timed(lambda: count_orbits_burnside(spec).orbit_count)
+            listing, t_list = timed(lambda: orbit_summaries(spec))
+            listed = len(listing)
+            covered = sum(s.size for s in listing)
             formula = r_formula(p, n)
-            ok = bfs == canon == burn == formula
+            ok = (bfs == canon == burn == formula == listed
+                  and covered == spec.state_count)
             if not ok:
                 mismatches += 1
             print(f"{p:>3} {n:>3} {spec.state_count:>10} {bfs:>12} "
-                  f"{t_bfs:>8.3f} {t_canon:>9.3f} {t_burn:>8.3f}"
-                  + ("" if ok else f"  MISMATCH canon={canon} burn={burn} formula={formula}"))
+                  f"{t_bfs:>8.3f} {t_canon:>9.3f} {t_burn:>8.3f} {t_list:>8.3f}"
+                  + ("" if ok else f"  MISMATCH canon={canon} burn={burn} "
+                                   f"formula={formula} listed={listed} covered={covered}"))
     if mismatches:
         print(f"{mismatches} mismatching cells", file=sys.stderr)
         return 1

@@ -2,12 +2,13 @@
 
 Each letter becomes one row of an m x 2 bit matrix (1 -> 00, 2 -> 10,
 3 -> 11, 4 -> 01).  verify_bridge machine-checks that composing with the
-canonical form hits every orbit exactly once: bijectivity is checked, never
-assumed.  Injectivity is a scan for words sharing a canonical image;
-surjectivity is pigeonhole, since each image is its orbit's minimum, against
-the independent Burnside count (four diagonals at p = 2).  Only when that
-fails does it sweep the states for the missed orbits, as explicit
-certificates.
+canonical form, (min, middle) of the bit rows {g, k, g ^ k}, hits every
+orbit exactly once: bijectivity is checked, never assumed.  Injectivity is
+a scan for words sharing a canonical image; surjectivity is pigeonhole,
+since each image is its orbit's minimum, against the independent Burnside
+count (four diagonals at p = 2).  Only when that fails does it sweep the
+states, testing each for the shape of an orbit minimum, for the missed
+orbits, as explicit certificates.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def verify_bridge(m: int, budget: int | None = None) -> BridgeReport:
         raise ValueError(f"m must be >= 1, got {m}")
     spec = GroupSpec.uniform(2, m)
     check_budget(spec.state_count, budget)
-    least = _canonical_engine(spec)
+    least, is_least = _canonical_engine(spec)
 
     hits: dict[int, list[RGWord]] = {}
     word_count = 0
@@ -94,7 +95,7 @@ def verify_bridge(m: int, budget: int | None = None) -> BridgeReport:
     surjective = len(hits) == orbit_count
     missed = [] if surjective else [
         state_from_index(i, spec) for i in range(spec.state_count)
-        if least(i, True) == i and i not in hits]
+        if is_least(i) and i not in hits]
 
     return BridgeReport(
         m=m,

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: orbits, words, encode, verify, sequence.  Data goes to stdout,
-diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
+diagnostics to stderr.  Exit codes: 0 success, 1 verification failure
+(verify, or an orbits listing whose length differs from the count),
 2 usage error, 3 state budget exceeded.  In json and csv output every count
 is a decimal string so consumers never round large values.
 """
@@ -66,12 +67,10 @@ def _emit(fmt: str, header: list[str], rows: list[list[str]], payload,
 def cmd_orbits(args) -> int:
     budget = _resolve_budget(args)
     spec = GroupSpec.uniform(args.p, args.n)
-    summaries = None
+    # the listing first: it is refused for a composite p before any sweep
+    summaries = orbits.orbit_summaries(spec, budget) if args.list else None
     if args.method == "formula":
         count = formulas.r_formula(args.p, args.n)
-    elif args.method == "bfs" and args.list:  # the listing is the BFS census
-        summaries = orbits.orbit_summaries(spec, budget)
-        count = len(summaries)
     elif args.method == "bfs":
         count = orbits.count_orbits_bfs(spec, budget).orbit_count
     elif args.method == "canonical":
@@ -87,10 +86,14 @@ def cmd_orbits(args) -> int:
               payload, text=[str(count)])
         return 0
 
+    if count != len(summaries):  # the listing is not a census of its own
+        print(f"orbits: {args.method} counts {count} orbits, "
+              f"the listing has {len(summaries)}", file=sys.stderr)
+        return 1
     header = ["representative", "size", "stabilizer_order"]
     rows = [[format_state(s.representative), str(s.size),
              "-" if s.stabilizer_order is None else str(s.stabilizer_order)]
-            for s in summaries or orbits.orbit_summaries(spec, budget)]
+            for s in summaries]
     if args.format == "json":  # tens of thousands of dicts; skip them otherwise
         payload["orbits"] = [dict(zip(header, row)) for row in rows]
     _emit(args.format, header, rows, payload)

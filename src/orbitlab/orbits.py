@@ -1,18 +1,20 @@
 """Orbit enumeration for the pair action, three independent ways.
 
 The engines work on packed state indices: a breadth-first visited sweep, a
-canonical-form count (a state is counted when no matrix image has a smaller
-index), and class-equation averaging of fixed-point counts.  The three
-routes share no code beyond the index packing, which is the point: they are
-meant to disagree loudly if any one of them is wrong.
+canonical-form count (a state is counted when it has the row-reduced shape
+of its orbit's minimum), and class-equation averaging of fixed-point counts.
+The three routes share no code beyond the index packing, which is the
+point: they are meant to disagree loudly if any one of them is wrong.  The
+orbit listing enumerates the row-reduced minima directly and visits no
+state.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
 from .budget import check_budget
 from .formulas import exact_div
@@ -21,7 +23,6 @@ from .residues import (
     PairState,
     apply_s,
     apply_t,
-    enumerate_sl2,
     state_from_index,
     state_index,
     vector_rank,
@@ -134,59 +135,77 @@ def count_orbits_bfs(spec: GroupSpec, budget: int | None = None) -> CensusReport
 
 @lru_cache(maxsize=None)
 def _canonical_engine(spec: GroupSpec):
-    """Return least(i, first=False) over packed indices for a uniform prime spec.
+    """Return (least, is_least) on packed indices for a uniform prime spec.
 
-    least(i) is the least index in the full matrix orbit of i.  With first
-    set it stops at the first image below i and returns that image, so
-    least(i, True) == i exactly when i is its orbit's minimum.
+    least(i) is the least index in the matrix orbit of i, read off by row
+    reduction in O(n) field operations; is_least(i) is least(i) == i,
+    decided without computing the minimum.  Every orbit is one of three
+    kinds, and its minimum under the packed order is:
 
-    Matrix (a, b, c, d) sends [g | k] to [a g + c k | b g + d k], so both
-    image columns are entries of the state's table vals[x*p + y], the rank
-    of x g + y k, and each image index is two lookups.  At p = 2 that table
-    is (0, k, g, g ^ k); otherwise it is the sum of one row per entry of the
-    state, taken from n per-position tables of p^4 entries each.
+    - rank 0: the zero state;
+    - rank 1: [0 | v], v the vector of the line with leading entry 1;
+    - rank 2: [e2 | lam e1], (e1, e2) the reduced echelon basis of the
+      plane with pivots j1 < j2, and lam = -(g_j1 k_j2 - k_j1 g_j2), since
+      the determinant of the coordinates in that basis is invariant.
+
+    So [g | k] is minimal iff g = 0 and k is 0 or has leading entry 1, or g
+    has leading entry 1 at some j, k is nonzero before j and k_j = 0.  At
+    p = 2 the minimum is (min, middle) of {g, k, g ^ k}.
     """
     n = spec.n
     if n == 0:
-        return lambda i, first=False: 0
+        return (lambda i: 0), (lambda i: True)
     p = spec.prime
     order = spec.group_order
-    codes = [(m.a * p + m.c, m.b * p + m.d) for m in enumerate_sl2(p)]
-    mask = order - 1
-    # tables[j][g_j*p + k_j][x*p + y]: entry j of x g + y k times its place
-    # value p^j, j counted from the least significant entry
-    tables = []
-    for j in range(n if p > 2 else 0):
-        place = [r * p ** j for r in range(p)]
-        tables.append([[place[(x * gj + y * kj) % p]
-                        for x in range(p) for y in range(p)]
-                       for gj in range(p) for kj in range(p)])
+    moduli = spec.moduli
 
-    def least(i: int, first: bool = False) -> int:
-        if p == 2:
+    if p == 2:
+        mask = order - 1
+
+        def least(i: int) -> int:
             g = i >> n
             k = i & mask
-            vals = (0, k, g, g ^ k)
-        else:
-            gr, kr = divmod(i, order)
-            vals = None
-            for table in tables:
-                gr, gj = divmod(gr, p)
-                kr, kj = divmod(kr, p)
-                row = table[gj * p + kj]
-                vals = row if vals is None else map(add, vals, row)
-            if n > 1:  # at n = 1 the row is the table itself
-                vals = list(vals)
-        best = i
-        for cg, ck in codes:
-            cand = vals[cg] * order + vals[ck]
-            if cand < best:
-                if first:
-                    return cand
-                best = cand
-        return best
+            lo, mid, _ = sorted((g, k, g ^ k))
+            return (lo << n) | mid
 
-    return least
+        def is_least(i: int) -> bool:
+            g = i >> n
+            k = i & mask
+            return not g or g < k < g ^ k
+
+        return least, is_least
+
+    powers = [p ** t for t in range(n + 1)]
+
+    def least(i: int) -> int:
+        gr, kr = divmod(i, order)
+        g = vector_unrank(gr, moduli)
+        k = vector_unrank(kr, moduli)
+        j1 = next((j for j in range(n) if g[j] or k[j]), None)
+        if j1 is None:
+            return 0
+        a, b = g[j1], k[j1]
+        cross = [(a * y - b * x) % p for x, y in zip(g, k)]  # a k - b g
+        j2 = next((j for j in range(j1 + 1, n) if cross[j]), None)
+        if j2 is None:  # rank 1: g and k are multiples of one vector
+            v, lead = (g, a) if a else (k, b)
+            inv = pow(lead, -1, p)
+            return vector_rank([x * inv % p for x in v], moduli)
+        det = cross[j2]  # g_j1 k_j2 - k_j1 g_j2
+        inv = pow(det, -1, p)
+        e2 = [y * inv % p for y in cross]
+        gj, kj = g[j2], k[j2]
+        lam_e1 = [(gj * y - kj * x) % p for x, y in zip(g, k)]
+        return vector_rank(e2, moduli) * order + vector_rank(lam_e1, moduli)
+
+    def is_least(i: int) -> bool:
+        gr, kr = divmod(i, order)
+        if not gr:  # k's leading entry is 1 iff p^t <= k < 2 p^t
+            return not kr or kr < 2 * powers[bisect_right(powers, kr) - 1]
+        place = powers[bisect_right(powers, gr) - 1]  # g's leading place value
+        return gr < 2 * place and kr >= place * p and not kr // place % p
+
+    return least, is_least
 
 
 def canonical_form(s: PairState) -> PairState:
@@ -195,17 +214,16 @@ def canonical_form(s: PairState) -> PairState:
     Idempotent and constant on orbits, so it identifies an orbit.
     """
     _require_uniform_prime(s.spec)
-    least = _canonical_engine(s.spec)
+    least, _ = _canonical_engine(s.spec)
     return state_from_index(least(state_index(s)), s.spec)
 
 
 def count_orbits_canonical(spec: GroupSpec, budget: int | None = None) -> CensusReport:
-    """Count states equal to their own canonical form; O(1) extra memory."""
+    """Count the states that are their orbit's minimum; O(1) extra memory."""
     _require_uniform_prime(spec)
     check_budget(spec.state_count, budget)
-    least = _canonical_engine(spec)
-    count = sum(1 for i in range(spec.state_count) if least(i, True) == i)
-    return CensusReport(count)
+    _, is_least = _canonical_engine(spec)
+    return CensusReport(sum(map(is_least, range(spec.state_count))))
 
 
 def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
@@ -233,10 +251,39 @@ def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
     return CensusReport(exact_div(total, p * (p * p - 1)))
 
 
+def _echelon_minima(spec: GroupSpec):
+    """Yield (rep, size) for every orbit of a uniform prime spec, in index
+    order, from the shape of the minima (see _canonical_engine): the zero
+    state, then [0 | v] for each line, then [g | k] for each plane and
+    determinant class.  No state is visited."""
+    yield 0, 1
+    n = spec.n
+    if n == 0:
+        return
+    p = spec.prime
+    order = spec.group_order
+    line, plane = p * p - 1, p * (p * p - 1)  # orbit sizes
+    lead = [p ** t for t in range(n)]  # a leading entry 1 at place t: [p^t, 2 p^t)
+    for place in lead:
+        for v in range(place, 2 * place):
+            yield v, line
+    for place in lead:
+        step = place * p  # k is nonzero above g's place and 0 at it
+        for g in range(place, 2 * place):
+            for high in range(g * order + step, (g + 1) * order, step):
+                for i in range(high, high + place):
+                    yield i, plane
+
+
 def orbit_summaries(spec: GroupSpec, budget: int | None = None) -> list[OrbitSummary]:
-    """One summary per orbit, sorted by representative index."""
+    """One summary per orbit, sorted by representative index.
+
+    Read off the echelon minima, so it costs O(orbits), not O(states); the
+    state budget is still checked, as for the censuses.
+    """
     _require_uniform_prime(spec)
+    check_budget(spec.state_count, budget)
     p = spec.prime  # None only at n = 0, where no matrix group acts
     return [OrbitSummary(state_from_index(rep, spec), size,
                          exact_div(p * (p * p - 1), size) if p else None)
-            for rep, size in _bfs_orbits(spec, budget)]
+            for rep, size in _echelon_minima(spec)]

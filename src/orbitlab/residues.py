@@ -187,13 +187,16 @@ def apply_mat(s: PairState, mat: Mat2) -> PairState:
 
 @lru_cache(maxsize=None)
 def _sl2_elements(p: int) -> tuple[Mat2, ...]:
+    # ad - bc = 1: for a != 0, d = (1 + bc) / a; for a = 0, c = -1 / b and d
+    # is free.  Both loops run in lexicographic entry order.
     out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 1:
-                        out.append(Mat2(a, b, c, d, p))
+    for b in range(1, p):
+        c = -pow(b, -1, p) % p
+        out.extend(Mat2(0, b, c, d, p) for d in range(p))
+    for a in range(1, p):
+        inv = pow(a, -1, p)
+        out.extend(Mat2(a, b, c, (1 + b * c) * inv % p, p)
+                   for b in range(p) for c in range(p))
     return tuple(out)
 
 

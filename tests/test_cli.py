@@ -46,7 +46,7 @@ class TestOrbits:
         assert sweeps == []
 
     def test_canonical_engine_memory(self):
-        # the engine holds p(p^2 - 1) code pairs and p^4 = 923,521 table entries
+        # row reduction holds O(n) values per state and no per-matrix table
         code = ("import resource, sys\n"
                 "from orbitlab import cli\n"
                 "cli.main(['orbits', '--p', '31', '--n', '1', '--method', 'canonical'])\n"
@@ -57,6 +57,15 @@ class TestOrbits:
         assert (result.returncode, result.stdout) == (0, "2\n")
         assert int(result.stderr) < 128 * 1024  # ru_maxrss is in KiB on Linux
 
+    def test_canonical_large_prime_finishes(self):
+        # 1,018,081 states, each decided by row reduction, not by 1e9 matrices
+        result = subprocess.run(
+            [sys.executable, "-m", "orbitlab", "orbits",
+             "--p", "1009", "--n", "1", "--method", "canonical"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (result.returncode, result.stdout) == (0, "2\n")
+
     def test_burnside_large_prime_finishes(self):
         # O(p^2) diagonals: about a million steps here
         result = subprocess.run(
@@ -65,6 +74,15 @@ class TestOrbits:
             capture_output=True, text=True, timeout=10,
             env={**os.environ, "PYTHONPATH": str(SRC)})
         assert (result.returncode, result.stdout) == (0, "2\n")
+
+    def test_list_count_mismatch_fails(self, capsys, monkeypatch):
+        # the listing is no census of its own: a short one must not pass
+        real = orbits.orbit_summaries
+        monkeypatch.setattr(orbits, "orbit_summaries", lambda *a: real(*a)[:-1])
+        code, out, err = run(capsys, "orbits", "--p", "2", "--n", "2", "--list",
+                             "--method", "canonical")
+        assert (code, out) == (1, "")
+        assert err == "orbits: canonical counts 5 orbits, the listing has 4\n"
 
     def test_list_text(self, capsys):
         code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "1", "--list")

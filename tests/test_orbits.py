@@ -3,6 +3,8 @@ import pytest
 from orbitlab.budget import BudgetExceeded
 from orbitlab.formulas import r_formula
 from orbitlab.orbits import (
+    _bfs_orbits,
+    _canonical_engine,
     canonical_form,
     count_orbits_bfs,
     count_orbits_burnside,
@@ -33,6 +35,32 @@ def group_image(s):
     """Independent orbit oracle: the set of all matrix images of s."""
     return {apply_mat(s, m) for m in enumerate_sl2(s.spec.prime)}
 
+
+def brute_minima(spec):
+    """Index -> least index of its orbit, the minimum over all matrix images.
+
+    Each orbit's images are taken from one member: they are the whole orbit.
+    """
+    minima = {}
+    for s in all_states(spec):
+        if state_index(s) not in minima:
+            orbit = [state_index(t) for t in group_image(s)]
+            minima.update(dict.fromkeys(orbit, min(orbit)))
+    return minima
+
+
+def gaussian_binomial(n, k, p):
+    """[n, k]_p: the number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    assert num % den == 0
+    return num // den
+
+
+PARITY_GRID = ([(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)]
+               + [(5, 2), (7, 2)])
 
 Z2 = GroupSpec.uniform(2, 1)
 Z2_2 = GroupSpec.uniform(2, 2)
@@ -116,11 +144,19 @@ class TestCanonicalForm:
                 assert all(canonical_form(t) == canon for t in orbit_of(s))
 
     def test_is_orbit_minimum(self):
-        # Z_3^2 and Z_5^2 sum one table row per entry; Z_2^3 takes the bit path
+        # Z_3^2 and Z_5^2 take the row-reduction path; Z_2^3 the bit path
         for spec in (GroupSpec.uniform(3, 2), GroupSpec.uniform(5, 2),
                      GroupSpec.uniform(2, 3)):
             for s in all_states(spec):
                 assert canonical_form(s) == min(orbit_of(s), key=state_index), s
+
+    @pytest.mark.parametrize("p,n", PARITY_GRID)
+    def test_engine_matches_the_matrix_minimum(self, p, n):
+        spec = GroupSpec.uniform(p, n)
+        least, is_least = _canonical_engine(spec)
+        for i, low in brute_minima(spec).items():
+            assert least(i) == low, state_from_index(i, spec)
+            assert is_least(i) == (least(i) == i), state_from_index(i, spec)
 
     def test_rejects_non_uniform(self):
         with pytest.raises(ValueError):
@@ -213,6 +249,27 @@ class TestOrbitSummaries:
             for s in orbit_summaries(GroupSpec.uniform(p, n)):
                 assert group_order % s.size == 0
                 assert s.size * s.stabilizer_order == group_order
+
+    @pytest.mark.parametrize("p,n_max", TestMethodAgreement.GRID)
+    def test_matches_the_bfs_census(self, p, n_max):
+        for n in range(n_max + 1):
+            spec = GroupSpec.uniform(p, n)
+            listed = [(state_index(s.representative), s.size)
+                      for s in orbit_summaries(spec)]
+            assert listed == list(_bfs_orbits(spec, None))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_one_orbit_per_line_and_p_minus_1_per_plane(self, p):
+        for n in range(4):
+            sizes = [s.size for s in orbit_summaries(GroupSpec.uniform(p, n))]
+            assert sizes.count(1) == 1
+            assert sizes.count(p * p - 1) == gaussian_binomial(n, 1, p)
+            assert sizes.count(p * (p * p - 1)) == (p - 1) * gaussian_binomial(n, 2, p)
+            assert len(sizes) == r_formula(p, n)
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceeded):
+            orbit_summaries(GroupSpec.uniform(2, 3), budget=63)
 
     def test_rejects_non_uniform(self):
         with pytest.raises(ValueError):

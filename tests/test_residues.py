@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 
@@ -150,6 +151,13 @@ class TestEnumerateSl2:
         assert len(set(mats)) == expected
         for m in mats:
             assert (m.a * m.d - m.b * m.c) % p == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_the_entry_filter(self, p):
+        # emitted directly; the filter over all p^4 entry tuples is the oracle
+        expected = [(a, b, c, d) for a, b, c, d in product(range(p), repeat=4)
+                    if (a * d - b * c) % p == 1]
+        assert [(m.a, m.b, m.c, m.d) for m in enumerate_sl2(p)] == expected
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,15 @@ class TestRGWord:
         with pytest.raises(ValueError):
             RGWord((1, 3))
 
+    def test_rejects_letters_that_only_compare_equal(self):
+        # True == 1 and 2.0 == 2, but neither is a letter
+        with pytest.raises(ValueError, match="letter True at position 1 is outside"):
+            RGWord((True, 2.0))
+        with pytest.raises(ValueError, match="letter 2.0 at position 2 is outside"):
+            RGWord((1, 2.0))
+        assert not is_valid_word((1, True))
+        assert not is_valid_word((2, 3, 4.0))
+
     def test_str(self):
         assert str(RGWord((2, 3, 4))) == "234"
         assert len(RGWord((2, 3, 4))) == 3
