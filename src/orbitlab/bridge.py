@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .budget import check_budget
 from .orbits import _canonical_engine, count_orbits_burnside
-from .residues import GroupSpec, PairState, ResidueVector, state_from_index
+from .residues import GroupSpec, PairState, state_from_index
 from .words import RGWord, enumerate_words
 
 _LETTER_BITS = {1: (0, 0), 2: (1, 0), 3: (1, 1), 4: (0, 1)}
@@ -53,11 +53,7 @@ def encode_word(word: RGWord) -> PairState:
     m = len(word.letters)
     if m < 1:
         raise ValueError("cannot encode the empty word")
-    spec = GroupSpec.uniform(2, m)
-    rows = [encode_letter(a) for a in word.letters]
-    return PairState(
-        ResidueVector(tuple(r[0] for r in rows), spec),
-        ResidueVector(tuple(r[1] for r in rows), spec))
+    return state_from_index(_word_index(word.letters, m), GroupSpec.uniform(2, m))
 
 
 def _word_index(letters, m: int) -> int:

@@ -3,8 +3,8 @@
 Subcommands: orbits, words, encode, verify, sequence.  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 verification failure
 (verify, or an orbits listing whose length differs from the count),
-2 usage error, 3 state budget exceeded.  In json and csv output every count
-is a decimal string so consumers never round large values.
+2 usage error or a count too long to print, 3 state budget exceeded.  Json
+and csv counts are decimal strings, so consumers never round large values.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -27,7 +28,7 @@ def format_state(state: PairState) -> str:
     """Rows as digit strings, row i = g_i then k_i, joined by spaces."""
     if state.spec.n == 0:
         return "-"
-    sep = "" if all(d <= 10 for d in state.spec.moduli) else ":"
+    sep = "" if state.spec.p <= 10 else ":"
     return " ".join(f"{gi}{sep}{ki}" for gi, ki in state.rows())
 
 
@@ -41,6 +42,16 @@ def _resolve_budget(args) -> int | None:
         return int(env)
     except ValueError:
         raise ValueError(f"{ENV_BUDGET} must be an integer, got {env!r}") from None
+
+
+def _refuse_unprintable(p: int, n: int) -> None:
+    """Refuse r(p, n) before computing it when it has more digits than Python
+    prints; p^(2n-1) / (p^2 - 1) < r, so a count that prints passes."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    log10 = (2 * n - 1) * math.log10(p) - math.log10(p * p - 1) if p > 1 else 0
+    if limit and log10 > limit:
+        raise ValueError(f"the count has {int(log10) + 1} digits, more than the "
+                         f"{limit} that sys.get_int_max_str_digits() allows to print")
 
 
 def _emit(fmt: str, header: list[str], rows: list[list[str]], payload,
@@ -67,8 +78,10 @@ def _emit(fmt: str, header: list[str], rows: list[list[str]], payload,
 def cmd_orbits(args) -> int:
     budget = _resolve_budget(args)
     spec = GroupSpec.uniform(args.p, args.n)
-    # the listing first: it is refused for a composite p before any sweep
+    # the listing first: an input over the state budget exits 3 before any count
     summaries = orbits.orbit_summaries(spec, budget) if args.list else None
+    if args.method in ("formula", "burnside"):  # the others are bounded by the budget
+        _refuse_unprintable(args.p, args.n)
     if args.method == "formula":
         count = formulas.r_formula(args.p, args.n)
     elif args.method == "bfs":
@@ -108,6 +121,7 @@ def cmd_words(args) -> int:
               {"m": args.m, "count": str(len(listed)), "words": listed})
         return 0
 
+    _refuse_unprintable(2, args.m)  # count_words(m) = r(2, m)
     count = str(words.count_words(args.m))
     _emit(args.format, ["m", "count"], [[str(args.m), count]],
           {"m": args.m, "count": count}, text=[count])
@@ -168,6 +182,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sequence(args) -> int:
+    _refuse_unprintable(args.p, args.n_max)  # r grows with n
     table = formulas.sequence_table(args.p, args.n_max)
     _emit(args.format, ["n", "r"], [[str(n), str(r)] for n, r in table],
           [{"n": n, "r": str(r)} for n, r in table])

@@ -33,8 +33,8 @@ from .residues import (
 class OrbitSummary:
     """One equivalence class: minimal member, size, stabilizer order.
 
-    stabilizer_order is p(p^2 - 1) / size for uniform prime specs and None
-    otherwise (the matrix group needs a field and a positive dimension).
+    stabilizer_order is p(p^2 - 1) / size, and None at n = 0, where the one
+    state is listed with no matrix group acting on it.
     """
 
     representative: PairState
@@ -47,17 +47,10 @@ class CensusReport:
     orbit_count: int
 
 
-def _require_uniform_prime(spec: GroupSpec) -> None:
-    if not spec.is_uniform_prime:
-        raise ValueError(
-            f"operation needs a uniform prime spec Z_p^n, got moduli {spec.moduli}")
-
-
 def _index_moves(spec: GroupSpec):
     """Return (s_of, t_of) acting on packed state indices."""
-    n = spec.n
-    moduli = spec.moduli
-    if moduli and all(d == 2 for d in moduli):
+    n, p = spec.n, spec.p
+    if p == 2:
         mask = (1 << n) - 1
 
         def s_of(i: int) -> int:
@@ -74,16 +67,14 @@ def _index_moves(spec: GroupSpec):
 
     def s_of(i: int) -> int:
         gr, kr = divmod(i, order)
-        g = vector_unrank(gr, moduli)
-        neg = tuple((d - e) % d for e, d in zip(g, moduli))
-        return kr * order + vector_rank(neg, moduli)
+        g = vector_unrank(gr, p, n)
+        return kr * order + vector_rank([-e % p for e in g], p)
 
     def t_of(i: int) -> int:
         gr, kr = divmod(i, order)
-        g = vector_unrank(gr, moduli)
-        k = vector_unrank(kr, moduli)
-        ksum = tuple((x + y) % d for x, y, d in zip(k, g, moduli))
-        return gr * order + vector_rank(ksum, moduli)
+        g = vector_unrank(gr, p, n)
+        k = vector_unrank(kr, p, n)
+        return gr * order + vector_rank([(x + y) % p for x, y in zip(k, g)], p)
 
     return s_of, t_of
 
@@ -129,13 +120,13 @@ def _bfs_orbits(spec: GroupSpec, budget: int | None):
 
 
 def count_orbits_bfs(spec: GroupSpec, budget: int | None = None) -> CensusReport:
-    """Exact orbit count by visited-sweep BFS; works for any moduli."""
+    """Exact orbit count by visited-sweep BFS over all p^(2n) states."""
     return CensusReport(sum(1 for _ in _bfs_orbits(spec, budget)))
 
 
 @lru_cache(maxsize=None)
 def _canonical_engine(spec: GroupSpec):
-    """Return (least, is_least) on packed indices for a uniform prime spec.
+    """Return (least, is_least) on packed indices.
 
     least(i) is the least index in the matrix orbit of i, read off by row
     reduction in O(n) field operations; is_least(i) is least(i) == i,
@@ -152,12 +143,8 @@ def _canonical_engine(spec: GroupSpec):
     has leading entry 1 at some j, k is nonzero before j and k_j = 0.  At
     p = 2 the minimum is (min, middle) of {g, k, g ^ k}.
     """
-    n = spec.n
-    if n == 0:
-        return (lambda i: 0), (lambda i: True)
-    p = spec.prime
+    n, p = spec.n, spec.p
     order = spec.group_order
-    moduli = spec.moduli
 
     if p == 2:
         mask = order - 1
@@ -179,8 +166,8 @@ def _canonical_engine(spec: GroupSpec):
 
     def least(i: int) -> int:
         gr, kr = divmod(i, order)
-        g = vector_unrank(gr, moduli)
-        k = vector_unrank(kr, moduli)
+        g = vector_unrank(gr, p, n)
+        k = vector_unrank(kr, p, n)
         j1 = next((j for j in range(n) if g[j] or k[j]), None)
         if j1 is None:
             return 0
@@ -190,13 +177,13 @@ def _canonical_engine(spec: GroupSpec):
         if j2 is None:  # rank 1: g and k are multiples of one vector
             v, lead = (g, a) if a else (k, b)
             inv = pow(lead, -1, p)
-            return vector_rank([x * inv % p for x in v], moduli)
+            return vector_rank([x * inv % p for x in v], p)
         det = cross[j2]  # g_j1 k_j2 - k_j1 g_j2
         inv = pow(det, -1, p)
         e2 = [y * inv % p for y in cross]
         gj, kj = g[j2], k[j2]
         lam_e1 = [(gj * y - kj * x) % p for x, y in zip(g, k)]
-        return vector_rank(e2, moduli) * order + vector_rank(lam_e1, moduli)
+        return vector_rank(e2, p) * order + vector_rank(lam_e1, p)
 
     def is_least(i: int) -> bool:
         gr, kr = divmod(i, order)
@@ -213,14 +200,12 @@ def canonical_form(s: PairState) -> PairState:
 
     Idempotent and constant on orbits, so it identifies an orbit.
     """
-    _require_uniform_prime(s.spec)
     least, _ = _canonical_engine(s.spec)
     return state_from_index(least(state_index(s)), s.spec)
 
 
 def count_orbits_canonical(spec: GroupSpec, budget: int | None = None) -> CensusReport:
     """Count the states that are their orbit's minimum; O(1) extra memory."""
-    _require_uniform_prime(spec)
     check_budget(spec.state_count, budget)
     _, is_least = _canonical_engine(spec)
     return CensusReport(sum(map(is_least, range(spec.state_count))))
@@ -237,11 +222,7 @@ def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
     p(p^2 - 1) matrices.  The averaged sum must divide exactly; a remainder
     is a hard error.
     """
-    _require_uniform_prime(spec)
-    n = spec.n
-    if n == 0:
-        return CensusReport(1)
-    p = spec.prime
+    n, p = spec.n, spec.p
     fixed = (p ** (2 * n), p ** n, 1)  # by rank of A - I
     total = fixed[0] - fixed[1]  # the identity, counted below as rank 1
     for a in range(p):
@@ -252,15 +233,12 @@ def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
 
 
 def _echelon_minima(spec: GroupSpec):
-    """Yield (rep, size) for every orbit of a uniform prime spec, in index
-    order, from the shape of the minima (see _canonical_engine): the zero
-    state, then [0 | v] for each line, then [g | k] for each plane and
-    determinant class.  No state is visited."""
+    """Yield (rep, size) for every orbit, in index order, from the shape of
+    the minima (see _canonical_engine): the zero state, then [0 | v] for
+    each line, then [g | k] for each plane and determinant class.  No state
+    is visited."""
     yield 0, 1
-    n = spec.n
-    if n == 0:
-        return
-    p = spec.prime
+    n, p = spec.n, spec.p
     order = spec.group_order
     line, plane = p * p - 1, p * (p * p - 1)  # orbit sizes
     lead = [p ** t for t in range(n)]  # a leading entry 1 at place t: [p^t, 2 p^t)
@@ -281,9 +259,8 @@ def orbit_summaries(spec: GroupSpec, budget: int | None = None) -> list[OrbitSum
     Read off the echelon minima, so it costs O(orbits), not O(states); the
     state budget is still checked, as for the censuses.
     """
-    _require_uniform_prime(spec)
     check_budget(spec.state_count, budget)
-    p = spec.prime  # None only at n = 0, where no matrix group acts
+    p = spec.p
     return [OrbitSummary(state_from_index(rep, spec), size,
-                         exact_div(p * (p * p - 1), size) if p else None)
+                         exact_div(p * (p * p - 1), size) if spec.n else None)
             for rep, size in _echelon_minima(spec)]

@@ -1,64 +1,48 @@
 """Residue vectors, pair states, and the moves generating the pair equivalence.
 
-A pair state is an n x 2 matrix over the moduli: column g and column k.
-The two moves are (g, k) -> (k, -g) and (g, k) -> (g, k + g); over a uniform
-prime modulus they generate the right action of SL(2, Z_p) by column
-operations.  States also carry a mixed-radix index (g digits first, then k)
-so engines can work on packed integers.
+A pair state is an n x 2 matrix over Z_p, p prime: column g and column k.
+The two moves are (g, k) -> (k, -g) and (g, k) -> (g, k + g); they generate
+the right action of SL(2, Z_p) by column operations.  States also carry a
+base-p index (g digits first, then k) so engines can work on packed
+integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 
 from .formulas import is_prime
 
 
 @dataclass(frozen=True, slots=True)
 class GroupSpec:
-    """A finite abelian group given as a product of cyclic groups Z_d."""
+    """The group Z_p^n for a prime p and n >= 0, checked once here."""
 
-    moduli: tuple[int, ...]
+    p: int
+    n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(int(d) for d in self.moduli))
-        for d in self.moduli:
-            if d < 2:
-                raise ValueError(f"every modulus must be >= 2, got {d}")
+        if not is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
 
     @classmethod
     def uniform(cls, p: int, n: int) -> "GroupSpec":
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        return cls((p,) * n)
+        return cls(p, n)
 
     @property
-    def n(self) -> int:
-        return len(self.moduli)
+    def moduli(self) -> tuple[int, ...]:
+        return (self.p,) * self.n
 
     @property
     def group_order(self) -> int:
-        return prod(self.moduli)
+        return self.p ** self.n
 
     @property
     def state_count(self) -> int:
         return self.group_order ** 2
-
-    @property
-    def is_uniform_prime(self) -> bool:
-        # n = 0 counts as uniform: there is nothing for the matrices to act on.
-        if not self.moduli:
-            return True
-        p = self.moduli[0]
-        return is_prime(p) and all(d == p for d in self.moduli)
-
-    @property
-    def prime(self) -> int | None:
-        if self.moduli and self.is_uniform_prime:
-            return self.moduli[0]
-        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +56,7 @@ class ResidueVector:
                 f"expected {self.spec.n} entries, got {len(self.entries)}")
         object.__setattr__(
             self, "entries",
-            tuple(int(e) % d for e, d in zip(self.entries, self.spec.moduli)))
+            tuple(int(e) % self.spec.p for e in self.entries))
 
     @classmethod
     def zero(cls, spec: GroupSpec) -> "ResidueVector":
@@ -173,12 +157,9 @@ def apply_mat(s: PairState, mat: Mat2) -> PairState:
     and t_matrix reproduce apply_s and apply_t exactly.
     """
     spec = s.spec
-    if spec.n == 0:
-        return s
-    if spec.prime != mat.p:
+    if spec.p != mat.p:
         raise ValueError(
-            f"incompatible spec: matrix is over Z_{mat.p}, "
-            f"state over moduli {spec.moduli}")
+            f"incompatible spec: matrix is over Z_{mat.p}, state over Z_{spec.p}")
     a, b, c, d = mat.a, mat.b, mat.c, mat.d
     g = tuple(a * gi + c * ki for gi, ki in zip(s.g.entries, s.k.entries))
     k = tuple(b * gi + d * ki for gi, ki in zip(s.g.entries, s.k.entries))
@@ -207,29 +188,29 @@ def enumerate_sl2(p: int) -> list[Mat2]:
     return list(_sl2_elements(p))
 
 
-def vector_rank(entries, moduli) -> int:
-    """Mixed-radix rank with entry 0 most significant."""
+def vector_rank(entries, p: int) -> int:
+    """Base-p rank with entry 0 most significant."""
     r = 0
-    for e, d in zip(entries, moduli):
-        r = r * d + e
+    for e in entries:
+        r = r * p + e
     return r
 
 
-def vector_unrank(r: int, moduli) -> tuple[int, ...]:
+def vector_unrank(r: int, p: int, n: int) -> tuple[int, ...]:
     digits = []
-    for d in reversed(moduli):
-        r, e = divmod(r, d)
+    for _ in range(n):
+        r, e = divmod(r, p)
         digits.append(e)
     digits.reverse()
     return tuple(digits)
 
 
 def state_index(s: PairState) -> int:
-    """Pack a state as rank(g) * |G| + rank(k); at p = 2 this is the
+    """Pack a state as rank(g) * p^n + rank(k); at p = 2 this is the
     bit-concatenation of g then k."""
-    moduli = s.spec.moduli
-    return (vector_rank(s.g.entries, moduli) * s.spec.group_order
-            + vector_rank(s.k.entries, moduli))
+    p = s.spec.p
+    return (vector_rank(s.g.entries, p) * s.spec.group_order
+            + vector_rank(s.k.entries, p))
 
 
 def state_from_index(i: int, spec: GroupSpec) -> PairState:
@@ -237,5 +218,5 @@ def state_from_index(i: int, spec: GroupSpec) -> PairState:
         raise ValueError(f"index {i} out of range [0, {spec.state_count})")
     gr, kr = divmod(i, spec.group_order)
     return PairState(
-        ResidueVector(vector_unrank(gr, spec.moduli), spec),
-        ResidueVector(vector_unrank(kr, spec.moduli), spec))
+        ResidueVector(vector_unrank(gr, spec.p, spec.n), spec),
+        ResidueVector(vector_unrank(kr, spec.p, spec.n), spec))

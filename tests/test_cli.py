@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitlab import bridge, cli, orbits
+from orbitlab import bridge, cli, orbits, words
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -111,16 +111,15 @@ class TestOrbits:
         assert rows == [["p", "n", "method", "orbit_count"], ["2", "6", "formula", "715"]]
 
     def test_non_prime_rejected_for_field_methods(self, capsys):
-        for method in ("canonical", "burnside", "formula"):
-            code, out, err = run(capsys, "orbits", "--p", "6", "--n", "1",
-                                 "--method", method)
-            assert code == 2
-            assert out == "" and "error" in err
-
-    def test_non_prime_allowed_for_bfs(self, capsys):
-        code, out, _ = run(capsys, "orbits", "--p", "6", "--n", "1", "--method", "bfs")
-        assert code == 0
-        assert out.strip().isdigit()
+        # every method needs Z_p^n with p prime, the BFS and n = 0 included
+        for p in ("1", "4", "6"):
+            for n in ("0", "2"):
+                for method in ("bfs", "canonical", "burnside", "formula"):
+                    for listing in ([], ["--list"]):
+                        code, out, err = run(capsys, "orbits", "--p", p, "--n", n,
+                                             "--method", method, *listing)
+                        assert (code, out) == (2, ""), (p, n, method, listing)
+                        assert "p must be prime" in err
 
     def test_budget_exit_code(self, capsys):
         code, out, err = run(capsys, "orbits", "--p", "2", "--n", "8",
@@ -300,6 +299,45 @@ class TestContract:
     def test_usage_error_exit_2(self, capsys):
         assert run(capsys, "orbits", "--p", "2")[0] == 2
         assert run(capsys, "nonsense")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        "orbits --p 1009 --n 20000 --method burnside",
+        "orbits --p 2 --n 1000000 --method formula",
+        "sequence --p 2 --n-max 20000",
+        "words --m 50000",
+    ])
+    def test_count_too_long_to_print_fails_fast(self, argv):
+        # refused before the count is computed, which would take seconds to hours
+        result = subprocess.run(
+            [sys.executable, "-m", "orbitlab", *argv.split()],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "the count has" in result.stderr
+        assert f"more than the {sys.get_int_max_str_digits()}" in result.stderr
+
+    def test_digit_limit_is_exact(self, capsys):
+        # count_words(m) crosses the limit inside this window; nothing that
+        # prints is refused and every refusal is the early one
+        limit = sys.get_int_max_str_digits()
+        for m in range(7138, 7150):
+            code, out, err = run(capsys, "words", "--m", str(m))
+            if words.count_words(m) < 10 ** limit:
+                assert (code, out, err) == (0, f"{words.count_words(m)}\n", ""), m
+            else:
+                assert (code, out) == (2, ""), m
+                assert f"more than the {limit}" in err
+
+    def test_long_counts_under_the_limit_print(self, capsys):
+        code, out, _ = run(capsys, "sequence", "--p", "2", "--n-max", "7000")
+        assert code == 0 and len(out.splitlines()[-1].split()[1]) == 4214
+        code, out, _ = run(capsys, "words", "--m", "7000")
+        assert code == 0 and len(out.strip()) == 4214
+
+    def test_budget_still_comes_first(self, capsys):
+        for argv in ("orbits --p 2 --n 3000", "orbits --p 1009 --n 700 --list --method burnside",
+                     "words --m 5000 --list"):
+            assert run(capsys, *argv.split())[0] == 3, argv
 
     def test_deterministic_output(self, capsys):
         first = run(capsys, "verify", "--m-max", "3", "--format", "json")

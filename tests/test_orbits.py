@@ -33,7 +33,7 @@ def all_states(spec):
 
 def group_image(s):
     """Independent orbit oracle: the set of all matrix images of s."""
-    return {apply_mat(s, m) for m in enumerate_sl2(s.spec.prime)}
+    return {apply_mat(s, m) for m in enumerate_sl2(s.spec.p)}
 
 
 def brute_minima(spec):
@@ -99,11 +99,6 @@ class TestBfsCensus:
     def test_trivial_group(self):
         assert count_orbits_bfs(GroupSpec.uniform(2, 0)).orbit_count == 1
 
-    def test_general_moduli(self):
-        # Z_6 and Z_2 x Z_3 are isomorphic, so their censuses must agree
-        assert (count_orbits_bfs(GroupSpec((6,))).orbit_count
-                == count_orbits_bfs(GroupSpec((2, 3))).orbit_count)
-
     def test_summaries_partition_the_states(self):
         for spec in [Z2_2, GroupSpec.uniform(3, 2), GroupSpec.uniform(2, 3)]:
             summaries = orbit_summaries(spec)
@@ -159,10 +154,9 @@ class TestCanonicalForm:
             assert is_least(i) == (least(i) == i), state_from_index(i, spec)
 
     def test_rejects_non_uniform(self):
+        # a composite modulus is refused when the spec is built
         with pytest.raises(ValueError):
-            canonical_form(PairState.zero(GroupSpec((2, 3))))
-        with pytest.raises(ValueError):
-            canonical_form(PairState.zero(GroupSpec((4,))))
+            canonical_form(PairState.zero(GroupSpec.uniform(4, 1)))
 
 
 class TestCanonicalCensus:
@@ -198,7 +192,7 @@ class TestBurnsideCensus:
 
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
-            count_orbits_burnside(GroupSpec((6,)))
+            count_orbits_burnside(GroupSpec.uniform(6, 1))
 
 
 class TestMethodAgreement:
@@ -273,4 +267,4 @@ class TestOrbitSummaries:
 
     def test_rejects_non_uniform(self):
         with pytest.raises(ValueError):
-            orbit_summaries(GroupSpec((2, 3)))
+            orbit_summaries(GroupSpec.uniform(6, 0))

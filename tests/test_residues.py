@@ -1,4 +1,3 @@
-import math
 from itertools import product
 
 import pytest
@@ -32,29 +31,24 @@ Z2_2 = GroupSpec.uniform(2, 2)
 
 class TestGroupSpec:
     def test_rejects_bad_moduli(self):
-        with pytest.raises(ValueError):
-            GroupSpec((1,))
-        with pytest.raises(ValueError):
-            GroupSpec((2, 0))
-        with pytest.raises(ValueError):
-            GroupSpec.uniform(2, -1)
+        # p must be a prime that is_prime decides exactly, at every n
+        for p, n in [(0, 1), (1, 0), (1, 2), (4, 0), (4, 2), (6, 1), (2, -1),
+                     (3317044064679887385961981, 1), (3317044064679887385961991, 0)]:
+            with pytest.raises(ValueError):
+                GroupSpec(p, n)
+            with pytest.raises(ValueError):
+                GroupSpec.uniform(p, n)
 
     def test_trivial_group(self):
         spec = GroupSpec.uniform(2, 0)
-        assert spec.n == 0
+        assert (spec.p, spec.n, spec.moduli) == (2, 0, ())
         assert spec.group_order == 1
         assert spec.state_count == 1
-        assert spec.is_uniform_prime
-        assert spec.prime is None
-
-    def test_uniform_prime_flag(self):
-        assert GroupSpec.uniform(5, 3).prime == 5
-        assert not GroupSpec((2, 3)).is_uniform_prime
-        assert not GroupSpec.uniform(4, 2).is_uniform_prime
 
     def test_state_count(self):
-        assert GroupSpec((2, 3)).state_count == 36
+        assert GroupSpec.uniform(5, 1).state_count == 25
         assert GroupSpec.uniform(3, 2).state_count == 81
+        assert GroupSpec.uniform(3, 2).moduli == (3, 3)
 
 
 class TestMoves:
@@ -85,11 +79,10 @@ class TestMoves:
                 assert out == s
 
     def test_t_has_order_lcm(self):
-        for spec in [Z2, Z3, Z2_2, GroupSpec.uniform(3, 2), GroupSpec((2, 3))]:
-            d = math.lcm(*spec.moduli) if spec.moduli else 1
+        for spec in [Z2, Z3, Z2_2, GroupSpec.uniform(3, 2), GroupSpec.uniform(5, 1)]:
             for s in all_states(spec):
                 out = s
-                for _ in range(d):
+                for _ in range(spec.p):
                     out = apply_t(out)
                 assert out == s
 
@@ -134,13 +127,18 @@ class TestMat2:
         with pytest.raises(ValueError):
             apply_mat(pair([1], [0], Z3), Mat2.identity(2))
         with pytest.raises(ValueError):
-            apply_mat(pair([1, 0], [0, 0], GroupSpec((2, 3))), Mat2.identity(2))
+            apply_mat(pair([1, 0], [0, 0], GroupSpec.uniform(3, 2)), Mat2.identity(2))
         with pytest.raises(ValueError):
             Mat2.identity(2) @ Mat2.identity(3)
 
-    def test_trivial_group_accepts_any_matrix(self):
-        s = PairState.zero(GroupSpec.uniform(2, 0))
-        assert apply_mat(s, Mat2.identity(7)) == s
+    def test_trivial_group_is_fixed(self):
+        # n = 0 still has its prime: every matrix over it fixes the one state,
+        # and a matrix over another prime is a mismatch, as at any n
+        for p in (2, 7):
+            s = PairState.zero(GroupSpec.uniform(p, 0))
+            assert all(apply_mat(s, m) == s for m in enumerate_sl2(p))
+        with pytest.raises(ValueError):
+            apply_mat(PairState.zero(GroupSpec.uniform(2, 0)), Mat2.identity(7))
 
 
 class TestEnumerateSl2:
@@ -166,7 +164,7 @@ class TestEnumerateSl2:
 
 class TestIndexing:
     def test_zero_state_is_zero(self):
-        for spec in [Z2, Z3, Z2_2, GroupSpec((2, 3))]:
+        for spec in [Z2, Z3, Z2_2, GroupSpec.uniform(5, 2)]:
             assert state_index(PairState.zero(spec)) == 0
 
     def test_p2_bit_packing(self):
@@ -175,12 +173,12 @@ class TestIndexing:
         assert state_index(pair([1], [0], Z2)) == 2
 
     def test_round_trip_exhaustive(self):
-        for spec in [GroupSpec.uniform(3, 2), GroupSpec((2, 3)), GroupSpec.uniform(2, 3)]:
+        for spec in [GroupSpec.uniform(3, 2), GroupSpec.uniform(5, 2), GroupSpec.uniform(2, 3)]:
             for i in range(spec.state_count):
                 assert state_index(state_from_index(i, spec)) == i
 
     def test_round_trip_from_states(self):
-        spec = GroupSpec((3, 4))
+        spec = GroupSpec.uniform(7, 2)
         for s in all_states(spec):
             assert state_from_index(state_index(s), spec) == s
 
@@ -199,8 +197,8 @@ class TestIndexing:
 
 class TestVectors:
     def test_entries_reduced(self):
-        v = ResidueVector((5, -1), GroupSpec((3, 4)))
-        assert v.entries == (2, 3)
+        v = ResidueVector((5, -1), GroupSpec.uniform(3, 2))
+        assert v.entries == (2, 2)
 
     def test_length_checked(self):
         with pytest.raises(ValueError):
