@@ -121,6 +121,12 @@ class TestOrbits:
                         assert (code, out) == (2, ""), (p, n, method, listing)
                         assert "p must be prime" in err
 
+    def test_non_prime_refused_for_bfs(self, capsys):
+        # the BFS once accepted Z_6; it now gets the same refusal as every method
+        code, out, err = run(capsys, "orbits", "--p", "6", "--n", "1", "--method", "bfs")
+        assert (code, out) == (2, "")
+        assert "p must be prime" in err
+
     def test_budget_exit_code(self, capsys):
         code, out, err = run(capsys, "orbits", "--p", "2", "--n", "8",
                              "--budget", "100")
