@@ -3,7 +3,7 @@ four-letter restricted growth language, and the bit-row encoding that ties
 the two counts together."""
 
 from .budget import DEFAULT_STATE_BUDGET, BudgetExceeded
-from .bridge import BridgeReport, encode_letter, encode_word, verify_bridge
+from .bridge import BridgeReport, encode_word, verify_bridge
 from .formulas import (
     f_closed,
     f_recurrence,
@@ -25,7 +25,6 @@ from .orbits import (
 )
 from .residues import (
     GroupSpec,
-    Mat2,
     PairState,
     ResidueVector,
     apply_mat,
@@ -43,7 +42,6 @@ __all__ = [
     "CensusReport",
     "DEFAULT_STATE_BUDGET",
     "GroupSpec",
-    "Mat2",
     "OrbitSummary",
     "PairState",
     "RGWord",
@@ -56,7 +54,6 @@ __all__ = [
     "count_orbits_burnside",
     "count_orbits_canonical",
     "count_words",
-    "encode_letter",
     "encode_word",
     "enumerate_sl2",
     "enumerate_words",

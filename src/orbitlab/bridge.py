@@ -40,16 +40,8 @@ class BridgeReport:
     missed_orbits: list[PairState]
 
 
-def encode_letter(letter: int) -> tuple[int, int]:
-    """Bit row (g_i, k_i) for one letter."""
-    try:
-        return _LETTER_BITS[letter]
-    except (KeyError, TypeError):
-        raise ValueError(f"letter must be in 1..4, got {letter!r}") from None
-
-
 def encode_word(word: RGWord) -> PairState:
-    """Pair state over Z_2^m with row i = encode_letter(a_i)."""
+    """Pair state over Z_2^m whose row i is the bit row of letter a_i."""
     m = len(word.letters)
     if m < 1:
         raise ValueError("cannot encode the empty word")

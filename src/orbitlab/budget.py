@@ -12,4 +12,8 @@ class BudgetExceeded(Exception):
 def check_budget(count: int, budget: int | None = None) -> None:
     limit = DEFAULT_STATE_BUDGET if budget is None else budget
     if count > limit:
-        raise BudgetExceeded(f"{count} states exceed the budget of {limit}")
+        try:
+            shown = str(count)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            shown = f"at least 2^{count.bit_length() - 1}"
+        raise BudgetExceeded(f"{shown} states exceed the budget of {limit}")

@@ -14,14 +14,11 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from . import bridge, formulas, orbits, words
-from .budget import BudgetExceeded
+from .budget import BudgetExceeded, check_budget
 from .residues import GroupSpec, PairState
-
-ENV_BUDGET = "ORBITLAB_BUDGET"
 
 
 def format_state(state: PairState) -> str:
@@ -30,18 +27,6 @@ def format_state(state: PairState) -> str:
         return "-"
     sep = "" if state.spec.p <= 10 else ":"
     return " ".join(f"{gi}{sep}{ki}" for gi, ki in state.rows())
-
-
-def _resolve_budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get(ENV_BUDGET)
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{ENV_BUDGET} must be an integer, got {env!r}") from None
 
 
 def _refuse_unprintable(p: int, n: int) -> None:
@@ -76,18 +61,17 @@ def _emit(fmt: str, header: list[str], rows: list[list[str]], payload,
 
 
 def cmd_orbits(args) -> int:
-    budget = _resolve_budget(args)
     spec = GroupSpec.uniform(args.p, args.n)
     # the listing first: an input over the state budget exits 3 before any count
-    summaries = orbits.orbit_summaries(spec, budget) if args.list else None
+    summaries = orbits.orbit_summaries(spec, args.budget) if args.list else None
     if args.method in ("formula", "burnside"):  # the others are bounded by the budget
         _refuse_unprintable(args.p, args.n)
     if args.method == "formula":
         count = formulas.r_formula(args.p, args.n)
     elif args.method == "bfs":
-        count = orbits.count_orbits_bfs(spec, budget).orbit_count
+        count = orbits.count_orbits_bfs(spec, args.budget).orbit_count
     elif args.method == "canonical":
-        count = orbits.count_orbits_canonical(spec, budget).orbit_count
+        count = orbits.count_orbits_canonical(spec, args.budget).orbit_count
     else:
         count = orbits.count_orbits_burnside(spec).orbit_count
     payload = {"p": args.p, "n": args.n, "method": args.method,
@@ -114,9 +98,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_words(args) -> int:
-    budget = _resolve_budget(args)
     if args.list:
-        listed = [str(w) for w in words.enumerate_words(args.m, budget)]
+        listed = [str(w) for w in words.enumerate_words(args.m, args.budget)]
         _emit(args.format, ["word"], [[w] for w in listed],
               {"m": args.m, "count": str(len(listed)), "words": listed})
         return 0
@@ -141,16 +124,16 @@ def cmd_encode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = _resolve_budget(args)
     if args.m_max < 1:
         raise ValueError(f"m-max must be >= 1, got {args.m_max}")
+    check_budget(4 ** args.m_max, args.budget)  # the largest m has the most states
     rows = []
     all_ok = True
     for m in range(1, args.m_max + 1):
         spec = GroupSpec.uniform(2, m)
-        report = bridge.verify_bridge(m, budget)
-        bfs = orbits.count_orbits_bfs(spec, budget).orbit_count
-        can = orbits.count_orbits_canonical(spec, budget).orbit_count
+        report = bridge.verify_bridge(m, args.budget)
+        bfs = orbits.count_orbits_bfs(spec, args.budget).orbit_count
+        can = orbits.count_orbits_canonical(spec, args.budget).orbit_count
         bur = report.orbit_count  # verify_bridge's Burnside census
         r = formulas.r_formula(2, m)
         wc = words.count_words(m)
@@ -193,7 +176,7 @@ def _add_common(sub) -> None:
     sub.add_argument("--format", choices=["text", "json", "csv"],
                      default="text", help="output format (default text)")
     sub.add_argument("--budget", type=int, default=None,
-                     help=f"state budget cap (default {ENV_BUDGET} or 2^28)")
+                     help="state budget cap (default 2^28)")
 
 
 def build_parser() -> argparse.ArgumentParser:

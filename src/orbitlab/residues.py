@@ -10,7 +10,6 @@ integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .formulas import is_prime
 
@@ -95,51 +94,6 @@ class PairState:
         return list(zip(self.g.entries, self.k.entries))
 
 
-@dataclass(frozen=True, slots=True)
-class Mat2:
-    """An element of SL(2, Z_p): determinant 1 modulo a prime p."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, getattr(self, name) % self.p)
-        if (self.a * self.d - self.b * self.c) % self.p != 1:
-            raise ValueError(
-                f"determinant must be 1 mod {self.p}: "
-                f"[[{self.a},{self.b}],[{self.c},{self.d}]]")
-
-    @classmethod
-    def identity(cls, p: int) -> "Mat2":
-        return cls(1, 0, 0, 1, p)
-
-    @classmethod
-    def s_matrix(cls, p: int) -> "Mat2":
-        """The matrix realizing (g, k) -> (k, -g) as a right column action."""
-        return cls(0, -1, 1, 0, p)
-
-    @classmethod
-    def t_matrix(cls, p: int) -> "Mat2":
-        """The matrix realizing (g, k) -> (g, k + g)."""
-        return cls(1, 1, 0, 1, p)
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        if self.p != other.p:
-            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.p)
-
-
 def apply_s(s: PairState) -> PairState:
     """(g, k) -> (k, -g)."""
     return PairState(s.k, -s.g)
@@ -150,42 +104,38 @@ def apply_t(s: PairState) -> PairState:
     return PairState(s.g, s.k + s.g)
 
 
-def apply_mat(s: PairState, mat: Mat2) -> PairState:
-    """Right action of mat on the n x 2 matrix [g | k].
+def apply_mat(s: PairState, mat: tuple[int, int, int, int]) -> PairState:
+    """Right action of mat = (a, b, c, d), the matrix [[a, b], [c, d]] of
+    determinant 1 mod p, on the n x 2 matrix [g | k].
 
-    Columns transform as (g, k) -> (a g + c k, b g + d k), so the s_matrix
-    and t_matrix reproduce apply_s and apply_t exactly.
+    Columns transform as (g, k) -> (a g + c k, b g + d k), so (0, -1, 1, 0)
+    and (1, 1, 0, 1) reproduce apply_s and apply_t exactly.
     """
     spec = s.spec
-    if spec.p != mat.p:
-        raise ValueError(
-            f"incompatible spec: matrix is over Z_{mat.p}, state over Z_{spec.p}")
-    a, b, c, d = mat.a, mat.b, mat.c, mat.d
+    a, b, c, d = mat
+    if (a * d - b * c) % spec.p != 1:
+        raise ValueError(f"determinant must be 1 mod {spec.p}: [[{a},{b}],[{c},{d}]]")
     g = tuple(a * gi + c * ki for gi, ki in zip(s.g.entries, s.k.entries))
     k = tuple(b * gi + d * ki for gi, ki in zip(s.g.entries, s.k.entries))
     return PairState(ResidueVector(g, spec), ResidueVector(k, spec))
 
 
-@lru_cache(maxsize=None)
-def _sl2_elements(p: int) -> tuple[Mat2, ...]:
-    # ad - bc = 1: for a != 0, d = (1 + bc) / a; for a = 0, c = -1 / b and d
-    # is free.  Both loops run in lexicographic entry order.
+def enumerate_sl2(p: int) -> list[tuple[int, int, int, int]]:
+    """All p(p^2 - 1) matrices (a, b, c, d) of determinant 1 mod p, in
+    lexicographic entry order."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    # ad - bc = 1: for a = 0, c = -1 / b and d is free; for a != 0,
+    # d = (1 + bc) / a.  Both loops run in lexicographic entry order.
     out = []
     for b in range(1, p):
         c = -pow(b, -1, p) % p
-        out.extend(Mat2(0, b, c, d, p) for d in range(p))
+        out.extend((0, b, c, d) for d in range(p))
     for a in range(1, p):
         inv = pow(a, -1, p)
-        out.extend(Mat2(a, b, c, (1 + b * c) * inv % p, p)
+        out.extend((a, b, c, (1 + b * c) * inv % p)
                    for b in range(p) for c in range(p))
-    return tuple(out)
-
-
-def enumerate_sl2(p: int) -> list[Mat2]:
-    """All p(p^2 - 1) matrices of determinant 1, in lexicographic entry order."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return list(_sl2_elements(p))
+    return out
 
 
 def vector_rank(entries, p: int) -> int:

@@ -1,7 +1,7 @@
 import pytest
 
 from orbitlab import bridge
-from orbitlab.bridge import encode_letter, encode_word, verify_bridge
+from orbitlab.bridge import encode_word, verify_bridge
 from orbitlab.budget import BudgetExceeded
 from orbitlab.orbits import canonical_form, orbit_summaries
 from orbitlab.residues import GroupSpec, state_index
@@ -10,15 +10,14 @@ from orbitlab.words import RGWord, enumerate_words
 
 class TestEncodeLetter:
     def test_mapping(self):
-        assert encode_letter(1) == (0, 0)
-        assert encode_letter(2) == (1, 0)
-        assert encode_letter(3) == (1, 1)
-        assert encode_letter(4) == (0, 1)
+        # 1 -> 00, 2 -> 10, 3 -> 11, 4 -> 01, one letter per row
+        assert encode_word(RGWord((1, 2, 3, 4))).rows() == [(0, 0), (1, 0), (1, 1), (0, 1)]
 
     def test_rejects_outside_alphabet(self):
+        # encode_word takes only an RGWord, and RGWord refuses these letters
         for bad in (0, 5, "2", None):
             with pytest.raises(ValueError):
-                encode_letter(bad)
+                encode_word(RGWord((1, bad)))
 
 
 class TestEncodeWord:

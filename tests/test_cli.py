@@ -133,22 +133,6 @@ class TestOrbits:
         assert code == 3
         assert out == "" and "100" in err
 
-    def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_BUDGET, "10")
-        code, _, err = run(capsys, "orbits", "--p", "2", "--n", "3")
-        assert code == 3 and "10" in err
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_BUDGET, "10")
-        code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "3",
-                           "--budget", "1000000")
-        assert (code, out) == (0, "15\n")
-
-    def test_bad_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_BUDGET, "lots")
-        code, _, err = run(capsys, "orbits", "--p", "2", "--n", "3")
-        assert code == 2 and cli.ENV_BUDGET in err
-
     def test_list_needs_prime(self, capsys):
         code, _, err = run(capsys, "orbits", "--p", "6", "--n", "1", "--list")
         assert code == 2 and "error" in err
@@ -257,6 +241,14 @@ class TestVerify:
     def test_m_max_validation(self, capsys):
         assert run(capsys, "verify", "--m-max", "0")[0] == 2
 
+    def test_budget_refused_before_any_m(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("verify_bridge ran on an over-budget m-max")
+        monkeypatch.setattr(cli.bridge, "verify_bridge", unreachable)
+        code, out, err = run(capsys, "verify", "--m-max", "10", "--budget", "262144")
+        assert (code, out) == (3, "")
+        assert "262144" in err
+
 
 class TestSequence:
     def test_csv_ends_with_715(self, capsys):
@@ -341,9 +333,11 @@ class TestContract:
         assert code == 0 and len(out.strip()) == 4214
 
     def test_budget_still_comes_first(self, capsys):
+        # the last three have state counts too long to print: still exit 3
         for argv in ("orbits --p 2 --n 3000", "orbits --p 1009 --n 700 --list --method burnside",
-                     "words --m 5000 --list"):
-            assert run(capsys, *argv.split())[0] == 3, argv
+                     "words --m 5000 --list", "orbits --p 2 --n 20000",
+                     "words --m 50000 --list", "verify --m-max 20000"):
+            assert run(capsys, *argv.split())[:2] == (3, ""), argv
 
     def test_deterministic_output(self, capsys):
         first = run(capsys, "verify", "--m-max", "3", "--format", "json")
