@@ -5,7 +5,8 @@ For each (p, n) on the grid, computes the orbit count by BFS sweep,
 canonical-form counting, fixed-point averaging, and the closed form, and
 lists the orbits from their echelon minima, and reports how long each route
 took.  The listing must have one entry per BFS orbit, with sizes summing to
-p^(2n).  Exits nonzero on any disagreement.
+p^(2n), and each size times its stabilizer order must be |SL(2, Z_p)| =
+p(p^2 - 1).  Exits nonzero on any disagreement.
 """
 
 import argparse
@@ -49,15 +50,20 @@ def main() -> int:
             listing, t_list = timed(lambda: orbit_summaries(spec))
             listed = len(listing)
             covered = sum(s.size for s in listing)
+            group = p * (p * p - 1)  # |SL(2, Z_p)|; nothing acts at n = 0
+            stabilizers_ok = all((s.stabilizer_order is None) if n == 0
+                                 else (s.size * s.stabilizer_order == group)
+                                 for s in listing)
             formula = r_formula(p, n)
             ok = (bfs == canon == burn == formula == listed
-                  and covered == spec.state_count)
+                  and covered == spec.state_count and stabilizers_ok)
             if not ok:
                 mismatches += 1
             print(f"{p:>3} {n:>3} {spec.state_count:>10} {bfs:>12} "
                   f"{t_bfs:>8.3f} {t_canon:>9.3f} {t_burn:>8.3f} {t_list:>8.3f}"
                   + ("" if ok else f"  MISMATCH canon={canon} burn={burn} "
-                                   f"formula={formula} listed={listed} covered={covered}"))
+                                   f"formula={formula} listed={listed} covered={covered} "
+                                   f"stabilizers_ok={stabilizers_ok}"))
     if mismatches:
         print(f"{mismatches} mismatching cells", file=sys.stderr)
         return 1

@@ -73,7 +73,7 @@ def cmd_orbits(args) -> int:
     elif args.method == "canonical":
         count = orbits.count_orbits_canonical(spec, args.budget).orbit_count
     else:
-        count = orbits.count_orbits_burnside(spec).orbit_count
+        count = orbits.count_orbits_burnside(spec, args.budget).orbit_count
     payload = {"p": args.p, "n": args.n, "method": args.method,
                "orbit_count": str(count)}
 

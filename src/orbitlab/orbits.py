@@ -14,13 +14,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .budget import check_budget
 from .formulas import exact_div
 from .residues import (
     GroupSpec,
     PairState,
+    ResidueVector,
     apply_s,
     apply_t,
     state_from_index,
@@ -211,7 +212,7 @@ def count_orbits_canonical(spec: GroupSpec, budget: int | None = None) -> Census
     return CensusReport(sum(map(is_least, range(spec.state_count))))
 
 
-def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
+def count_orbits_burnside(spec: GroupSpec, budget: int | None = None) -> CensusReport:
     """Average fixed-point counts over the matrix group, by diagonal (a, d).
 
     A matrix fixes a state iff every row lies in the fixed space of the row
@@ -219,10 +220,12 @@ def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
     only at the identity; otherwise det(A - I) = 2 - trace makes it 1 exactly
     when a + d = 2, and 2 elsewhere.  bc = ad - 1 has 2p - 1 solutions (b, c)
     when ad = 1 and p - 1 otherwise, so O(p^2) diagonals cover all
-    p(p^2 - 1) matrices.  The averaged sum must divide exactly; a remainder
-    is a hard error.
+    p(p^2 - 1) matrices.  The p^2 diagonals count against the budget, at
+    every n.  The averaged sum must divide exactly; a remainder is a hard
+    error.
     """
     n, p = spec.n, spec.p
+    check_budget(p * p, budget)
     fixed = (p ** (2 * n), p ** n, 1)  # by rank of A - I
     total = fixed[0] - fixed[1]  # the identity, counted below as rank 1
     for a in range(p):
@@ -256,11 +259,27 @@ def _echelon_minima(spec: GroupSpec):
 def orbit_summaries(spec: GroupSpec, budget: int | None = None) -> list[OrbitSummary]:
     """One summary per orbit, sorted by representative index.
 
-    Read off the echelon minima, so it costs O(orbits), not O(states); the
-    state budget is still checked, as for the censuses.
+    Read off the echelon minima, so it costs O(orbits), not O(states): each
+    distinct rank of g or k becomes one ResidueVector, shared by every
+    representative that holds it, and each distinct orbit size gets one
+    stabilizer division.  The memos live for this call only, and the vector
+    memo holds at most two vectors per orbit, never a table of all p^n
+    ranks.  The state budget is still checked, as for the censuses.
     """
     check_budget(spec.state_count, budget)
-    p = spec.p
-    return [OrbitSummary(state_from_index(rep, spec), size,
-                         exact_div(p * (p * p - 1), size) if spec.n else None)
-            for rep, size in _echelon_minima(spec)]
+    p, n, order = spec.p, spec.n, spec.group_order
+
+    @cache
+    def vector(r: int) -> ResidueVector:
+        return ResidueVector(vector_unrank(r, p, n), spec)
+
+    @cache
+    def stabilizer(size: int) -> int | None:
+        return exact_div(p * (p * p - 1), size) if n else None
+
+    summaries = []
+    for rep, size in _echelon_minima(spec):
+        gr, kr = divmod(rep, order)
+        summaries.append(OrbitSummary(PairState(vector(gr), vector(kr)), size,
+                                      stabilizer(size)))
+    return summaries

@@ -79,7 +79,7 @@ class PairState:
     k: ResidueVector
 
     def __post_init__(self):
-        if self.g.spec != self.k.spec:
+        if self.g.spec is not self.k.spec and self.g.spec != self.k.spec:
             raise ValueError("g and k must share one group spec")
 
     @property

@@ -75,6 +75,29 @@ class TestOrbits:
             env={**os.environ, "PYTHONPATH": str(SRC)})
         assert (result.returncode, result.stdout) == (0, "2\n")
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_burnside_diagonals_are_budgeted(self, n):
+        # 100003^2 diagonals would take about an hour; refused at once
+        result = subprocess.run(
+            [sys.executable, "-m", "orbitlab", "orbits",
+             "--p", "100003", "--n", n, "--method", "burnside"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (result.returncode, result.stdout) == (3, "")
+        assert "268435456" in result.stderr
+
+    def test_list_large_prime_finishes(self):
+        # two orbits at n = 1: the listing must not build all p vectors
+        result = subprocess.run(
+            [sys.executable, "-m", "orbitlab", "orbits", "--p", "1000000007",
+             "--n", "1", "--list", "--method", "formula",
+             "--budget", "10000000000000000000"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert result.returncode == 0
+        assert [line.split()[1:] for line in result.stdout.splitlines()] == [
+            ["1", "1000000021000000146000000336"], ["1000000014000000048", "1000000007"]]
+
     def test_list_count_mismatch_fails(self, capsys, monkeypatch):
         # the listing is no census of its own: a short one must not pass
         real = orbits.orbit_summaries
@@ -132,6 +155,12 @@ class TestOrbits:
                              "--budget", "100")
         assert code == 3
         assert out == "" and "100" in err
+        # Burnside's p^2 = 49 diagonals are charged to --budget
+        code, out, err = run(capsys, "orbits", "--p", "7", "--n", "1",
+                             "--method", "burnside", "--budget", "48")
+        assert (code, out) == (3, "") and "48" in err
+        assert run(capsys, "orbits", "--p", "7", "--n", "1", "--method", "burnside",
+                   "--budget", "49")[:2] == (0, "2\n")
 
     def test_list_needs_prime(self, capsys):
         code, _, err = run(capsys, "orbits", "--p", "6", "--n", "1", "--list")

@@ -194,6 +194,14 @@ class TestBurnsideCensus:
         with pytest.raises(ValueError):
             count_orbits_burnside(GroupSpec.uniform(6, 1))
 
+    def test_budget_counts_diagonals(self):
+        # p^2 = 25 diagonals at every n, the trivial group included
+        for n in (0, 1, 3):
+            spec = GroupSpec.uniform(5, n)
+            assert count_orbits_burnside(spec, budget=25).orbit_count == r_formula(5, n)
+            with pytest.raises(BudgetExceeded):
+                count_orbits_burnside(spec, budget=24)
+
 
 class TestMethodAgreement:
     GRID = [(2, 8), (3, 4), (5, 3), (7, 2)]
@@ -260,6 +268,18 @@ class TestOrbitSummaries:
             assert sizes.count(p * p - 1) == gaussian_binomial(n, 1, p)
             assert sizes.count(p * (p * p - 1)) == (p - 1) * gaussian_binomial(n, 2, p)
             assert len(sizes) == r_formula(p, n)
+
+    @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2)])
+    def test_representatives_share_one_vector_per_rank(self, p, n):
+        # each representative is its indexed state, and the g and k vectors
+        # are shared: no more distinct objects than vectors in Z_p^n
+        spec = GroupSpec.uniform(p, n)
+        summaries = orbit_summaries(spec)
+        for s in summaries:
+            assert s.representative == state_from_index(state_index(s.representative), spec)
+        vectors = {id(v) for s in summaries
+                   for v in (s.representative.g, s.representative.k)}
+        assert len(vectors) <= spec.group_order
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

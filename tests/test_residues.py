@@ -208,6 +208,15 @@ class TestVectors:
     def test_pair_requires_shared_spec(self):
         with pytest.raises(ValueError):
             PairState(ResidueVector((1,), Z2), ResidueVector((1,), Z3))
+        with pytest.raises(ValueError):
+            PairState(ResidueVector((1, 0), GroupSpec(2, 2)),
+                      ResidueVector((1, 0), GroupSpec(3, 2)))
+        # equal specs that are distinct objects: the identity test is only
+        # a shortcut, equality decides
+        first, second = GroupSpec(3, 2), GroupSpec(3, 2)
+        assert first is not second
+        s = PairState(ResidueVector((1, 2), first), ResidueVector((0, 1), second))
+        assert s.rows() == [(1, 0), (2, 1)]
 
     def test_vector_mismatch_add(self):
         with pytest.raises(ValueError):
