@@ -22,7 +22,7 @@ from orbitlab.orbits import (
 )
 from orbitlab.residues import GroupSpec
 
-DEFAULT_GRID = [(2, 8), (3, 4), (5, 3), (7, 2)]
+DEFAULT_GRID = [(2, 8), (3, 5), (5, 3), (7, 2)]
 
 
 def timed(fn):

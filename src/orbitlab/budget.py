@@ -6,14 +6,14 @@ DEFAULT_STATE_BUDGET = 2 ** 28
 
 
 class BudgetExceeded(Exception):
-    """An enumeration would visit more states than the configured budget."""
+    """An enumeration would exceed the configured budget of states or diagonals."""
 
 
-def check_budget(count: int, budget: int | None = None) -> None:
+def check_budget(count: int, budget: int | None = None, unit: str = "states") -> None:
     limit = DEFAULT_STATE_BUDGET if budget is None else budget
     if count > limit:
         try:
             shown = str(count)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             shown = f"at least 2^{count.bit_length() - 1}"
-        raise BudgetExceeded(f"{shown} states exceed the budget of {limit}")
+        raise BudgetExceeded(f"{shown} {unit} exceed the budget of {limit}")

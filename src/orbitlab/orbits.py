@@ -1,12 +1,12 @@
 """Orbit enumeration for the pair action, three independent ways.
 
-The engines work on packed state indices: a breadth-first visited sweep, a
-canonical-form count (a state is counted when it has the row-reduced shape
-of its orbit's minimum), and class-equation averaging of fixed-point counts.
-The three routes share no code beyond the index packing, which is the
-point: they are meant to disagree loudly if any one of them is wrong.  The
-orbit listing enumerates the row-reduced minima directly and visits no
-state.
+The engines work on packed state indices: a visited sweep closing each orbit
+under the two moves, read from lookup tables; a canonical-form count (a state
+is counted when it has the row-reduced shape of its orbit's minimum); and
+class-equation averaging of fixed-point counts.  The three routes share no
+code beyond the index packing, which is the point: they are meant to
+disagree loudly if any one of them is wrong.  The orbit listing enumerates
+the row-reduced minima directly and visits no state.
 """
 
 from __future__ import annotations
@@ -48,36 +48,26 @@ class CensusReport:
     orbit_count: int
 
 
-def _index_moves(spec: GroupSpec):
-    """Return (s_of, t_of) acting on packed state indices."""
+def _move_tables(spec: GroupSpec):
+    """Return (neg, base, top, low_sum, high_sum): the two moves on vector
+    ranks, built from vector_rank and vector_unrank alone.  neg[rank(g)] is
+    rank(-g).  A rank r splits as (high, low) = divmod(r, base), base =
+    p^(n // 2) and top = p^n // base, and rank(k + g) = high_sum[kh * top +
+    gh] + low_sum[kl * base + gl]: O(p^(n+1)) entries in all.  At n <= 1
+    base is None and no sum table is built; the one digit adds mod p."""
     n, p = spec.n, spec.p
-    if p == 2:
-        mask = (1 << n) - 1
+    neg = [vector_rank([-e % p for e in vector_unrank(r, p, n)], p)
+           for r in range(spec.group_order)]
+    if n <= 1:
+        return neg, None, None, None, None
+    low, base = n // 2, p ** (n // 2)
 
-        def s_of(i: int) -> int:
-            # -g == g mod 2
-            return ((i & mask) << n) | (i >> n)
+    def chunk_sums(digits: int, scale: int) -> list[int]:
+        chunks = [vector_unrank(r, p, digits) for r in range(p ** digits)]
+        return [vector_rank([(x + y) % p for x, y in zip(k, g)], p) * scale
+                for k in chunks for g in chunks]
 
-        def t_of(i: int) -> int:
-            g = i >> n
-            return (g << n) | ((i & mask) ^ g)
-
-        return s_of, t_of
-
-    order = spec.group_order
-
-    def s_of(i: int) -> int:
-        gr, kr = divmod(i, order)
-        g = vector_unrank(gr, p, n)
-        return kr * order + vector_rank([-e % p for e in g], p)
-
-    def t_of(i: int) -> int:
-        gr, kr = divmod(i, order)
-        g = vector_unrank(gr, p, n)
-        k = vector_unrank(kr, p, n)
-        return gr * order + vector_rank([(x + y) % p for x, y in zip(k, g)], p)
-
-    return s_of, t_of
+    return neg, base, p ** (n - low), chunk_sums(low, 1), chunk_sums(n - low, base)
 
 
 def orbit_of(s: PairState) -> set[PairState]:
@@ -96,13 +86,14 @@ def orbit_of(s: PairState) -> set[PairState]:
 def _bfs_orbits(spec: GroupSpec, budget: int | None):
     """Visited sweep in index order, one visited byte per state.
 
-    Each unvisited index starts one orbit BFS; the sweep start is therefore
-    the minimal index of its orbit.  Yields (rep, size) per orbit, in
-    representative order.
+    Each unvisited index starts the closure of its orbit under the two moves,
+    read from _move_tables and inlined here for every p, so the start is the
+    orbit's minimal index.  Yields (rep, size) per orbit, in index order.
     """
     total = spec.state_count
     check_budget(total, budget)
-    s_of, t_of = _index_moves(spec)
+    p, order = spec.p, spec.group_order
+    neg, base, top, low_sum, high_sum = _move_tables(spec)
     visited = bytearray(total)
     for start in range(total):
         if visited[start]:
@@ -113,10 +104,19 @@ def _bfs_orbits(spec: GroupSpec, budget: int | None):
         while queue:
             i = queue.popleft()
             size += 1
-            for j in (s_of(i), t_of(i)):
-                if not visited[j]:
-                    visited[j] = 1
-                    queue.append(j)
+            gr, kr = divmod(i, order)
+            j = kr * order + neg[gr]
+            if not visited[j]:
+                visited[j] = 1
+                queue.append(j)
+            if base:
+                (kh, kl), (gh, gl) = divmod(kr, base), divmod(gr, base)
+                j = gr * order + high_sum[kh * top + gh] + low_sum[kl * base + gl]
+            else:
+                j = gr * order + (kr + gr) % p
+            if not visited[j]:
+                visited[j] = 1
+                queue.append(j)
         yield start, size
 
 
@@ -225,7 +225,7 @@ def count_orbits_burnside(spec: GroupSpec, budget: int | None = None) -> CensusR
     error.
     """
     n, p = spec.n, spec.p
-    check_budget(p * p, budget)
+    check_budget(p * p, budget, "diagonals")
     fixed = (p ** (2 * n), p ** n, 1)  # by rank of A - I
     total = fixed[0] - fixed[1]  # the identity, counted below as rank 1
     for a in range(p):

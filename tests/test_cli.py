@@ -19,6 +19,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_measured(*argv):
+    """Run the CLI in a fresh interpreter; return its exit code, stdout and
+    peak RSS in KiB.  The peak is VmHWM, that of the interpreter's own
+    image: on Linux, ru_maxrss after exec also counts the peak of the
+    process that spawned it, which late in a pytest run is over 100 MiB."""
+    code = ("import sys\n"
+            "from orbitlab import cli\n"
+            f"code = cli.main({list(argv)!r})\n"
+            "with open('/proc/self/status') as status:\n"
+            "    hwm = next(line for line in status if line.startswith('VmHWM:'))\n"
+            "print(hwm.split()[1], file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    return result.returncode, result.stdout, int(result.stderr)
+
+
 class TestOrbits:
     def test_bfs_count(self, capsys):
         code, out, err = run(capsys, "orbits", "--p", "2", "--n", "2", "--method", "bfs")
@@ -33,10 +51,10 @@ class TestOrbits:
         assert (code, out) == (0, "7\n")
 
     def test_each_answer_sweeps_the_states_at_most_once(self, capsys, monkeypatch):
-        # _index_moves is built once per BFS visited sweep and nowhere else
+        # _move_tables is built once per BFS visited sweep and nowhere else
         sweeps = []
-        real = orbits._index_moves
-        monkeypatch.setattr(orbits, "_index_moves",
+        real = orbits._move_tables
+        monkeypatch.setattr(orbits, "_move_tables",
                             lambda spec: sweeps.append(spec) or real(spec))
         code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "3", "--list")
         assert (code, len(out.splitlines()), len(sweeps)) == (0, 15, 1)
@@ -47,15 +65,18 @@ class TestOrbits:
 
     def test_canonical_engine_memory(self):
         # row reduction holds O(n) values per state and no per-matrix table
-        code = ("import resource, sys\n"
-                "from orbitlab import cli\n"
-                "cli.main(['orbits', '--p', '31', '--n', '1', '--method', 'canonical'])\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
-        assert (result.returncode, result.stdout) == (0, "2\n")
-        assert int(result.stderr) < 128 * 1024  # ru_maxrss is in KiB on Linux
+        code, out, peak = run_measured("orbits", "--p", "31", "--n", "1",
+                                       "--method", "canonical")
+        assert (code, out) == (0, "2\n")
+        assert peak < 128 * 1024
+
+    def test_bfs_memory_at_n1(self):
+        # the one digit adds without a table: a p^2-entry one would be as
+        # long as the state count and lift the peak past 50 MiB
+        code, out, peak = run_measured("orbits", "--p", "1021", "--n", "1",
+                                       "--method", "bfs")
+        assert (code, out) == (0, "2\n")
+        assert peak < 32 * 1024
 
     def test_canonical_large_prime_finishes(self):
         # 1,018,081 states, each decided by row reduction, not by 1e9 matrices
@@ -85,6 +106,7 @@ class TestOrbits:
             env={**os.environ, "PYTHONPATH": str(SRC)})
         assert (result.returncode, result.stdout) == (3, "")
         assert "268435456" in result.stderr
+        assert "diagonals" in result.stderr and "states" not in result.stderr
 
     def test_list_large_prime_finishes(self):
         # two orbits at n = 1: the listing must not build all p vectors

@@ -106,8 +106,17 @@ class TestBfsCensus:
             assert sum(s.size for s in summaries) == spec.state_count
 
     def test_budget_error_names_limit(self):
-        with pytest.raises(BudgetExceeded, match="10"):
+        with pytest.raises(BudgetExceeded, match="^64 states exceed the budget of 10$"):
             count_orbits_bfs(GroupSpec.uniform(2, 3), budget=10)
+
+    @pytest.mark.parametrize("p,n", [(3, 5), (11, 1), (13, 1), (13, 2), (5, 0)])
+    def test_move_table_shapes(self, p, n):
+        # odd n splits the digits into unequal chunks; n = 1 adds without a
+        # table; n = 2 splits them evenly; n = 0 has one state
+        spec = GroupSpec.uniform(p, n)
+        listed = [(state_index(s.representative), s.size) for s in orbit_summaries(spec)]
+        assert list(_bfs_orbits(spec, None)) == listed
+        assert count_orbits_bfs(spec).orbit_count == r_formula(p, n)
 
     def test_deterministic(self):
         assert count_orbits_bfs(Z2_2).orbit_count == count_orbits_bfs(Z2_2).orbit_count
@@ -199,7 +208,7 @@ class TestBurnsideCensus:
         for n in (0, 1, 3):
             spec = GroupSpec.uniform(5, n)
             assert count_orbits_burnside(spec, budget=25).orbit_count == r_formula(5, n)
-            with pytest.raises(BudgetExceeded):
+            with pytest.raises(BudgetExceeded, match="^25 diagonals exceed the budget of 24$"):
                 count_orbits_burnside(spec, budget=24)
 
 
