@@ -172,11 +172,12 @@ def cmd_sequence(args) -> int:
     return 0
 
 
-def _add_common(sub) -> None:
+def _add_common(sub, budget: bool = True) -> None:
     sub.add_argument("--format", choices=["text", "json", "csv"],
                      default="text", help="output format (default text)")
-    sub.add_argument("--budget", type=int, default=None,
-                     help="state budget cap (default 2^28)")
+    if budget:  # encode and sequence visit no states
+        sub.add_argument("--budget", type=int, default=None,
+                         help="state budget cap (default 2^28)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_encode = sub.add_parser("encode", help="encode a word as a bit matrix")
     p_encode.add_argument("word", help="digit string such as 234")
-    _add_common(p_encode)
+    _add_common(p_encode, budget=False)
 
     p_verify = sub.add_parser("verify", help="cross-check every route for m <= m-max")
     p_verify.add_argument("--m-max", dest="m_max", type=int, required=True)
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq = sub.add_parser("sequence", help="emit the orbit count table")
     p_seq.add_argument("--p", type=int, required=True)
     p_seq.add_argument("--n-max", dest="n_max", type=int, required=True)
-    _add_common(p_seq)
+    _add_common(p_seq, budget=False)
 
     return parser
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 from .budget import check_budget
 from .formulas import exact_div
@@ -125,7 +125,6 @@ def count_orbits_bfs(spec: GroupSpec, budget: int | None = None) -> CensusReport
     return CensusReport(sum(1 for _ in _bfs_orbits(spec, budget)))
 
 
-@lru_cache(maxsize=None)
 def _canonical_engine(spec: GroupSpec):
     """Return (least, is_least) on packed indices.
 

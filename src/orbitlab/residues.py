@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import is_prime
+from .formulas import _require_prime
 
 
 @dataclass(frozen=True, slots=True)
@@ -22,8 +22,7 @@ class GroupSpec:
     n: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        _require_prime(self.p)
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
 
@@ -123,8 +122,7 @@ def apply_mat(s: PairState, mat: tuple[int, int, int, int]) -> PairState:
 def enumerate_sl2(p: int) -> list[tuple[int, int, int, int]]:
     """All p(p^2 - 1) matrices (a, b, c, d) of determinant 1 mod p, in
     lexicographic entry order."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _require_prime(p)
     # ad - bc = 1: for a = 0, c = -1 / b and d is free; for a != 0,
     # d = (1 + bc) / a.  Both loops run in lexicographic entry order.
     out = []

@@ -22,25 +22,16 @@ def _growth_violation(letters) -> str | None:
     Only a plain int is a letter, so True and 2.0 are outside the alphabet
     although they compare equal to 1 and 2.
     """
-    letters = tuple(letters)
     running = 1
-    for a in letters:
+    for pos, a in enumerate(letters, 1):
         if a not in ALPHABET or type(a) is not int:
-            break
+            return f"letter {a!r} at position {pos} is outside the alphabet 1..4"
         if a > running:
             if a > running + 1:
-                break
+                return (f"letter {a} at position {pos} breaks the growth bound: "
+                        f"at most running maximum {running} plus 1 is allowed")
             running = a
-    else:
-        return None
-    # The offending letter is the first occurrence of its object: an earlier
-    # copy would have broken the same rule first.  Identity, not equality,
-    # so that True is not found at the position of a 1.
-    pos = next(q for q, b in enumerate(letters, 1) if b is a)
-    if a not in ALPHABET or type(a) is not int:
-        return f"letter {a!r} at position {pos} is outside the alphabet 1..4"
-    return (f"letter {a} at position {pos} breaks the growth bound: "
-            f"at most running maximum {running} plus 1 is allowed")
+    return None
 
 
 def is_valid_word(letters) -> bool:

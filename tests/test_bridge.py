@@ -128,3 +128,34 @@ class TestVerifyBridge:
         assert not report.is_injective_on_orbits
         assert report.is_surjective_on_orbits
         assert report.missed_orbits == []
+
+    def test_missed_orbits_need_no_sweep(self, monkeypatch):
+        # the certificates are read off the orbit minima, not found by
+        # testing every state for the shape of a minimum
+        real_engine, real_words = bridge._canonical_engine, bridge.enumerate_words
+
+        def engine(spec):
+            least, _ = real_engine(spec)
+
+            def is_least(i):
+                raise AssertionError("verify_bridge swept the states")
+            return least, is_least
+        monkeypatch.setattr(bridge, "_canonical_engine", engine)
+        dropped = real_words(5)[40]
+        monkeypatch.setattr(
+            bridge, "enumerate_words",
+            lambda m, budget=None: [w for w in real_words(m, budget) if w != dropped])
+        report = verify_bridge(5)
+        assert (report.word_count, report.orbit_count) == (186, 187)
+        assert report.missed_orbits == [canonical_form(encode_word(dropped))]
+
+    def test_collisions_are_listed_by_canonical_image(self, monkeypatch):
+        real = bridge.enumerate_words
+        first, last = real(4)[0], real(4)[-1]
+        image = lambda w: state_index(canonical_form(encode_word(w)))
+        assert image(first) < image(last)
+        monkeypatch.setattr(bridge, "enumerate_words",
+                            lambda m, budget=None: real(m, budget) + [last, first])
+        report = verify_bridge(4)
+        assert report.word_count == 53
+        assert report.collisions == [(first, first), (last, last)]

@@ -289,6 +289,26 @@ class TestVerify:
         assert "FAIL" in out
         assert "words=0" in err
 
+    @pytest.mark.parametrize("change,evidence", [
+        (lambda ws: ws + ws[17:18],
+         "bridge_words=52 collisions=1 first_collision=2113/2113 "
+         "missed=0 first_missed=-"),
+        (lambda ws: ws[:17] + ws[18:],
+         "bridge_words=50 collisions=0 first_collision=- "
+         "missed=1 first_missed=01,00,00,10"),
+    ], ids=["duplicate", "drop"])
+    def test_bridge_failure_evidence(self, capsys, monkeypatch, change, evidence):
+        # word 17 at m = 4 is 2113, whose orbit minimum has rows 01 00 00 10
+        real = cli.bridge.enumerate_words
+        monkeypatch.setattr(
+            cli.bridge, "enumerate_words",
+            lambda m, budget=None: change(real(m, budget)) if m == 4 else real(m, budget))
+        code, out, err = run(capsys, "verify", "--m-max", "4")
+        assert code == 1
+        assert out.splitlines()[-1] == "4 PASS PASS FAIL FAIL FAIL 51"
+        assert err == ("verify: m=4 FAIL bfs=51 canonical=51 burnside=51 formula=51 "
+                       f"words=51 {evidence}\n")
+
     def test_m_max_validation(self, capsys):
         assert run(capsys, "verify", "--m-max", "0")[0] == 2
 
@@ -348,6 +368,15 @@ class TestContract:
     def test_usage_error_exit_2(self, capsys):
         assert run(capsys, "orbits", "--p", "2")[0] == 2
         assert run(capsys, "nonsense")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        "encode 234 --budget 5",
+        "sequence --p 2 --n-max 3 --budget 5",
+    ])
+    def test_budget_only_where_states_are_visited(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --budget 5" in err
 
     @pytest.mark.parametrize("argv", [
         "orbits --p 1009 --n 20000 --method burnside",

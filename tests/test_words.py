@@ -66,6 +66,19 @@ class TestRGWord:
         assert str(RGWord((2, 3, 4))) == "234"
         assert len(RGWord((2, 3, 4))) == 3
 
+    @pytest.mark.parametrize("letters,message", [
+        ((1, 3, 3), "letter 3 at position 2 breaks the growth bound: "
+                    "at most running maximum 1 plus 1 is allowed"),
+        ((2, 1, 4, 4), "letter 4 at position 3 breaks the growth bound: "
+                       "at most running maximum 2 plus 1 is allowed"),
+        ((1, 5, 5), "letter 5 at position 2 is outside the alphabet 1..4"),
+    ])
+    def test_message_names_the_first_faulty_position(self, letters, message):
+        # the faulty letter repeats; the message names its first position
+        with pytest.raises(ValueError) as exc:
+            RGWord(letters)
+        assert str(exc.value) == message
+
     def test_word_from_string_messages(self):
         with pytest.raises(ValueError, match="alphabet"):
             word_from_string("105")
