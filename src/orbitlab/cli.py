@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
+import os
 import sys
+from itertools import chain, islice
+from types import SimpleNamespace
 
 from . import bridge, formulas, orbits, words
 from .budget import BudgetExceeded, check_budget
@@ -39,25 +41,24 @@ def _refuse_unprintable(p: int, n: int) -> None:
                          f"{limit} that sys.get_int_max_str_digits() allows to print")
 
 
-def _emit(fmt: str, header: list[str], rows: list[list[str]], payload,
-          text: list[str] | None = None) -> None:
+def _emit(fmt: str, header: list[str], rows, payload, text=None) -> None:
     """Write one result to stdout in the chosen format.
 
     text: the text lines, by default each row joined by spaces; csv: header
-    then rows; json: payload, indented.
+    then rows; json: payload, indented.  rows and text may be generators:
+    text and csv go out a chunk of lines at a time, never as one string.
     """
     if fmt == "json":
         print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
+        return
+    if fmt == "csv":  # writerow returns what write returns: here, the line
+        writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+        lines = map(writerow, chain([header], rows))
     else:
-        if text is None:
-            text = [" ".join(row) for row in rows]
-        sys.stdout.write("".join(f"{line}\n" for line in text))
+        lines = (f"{line}\n" for line in (map(" ".join, rows) if text is None else text))
+    # one write per 4096 lines: under PYTHONUNBUFFERED each write is a syscall
+    while chunk := "".join(islice(lines, 4096)):
+        sys.stdout.write(chunk)
 
 
 def cmd_orbits(args) -> int:
@@ -88,10 +89,10 @@ def cmd_orbits(args) -> int:
               f"the listing has {len(summaries)}", file=sys.stderr)
         return 1
     header = ["representative", "size", "stabilizer_order"]
-    rows = [[format_state(s.representative), str(s.size),
+    rows = ([format_state(s.representative), str(s.size),
              "-" if s.stabilizer_order is None else str(s.stabilizer_order)]
-            for s in summaries]
-    if args.format == "json":  # tens of thousands of dicts; skip them otherwise
+            for s in summaries)
+    if args.format == "json":  # one document, so built whole; text and csv stream
         payload["orbits"] = [dict(zip(header, row)) for row in rows]
     _emit(args.format, header, rows, payload)
     return 0
@@ -99,9 +100,11 @@ def cmd_orbits(args) -> int:
 
 def cmd_words(args) -> int:
     if args.list:
-        listed = [str(w) for w in words.enumerate_words(args.m, args.budget)]
-        _emit(args.format, ["word"], [[w] for w in listed],
-              {"m": args.m, "count": str(len(listed)), "words": listed})
+        listed = words.enumerate_words(args.m, args.budget)
+        payload = {"m": args.m, "count": str(len(listed))}
+        if args.format == "json":
+            payload["words"] = [str(w) for w in listed]
+        _emit(args.format, ["word"], ([str(w)] for w in listed), payload)
         return 0
 
     _refuse_unprintable(2, args.m)  # count_words(m) = r(2, m)
@@ -172,11 +175,19 @@ def cmd_sequence(args) -> int:
     return 0
 
 
-def _add_common(sub, budget: bool = True) -> None:
+def budget(text: str) -> int:
+    """The --budget argument: a number of states, so never negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
+    return value
+
+
+def _add_common(sub, budgeted: bool = True) -> None:
     sub.add_argument("--format", choices=["text", "json", "csv"],
                      default="text", help="output format (default text)")
-    if budget:  # encode and sequence visit no states
-        sub.add_argument("--budget", type=int, default=None,
+    if budgeted:  # encode and sequence visit no states
+        sub.add_argument("--budget", type=budget, default=None,
                          help="state budget cap (default 2^28)")
 
 
@@ -203,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_encode = sub.add_parser("encode", help="encode a word as a bit matrix")
     p_encode.add_argument("word", help="digit string such as 234")
-    _add_common(p_encode, budget=False)
+    _add_common(p_encode, budgeted=False)
 
     p_verify = sub.add_parser("verify", help="cross-check every route for m <= m-max")
     p_verify.add_argument("--m-max", dest="m_max", type=int, required=True)
@@ -212,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq = sub.add_parser("sequence", help="emit the orbit count table")
     p_seq.add_argument("--p", type=int, required=True)
     p_seq.add_argument("--n-max", dest="n_max", type=int, required=True)
-    _add_common(p_seq, budget=False)
+    _add_common(p_seq, budgeted=False)
 
     return parser
 
@@ -233,7 +244,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader stopped early, as `| head -1` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

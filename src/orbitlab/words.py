@@ -87,18 +87,12 @@ def enumerate_words(m: int, budget: int | None = None) -> list[RGWord]:
 
 
 def count_words(m: int) -> int:
-    """Count valid words of length m by dynamic programming on the running
-    maximum: from maximum M the next letter ranges over 1..min(4, M+1)."""
+    """Count valid words of length m by dynamic programming on the rank of
+    their bit rows (see bridge.encode_word): c0 words hold only 1s, c1 a 2
+    but no 3 (the rows span a line), c2 a 3 (they span the plane)."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    counts = {1: 1, 2: 0, 3: 0, 4: 0}
-    for _ in range(m):
-        nxt = dict.fromkeys(ALPHABET, 0)
-        for mx, c in counts.items():
-            if not c:
-                continue
-            nxt[mx] += mx * c
-            if mx < 4:
-                nxt[mx + 1] += c
-        counts = nxt
-    return sum(counts.values())
+    c0, c1, c2 = 1, 0, 0
+    for _ in range(m):  # 2 leaves c0, 3 leaves c1; c2 takes all four letters
+        c0, c1, c2 = c0, c0 + 2 * c1, c1 + 4 * c2
+    return c0 + c1 + c2

@@ -8,12 +8,14 @@ surfacing only when the benchmark runs.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 from random import Random
 
 import pytest
 
+import orbitlab
 from orbitlab import cli
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -54,3 +56,10 @@ def test_workload_steps_and_commands(name, capsys):
 def test_probe_bundles():
     for bundle in workloads.probes(Random(1)):
         _run_steps(bundle)
+
+
+def test_package_exports_what_the_benchmark_reads():
+    # perfbench/workloads.py is the one importer of the package namespace;
+    # everything else imports the submodules
+    read = set(re.findall(r"\bol\.(\w+)", WORKLOADS_PY.read_text()))
+    assert read == set(orbitlab.__all__)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from orbitlab import bridge, cli, orbits, words
+from orbitlab.residues import GroupSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -17,6 +18,16 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def listing_rows(p, n):
+    """The rows of `orbits --p p --n n --list`, built from the summaries."""
+    return [[cli.format_state(s.representative), str(s.size),
+             "-" if s.stabilizer_order is None else str(s.stabilizer_order)]
+            for s in orbits.orbit_summaries(GroupSpec(p, n))]
+
+
+LISTED = [(2, 0), (2, 3), (3, 2), (11, 1)]
 
 
 def run_measured(*argv):
@@ -133,6 +144,10 @@ class TestOrbits:
         code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "1", "--list")
         assert code == 0
         assert out.splitlines() == ["00 1 6", "01 3 2"]
+        for p, n in LISTED:
+            code, out, _ = run(capsys, "orbits", "--p", str(p), "--n", str(n), "--list")
+            assert (code, out) == (0, "".join(f"{' '.join(row)}\n"
+                                              for row in listing_rows(p, n))), (p, n)
 
     def test_list_csv(self, capsys):
         code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "2",
@@ -142,6 +157,34 @@ class TestOrbits:
         assert rows[0] == ["representative", "size", "stabilizer_order"]
         assert len(rows) == 6
         assert sorted(int(r[1]) for r in rows[1:]) == [1, 3, 3, 3, 6]
+        for p, n in LISTED:
+            code, out, _ = run(capsys, "orbits", "--p", str(p), "--n", str(n),
+                               "--list", "--format", "csv")
+            assert code == 0 and "\r" not in out
+            assert list(csv.reader(io.StringIO(out))) == [
+                ["representative", "size", "stabilizer_order"], *listing_rows(p, n)], (p, n)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_list_streams(self, fmt):
+        # rows go out a chunk at a time: the peak is the summaries list
+        # (~36 MiB at n = 10), not two or three more copies of the text
+        code, out, peak = run_measured("orbits", "--p", "2", "--n", "10", "--list",
+                                       "--method", "formula", "--format", fmt)
+        assert code == 0 and len(out.splitlines()) == 175275 + (fmt == "csv")
+        assert peak < 64 * 1024
+
+    def test_list_closed_pipe_ends_quietly(self):
+        # as in `orbitlab orbits --p 2 --n 9 --list | head -1`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orbitlab", "orbits", "--p", "2", "--n", "9",
+             "--list", "--method", "formula"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+        assert first == "00 00 00 00 00 00 00 00 00 1 6\n"
+        assert (proc.returncode, err) == (0, "")
 
     def test_json_counts_are_strings(self, capsys):
         code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "2", "--format", "json")
@@ -411,6 +454,16 @@ class TestContract:
         assert code == 0 and len(out.splitlines()[-1].split()[1]) == 4214
         code, out, _ = run(capsys, "words", "--m", "7000")
         assert code == 0 and len(out.strip()) == 4214
+
+    @pytest.mark.parametrize("argv", [
+        "orbits --p 2 --n 3 --budget -1",
+        "words --m 3 --budget -5",
+        "verify --m-max 3 --budget -1",
+    ])
+    def test_negative_budget_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert f"budget must be >= 0, got {argv.split()[-1]}" in err
 
     def test_budget_still_comes_first(self, capsys):
         # the last three have state counts too long to print: still exit 3
