@@ -99,12 +99,13 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_words(args) -> int:
-    if args.list:
-        listed = words.enumerate_words(args.m, args.budget)
-        payload = {"m": args.m, "count": str(len(listed))}
-        if args.format == "json":
-            payload["words"] = [str(w) for w in listed]
-        _emit(args.format, ["word"], ([str(w)] for w in listed), payload)
+    if args.list:  # text and csv stream the words as the walk yields them
+        listed = ("".join(map(str, w)) for w in words._words(args.m, args.budget))
+        payload = {"m": args.m}
+        if args.format == "json":  # one document, so built whole
+            listed = list(listed)
+            payload.update(count=str(len(listed)), words=listed)
+        _emit(args.format, ["word"], ([w] for w in listed), payload, text=listed)
         return 0
 
     _refuse_unprintable(2, args.m)  # count_words(m) = r(2, m)
@@ -183,7 +184,8 @@ def budget(text: str) -> int:
     return value
 
 
-def _add_common(sub, budgeted: bool = True) -> None:
+def _add_common(sub, run, budgeted: bool = True) -> None:
+    sub.set_defaults(run=run)
     sub.add_argument("--format", choices=["text", "json", "csv"],
                      default="text", help="output format (default text)")
     if budgeted:  # encode and sequence visit no states
@@ -205,36 +207,27 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["bfs", "canonical", "burnside", "formula"])
     p_orbits.add_argument("--list", action="store_true",
                           help="print one orbit summary per line")
-    _add_common(p_orbits)
+    _add_common(p_orbits, cmd_orbits)
 
     p_words = sub.add_parser("words", help="count or list restricted growth words")
     p_words.add_argument("--m", type=int, required=True)
     p_words.add_argument("--list", action="store_true")
-    _add_common(p_words)
+    _add_common(p_words, cmd_words)
 
     p_encode = sub.add_parser("encode", help="encode a word as a bit matrix")
     p_encode.add_argument("word", help="digit string such as 234")
-    _add_common(p_encode, budgeted=False)
+    _add_common(p_encode, cmd_encode, budgeted=False)
 
     p_verify = sub.add_parser("verify", help="cross-check every route for m <= m-max")
     p_verify.add_argument("--m-max", dest="m_max", type=int, required=True)
-    _add_common(p_verify)
+    _add_common(p_verify, cmd_verify)
 
     p_seq = sub.add_parser("sequence", help="emit the orbit count table")
     p_seq.add_argument("--p", type=int, required=True)
     p_seq.add_argument("--n-max", dest="n_max", type=int, required=True)
-    _add_common(p_seq, budgeted=False)
+    _add_common(p_seq, cmd_sequence, budgeted=False)
 
     return parser
-
-
-_HANDLERS = {
-    "orbits": cmd_orbits,
-    "words": cmd_words,
-    "encode": cmd_encode,
-    "verify": cmd_verify,
-    "sequence": cmd_sequence,
-}
 
 
 def main(argv=None) -> int:
@@ -244,7 +237,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        code = _HANDLERS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()  # a reader gone early shows here, not at exit
         return code
     except BrokenPipeError:  # the reader stopped early, as `| head -1` does

@@ -56,10 +56,6 @@ class ResidueVector:
             self, "entries",
             tuple(int(e) % self.spec.p for e in self.entries))
 
-    @classmethod
-    def zero(cls, spec: GroupSpec) -> "ResidueVector":
-        return cls((0,) * spec.n, spec)
-
     def __neg__(self) -> "ResidueVector":
         return ResidueVector(tuple(-e for e in self.entries), self.spec)
 
@@ -87,7 +83,8 @@ class PairState:
 
     @classmethod
     def zero(cls, spec: GroupSpec) -> "PairState":
-        return cls(ResidueVector.zero(spec), ResidueVector.zero(spec))
+        zero = ResidueVector((0,) * spec.n, spec)
+        return cls(zero, zero)
 
     def rows(self) -> list[tuple[int, int]]:
         return list(zip(self.g.entries, self.k.entries))

@@ -65,25 +65,29 @@ def word_from_string(text: str) -> RGWord:
     return RGWord(tuple(_DIGITS.get(ch, ch) for ch in text))
 
 
-def enumerate_words(m: int, budget: int | None = None) -> list[RGWord]:
-    """All valid words of length m, lexicographically, by prefix extension."""
+def _words(m: int, budget: int | None = None):
+    """Yield the valid words of length m as letter tuples, lexicographically.
+
+    A depth-first walk on an explicit stack of (prefix, running maximum)
+    pairs, so no recursion limit bounds m.  A prefix is extended only by the
+    letters the growth bound allows, so every word yielded is valid.
+    """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     check_budget(4 ** m, budget)
-    out: list[RGWord] = []
-    prefix: list[int] = []
-
-    def extend(running: int) -> None:
+    stack = [((), 1)]
+    while stack:
+        prefix, running = stack.pop()
         if len(prefix) == m:
-            out.append(RGWord(tuple(prefix)))
-            return
-        for a in range(1, min(4, running + 1) + 1):
-            prefix.append(a)
-            extend(running if a <= running else a)
-            prefix.pop()
+            yield prefix
+            continue
+        for a in range(min(4, running + 1), 0, -1):  # descending: 1 pops first
+            stack.append((prefix + (a,), a if a > running else running))
 
-    extend(1)
-    return out
+
+def enumerate_words(m: int, budget: int | None = None) -> list[RGWord]:
+    """All valid words of length m, lexicographically, by prefix extension."""
+    return [RGWord(w) for w in _words(m, budget)]
 
 
 def count_words(m: int) -> int:

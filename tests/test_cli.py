@@ -263,6 +263,27 @@ class TestWords:
     def test_negative_m(self, capsys):
         assert run(capsys, "words", "--m", "-1")[0] == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_list_streams(self, fmt):
+        # the words go out as the walk yields them: no word list is held
+        code, out, peak = run_measured("words", "--m", "10", "--list", "--format", fmt)
+        assert code == 0 and len(out.splitlines()) == 175275 + (fmt == "csv")
+        assert peak < 32 * 1024
+
+    def test_list_long_words_closed_pipe(self):
+        # as in `orbitlab words --m 1100 --list --budget <4^1100> | head -1`,
+        # far deeper than Python's recursion limit
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orbitlab", "words", "--m", "1100", "--list",
+             "--budget", str(4 ** 1100)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+        assert first == "1" * 1100 + "\n"
+        assert (proc.returncode, err) == (0, "")
+
 
 class TestEncode:
     def test_example_234(self, capsys):
@@ -468,7 +489,8 @@ class TestContract:
     def test_budget_still_comes_first(self, capsys):
         # the last three have state counts too long to print: still exit 3
         for argv in ("orbits --p 2 --n 3000", "orbits --p 1009 --n 700 --list --method burnside",
-                     "words --m 5000 --list", "orbits --p 2 --n 20000",
+                     "words --m 5000 --list", "words --m 5000 --list --format csv",
+                     "orbits --p 2 --n 20000",
                      "words --m 50000 --list", "verify --m-max 20000"):
             assert run(capsys, *argv.split())[:2] == (3, ""), argv
 

@@ -5,7 +5,9 @@ import pytest
 from orbitlab.budget import BudgetExceeded
 from orbitlab.formulas import r_formula
 from orbitlab.words import (
+    ALPHABET,
     RGWord,
+    _words,
     count_words,
     enumerate_words,
     is_valid_word,
@@ -119,6 +121,19 @@ class TestEnumerate:
             enumerate_words(5, budget=100)
         with pytest.raises(ValueError):
             enumerate_words(-1)
+
+
+class TestWalk:
+    """_words, the DFS that the listing streams without validating a word."""
+
+    def test_agrees_with_filter_up_to_8(self):
+        for m in range(9):
+            expected = [w for w in product(ALPHABET, repeat=m) if is_valid_word(w)]
+            assert list(_words(m)) == expected, m
+
+    def test_no_recursion_limit(self):
+        # far deeper than Python's recursion limit: the walk must not recurse
+        assert next(_words(2000, 4 ** 2000)) == (1,) * 2000
 
 
 class TestCount:
