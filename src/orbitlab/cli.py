@@ -46,12 +46,11 @@ def _emit(fmt: str, header: list[str], rows, payload, text=None) -> None:
 
     text: the text lines, by default each row joined by spaces; csv: header
     then rows; json: payload, indented.  rows and text may be generators:
-    text and csv go out a chunk of lines at a time, never as one string.
+    every format, json as iterencode's chunks, goes out a chunk at a time.
     """
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
-        return
-    if fmt == "csv":  # writerow returns what write returns: here, the line
+        lines = chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
+    elif fmt == "csv":  # writerow returns what write returns: here, the line
         writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
         lines = map(writerow, chain([header], rows))
     else:
@@ -63,8 +62,9 @@ def _emit(fmt: str, header: list[str], rows, payload, text=None) -> None:
 
 def cmd_orbits(args) -> int:
     spec = GroupSpec.uniform(args.p, args.n)
-    # the listing first: an input over the state budget exits 3 before any count
-    summaries = orbits.orbit_summaries(spec, args.budget) if args.list else None
+    if args.list:  # over the state budget exits 3 before any count or row
+        check_budget(spec.state_count, args.budget)
+        listed = sum(1 for _ in orbits._echelon_minima(spec))
     if args.method in ("formula", "burnside"):  # the others are bounded by the budget
         _refuse_unprintable(args.p, args.n)
     if args.method == "formula":
@@ -84,15 +84,15 @@ def cmd_orbits(args) -> int:
               payload, text=[str(count)])
         return 0
 
-    if count != len(summaries):  # the listing is not a census of its own
+    if count != listed:  # the listing is not a census of its own
         print(f"orbits: {args.method} counts {count} orbits, "
-              f"the listing has {len(summaries)}", file=sys.stderr)
+              f"the listing has {listed}", file=sys.stderr)
         return 1
     header = ["representative", "size", "stabilizer_order"]
     rows = ([format_state(s.representative), str(s.size),
              "-" if s.stabilizer_order is None else str(s.stabilizer_order)]
-            for s in summaries)
-    if args.format == "json":  # one document, so built whole; text and csv stream
+            for s in orbits._summaries(spec))
+    if args.format == "json":  # the row dicts are built whole; text and csv stream
         payload["orbits"] = [dict(zip(header, row)) for row in rows]
     _emit(args.format, header, rows, payload)
     return 0

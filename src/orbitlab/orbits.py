@@ -255,17 +255,14 @@ def _echelon_minima(spec: GroupSpec):
                     yield i, plane
 
 
-def orbit_summaries(spec: GroupSpec, budget: int | None = None) -> list[OrbitSummary]:
-    """One summary per orbit, sorted by representative index.
+def _summaries(spec: GroupSpec):
+    """Yield one summary per orbit, sorted by representative index.
 
-    Read off the echelon minima, so it costs O(orbits), not O(states): each
-    distinct rank of g or k becomes one ResidueVector, shared by every
-    representative that holds it, and each distinct orbit size gets one
-    stabilizer division.  The memos live for this call only, and the vector
-    memo holds at most two vectors per orbit, never a table of all p^n
-    ranks.  The state budget is still checked, as for the censuses.
+    Read off the echelon minima in O(orbits), not O(states): one ResidueVector
+    per distinct rank of g or k, shared by every representative that holds
+    it, and one stabilizer division per orbit size.  The memos live for this
+    walk only; the vector memo, keyed by rank, holds at most p^n vectors.
     """
-    check_budget(spec.state_count, budget)
     p, n, order = spec.p, spec.n, spec.group_order
 
     @cache
@@ -276,9 +273,12 @@ def orbit_summaries(spec: GroupSpec, budget: int | None = None) -> list[OrbitSum
     def stabilizer(size: int) -> int | None:
         return exact_div(p * (p * p - 1), size) if n else None
 
-    summaries = []
     for rep, size in _echelon_minima(spec):
         gr, kr = divmod(rep, order)
-        summaries.append(OrbitSummary(PairState(vector(gr), vector(kr)), size,
-                                      stabilizer(size)))
-    return summaries
+        yield OrbitSummary(PairState(vector(gr), vector(kr)), size, stabilizer(size))
+
+
+def orbit_summaries(spec: GroupSpec, budget: int | None = None) -> list[OrbitSummary]:
+    """_summaries as a list, after the state budget check of the censuses."""
+    check_budget(spec.state_count, budget)
+    return list(_summaries(spec))

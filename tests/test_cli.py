@@ -133,8 +133,8 @@ class TestOrbits:
 
     def test_list_count_mismatch_fails(self, capsys, monkeypatch):
         # the listing is no census of its own: a short one must not pass
-        real = orbits.orbit_summaries
-        monkeypatch.setattr(orbits, "orbit_summaries", lambda *a: real(*a)[:-1])
+        real = orbits._echelon_minima
+        monkeypatch.setattr(orbits, "_echelon_minima", lambda spec: list(real(spec))[:-1])
         code, out, err = run(capsys, "orbits", "--p", "2", "--n", "2", "--list",
                              "--method", "canonical")
         assert (code, out) == (1, "")
@@ -166,12 +166,31 @@ class TestOrbits:
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_list_streams(self, fmt):
-        # rows go out a chunk at a time: the peak is the summaries list
-        # (~36 MiB at n = 10), not two or three more copies of the text
+        # rows stream from the summaries as they are made: the peak holds
+        # no summaries list and no copy of the text
         code, out, peak = run_measured("orbits", "--p", "2", "--n", "10", "--list",
                                        "--method", "formula", "--format", fmt)
         assert code == 0 and len(out.splitlines()) == 175275 + (fmt == "csv")
         assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_list_memory_is_flat(self, fmt):
+        # 245 times the orbits of n = 6 (175,275 against 715), the same peak
+        peaks = [run_measured("orbits", "--p", "2", "--n", n, "--list",
+                              "--method", "formula", "--format", fmt)[2]
+                 for n in ("6", "10")]
+        assert peaks[1] - peaks[0] < 4 * 1024
+
+    @pytest.mark.parametrize("argv, cap_mib", [
+        ("orbits --p 2 --n 10 --list --method formula", 128),
+        ("words --m 10 --list", 36),
+    ])
+    def test_json_list_memory(self, argv, cap_mib):
+        # the document goes out in iterencode's chunks, never joined whole;
+        # only its list of rows (dicts or word strings) is held
+        code, out, peak = run_measured(*argv.split(), "--format", "json")
+        assert code == 0 and out.endswith("]\n}\n")
+        assert peak < cap_mib * 1024
 
     def test_list_closed_pipe_ends_quietly(self):
         # as in `orbitlab orbits --p 2 --n 9 --list | head -1`
@@ -184,6 +203,19 @@ class TestOrbits:
         proc.stdout.close()
         _, err = proc.communicate(timeout=30)
         assert first == "00 00 00 00 00 00 00 00 00 1 6\n"
+        assert (proc.returncode, err) == (0, "")
+
+    def test_json_list_closed_pipe_ends_quietly(self):
+        # json goes out in chunks too, so the reader may be gone mid-document
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orbitlab", "orbits", "--p", "2", "--n", "9",
+             "--list", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+        assert first == "{\n"
         assert (proc.returncode, err) == (0, "")
 
     def test_json_counts_are_strings(self, capsys):
@@ -489,6 +521,8 @@ class TestContract:
     def test_budget_still_comes_first(self, capsys):
         # the last three have state counts too long to print: still exit 3
         for argv in ("orbits --p 2 --n 3000", "orbits --p 1009 --n 700 --list --method burnside",
+                     "orbits --p 2 --n 3000 --list --format csv",
+                     "orbits --p 2 --n 3000 --list --format json",
                      "words --m 5000 --list", "words --m 5000 --list --format csv",
                      "orbits --p 2 --n 20000",
                      "words --m 50000 --list", "verify --m-max 20000"):
