@@ -1,14 +1,18 @@
 """The letter-to-bit-row map from words into pair states over Z_2.
 
-Each letter becomes one row of an m x 2 bit matrix (1 -> 00, 2 -> 10,
-3 -> 11, 4 -> 01).  verify_bridge machine-checks that composing with the
-canonical form, (min, middle) of the bit rows {g, k, g ^ k}, hits every
-orbit exactly once: bijectivity is checked, never assumed.  Injectivity is
-one pass keeping the first word per canonical image; surjectivity is
-pigeonhole, since each image is its orbit's minimum, against the
-independent Burnside count (four diagonals at p = 2).  Only when that fails
-does it walk the orbit minima in echelon form for the missed orbits, as
-explicit certificates.
+Each letter becomes one row of an m x 2 bit matrix (words.LETTER_BITS:
+1 -> 00, 2 -> 10, 3 -> 11, 4 -> 01).  verify_bridge machine-checks that
+composing with the canonical form, (min, middle) of the bit rows
+{g, k, g ^ k}, hits every orbit exactly once: bijectivity is checked, never
+assumed.  It streams the word walk once and takes each packed word index i
+on a round trip, word -> orbit -> word: decode(least(i)) must give i back,
+so no two words share an orbit, given that the walked words are distinct
+(their letters increase) and in the language (the packed growth rule).
+Surjectivity is then pigeonhole against the independent Burnside count
+(four diagonals at p = 2).  On success nothing is collected.  Only when a
+check fails does a second pass keep the first word per canonical image, for
+the collision certificates, and walk the orbit minima in echelon form for
+the missed orbits.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ from dataclasses import dataclass
 
 from .orbits import _canonical_engine, _echelon_minima, count_orbits_burnside
 from .residues import GroupSpec, PairState, state_from_index
-from .words import RGWord, enumerate_words
-
-_LETTER_BITS = {1: (0, 0), 2: (1, 0), 3: (1, 1), 4: (0, 1)}
+from .words import LETTER_BITS, RGWord, _words
 
 
 @dataclass(slots=True)
@@ -53,24 +55,61 @@ def _word_index(letters, m: int) -> int:
     # packed index of encode_word: g bits then k bits
     g = k = 0
     for a in letters:
-        gb, kb = _LETTER_BITS[a]
+        gb, kb = LETTER_BITS[a]
         g = (g << 1) | gb
         k = (k << 1) | kb
     return (g << m) | k
 
 
+def _grows(i: int, m: int) -> bool:
+    """The growth rule on a packed word index: the first row with k = 1 (the
+    first 3 or 4) must have g = 1 (be a 3), after an earlier row with g = 1
+    (a 2)."""
+    g, k = i >> m, i & ((1 << m) - 1)
+    top = k.bit_length()
+    return not k or bool(g >> top and g >> (top - 1) & 1)
+
+
+def _decode(rep: int, m: int) -> int:
+    """The packed index of the word of the orbit whose minimum is rep:
+    [0 | v] -> [v | 0], and [g | k] -> [g ^ k | g] for g != 0."""
+    g, k = rep >> m, rep & ((1 << m) - 1)
+    return ((g ^ k) << m) | g if g else k << m
+
+
 def verify_bridge(m: int, budget: int | None = None) -> BridgeReport:
     """Encode every length-m word, canonicalize, and compare against the
-    orbit census at p = 2, n = m.  The budget is charged by enumerate_words,
+    orbit census at p = 2, n = m.  The budget is charged by the word walk,
     for the 4^m states."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     spec = GroupSpec.uniform(2, m)
     least, _ = _canonical_engine(spec)
+    orbit_count = count_orbits_burnside(spec).orbit_count
 
+    previous, word_count = (), 0
+    for letters, i in _words(m, budget):
+        if letters <= previous or not _grows(i, m) or _decode(least(i), m) != i:
+            break
+        previous, word_count = letters, word_count + 1
+    else:
+        # distinct valid words on distinct orbits, so they cover all orbits
+        # iff they are as many
+        if word_count == orbit_count:
+            return BridgeReport(m, word_count, orbit_count, True, True, [], [])
+    return _certified(spec, least, orbit_count, budget)
+
+
+def _certified(spec: GroupSpec, least, orbit_count: int,
+               budget: int | None) -> BridgeReport:
+    """The report with its certificates, from the letters alone: the first
+    word per canonical image, each later word with that image as a collision,
+    and the echelon minima no word reached."""
+    m = spec.n
     first: dict[int, RGWord] = {}  # canonical image -> first word reaching it
     collisions = []
-    for word in enumerate_words(m, budget):
+    for letters, _ in _words(m, budget):
+        word = RGWord(letters)
         rep = least(_word_index(word.letters, m))
         if rep in first:
             collisions.append((first[rep], word))
@@ -79,7 +118,6 @@ def verify_bridge(m: int, budget: int | None = None) -> BridgeReport:
     collisions.sort(key=lambda pair: least(_word_index(pair[0].letters, m)))
     # a canonical image is always its orbit's minimal member, so distinct
     # images are distinct orbits, and they cover all orbits iff they are as many
-    orbit_count = count_orbits_burnside(spec).orbit_count
     surjective = len(first) == orbit_count
     missed = [] if surjective else [
         state_from_index(i, spec) for i, _ in _echelon_minima(spec) if i not in first]

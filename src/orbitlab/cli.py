@@ -100,7 +100,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_words(args) -> int:
     if args.list:  # text and csv stream the words as the walk yields them
-        listed = ("".join(map(str, w)) for w in words._words(args.m, args.budget))
+        listed = ("".join(map(str, w)) for w, _ in words._words(args.m, args.budget))
         payload = {"m": args.m}
         if args.format == "json":  # one document, so built whole
             listed = list(listed)

@@ -14,6 +14,10 @@ from .budget import check_budget
 
 ALPHABET = (1, 2, 3, 4)
 
+# the bit row (g, k) of each letter: bridge.encode_word's map, which _words
+# carries down its stack as a packed index
+LETTER_BITS = {1: (0, 0), 2: (1, 0), 3: (1, 1), 4: (0, 1)}
+
 
 def _growth_violation(letters) -> str | None:
     """The first broken constraint of a word, or None if it is valid.
@@ -66,28 +70,40 @@ def word_from_string(text: str) -> RGWord:
 
 
 def _words(m: int, budget: int | None = None):
-    """Yield the valid words of length m as letter tuples, lexicographically.
+    """Yield (letters, index) for the valid words of length m, lexicographically.
 
-    A depth-first walk on an explicit stack of (prefix, running maximum)
-    pairs, so no recursion limit bounds m.  A prefix is extended only by the
-    letters the growth bound allows, so every word yielded is valid.
+    index is the packed index of the word's pair state (see
+    bridge.encode_word): its g bits, then its k bits, the first letter's
+    bits most significant.  A depth-first walk on an explicit stack of
+    (prefix, running maximum, index so far) triples, so no recursion limit
+    bounds m.  A prefix is extended only by the letters the growth bound
+    allows, so every word yielded is valid.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     check_budget(4 ** m, budget)
-    stack = [((), 1)]
+    rows = {a: (g << m) | k for a, (g, k) in LETTER_BITS.items()}  # at the last place
+    # after each running maximum: the letters the growth bound allows, in
+    # order, each with the running maximum it leaves and its bit rows
+    nexts = {r: [(a, max(a, r), rows[a]) for a in range(1, min(4, r + 1) + 1)]
+             for r in ALPHABET}
+    stack = [((), 1, 0)]
     while stack:
-        prefix, running = stack.pop()
-        if len(prefix) == m:
-            yield prefix
-            continue
-        for a in range(min(4, running + 1), 0, -1):  # descending: 1 pops first
-            stack.append((prefix + (a,), a if a > running else running))
+        prefix, running, index = stack.pop()
+        shift = m - 1 - len(prefix)  # place of the next letter's bits
+        if shift > 0:
+            for a, r, row in reversed(nexts[running]):  # descending: 1 pops first
+                stack.append((prefix + (a,), r, index | row << shift))
+        elif shift == 0:  # the last letter: yield its words in order, unstacked
+            for a, _, row in nexts[running]:
+                yield prefix + (a,), index | row
+        else:  # m = 0: the empty word
+            yield prefix, index
 
 
 def enumerate_words(m: int, budget: int | None = None) -> list[RGWord]:
     """All valid words of length m, lexicographically, by prefix extension."""
-    return [RGWord(w) for w in _words(m, budget)]
+    return [RGWord(w) for w, _ in _words(m, budget)]
 
 
 def count_words(m: int) -> int:

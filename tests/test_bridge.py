@@ -1,11 +1,18 @@
+from itertools import product
+
 import pytest
 
 from orbitlab import bridge
 from orbitlab.bridge import encode_word, verify_bridge
 from orbitlab.budget import BudgetExceeded
-from orbitlab.orbits import canonical_form, orbit_summaries
+from orbitlab.orbits import (
+    _canonical_engine,
+    _echelon_minima,
+    canonical_form,
+    orbit_summaries,
+)
 from orbitlab.residues import GroupSpec, state_index
-from orbitlab.words import RGWord, enumerate_words
+from orbitlab.words import ALPHABET, RGWord, _growth_violation, _words, enumerate_words
 
 
 class TestEncodeLetter:
@@ -105,11 +112,8 @@ class TestVerifyBridge:
             verify_bridge(0)
 
     def test_dropped_word_is_certified_as_missed_orbit(self, monkeypatch):
-        real = bridge.enumerate_words
-        dropped = real(4)[17]
-        monkeypatch.setattr(
-            bridge, "enumerate_words",
-            lambda m, budget=None: [w for w in real(m, budget) if w != dropped])
+        dropped = enumerate_words(4)[17]
+        patch_walk(monkeypatch, lambda ws: [w for w in ws if w[0] != dropped.letters])
         report = verify_bridge(4)
         assert report.word_count == 50
         assert report.orbit_count == 51
@@ -118,11 +122,10 @@ class TestVerifyBridge:
         assert report.missed_orbits == [canonical_form(encode_word(dropped))]
 
     def test_duplicate_word_is_certified_as_collision(self, monkeypatch):
-        real = bridge.enumerate_words
-        extra = real(4)[17]
-        monkeypatch.setattr(bridge, "enumerate_words",
-                            lambda m, budget=None: real(m, budget) + [extra])
+        walks = patch_walk(monkeypatch, lambda ws: ws + ws[17:18])
+        extra = enumerate_words(4)[17]
         report = verify_bridge(4)
+        assert len(walks) == 2  # the repeat broke the letter order: certificates ran
         assert report.word_count == 52
         assert report.collisions == [(extra, extra)]
         assert not report.is_injective_on_orbits
@@ -132,7 +135,7 @@ class TestVerifyBridge:
     def test_missed_orbits_need_no_sweep(self, monkeypatch):
         # the certificates are read off the orbit minima, not found by
         # testing every state for the shape of a minimum
-        real_engine, real_words = bridge._canonical_engine, bridge.enumerate_words
+        real_engine = bridge._canonical_engine
 
         def engine(spec):
             least, _ = real_engine(spec)
@@ -141,21 +144,91 @@ class TestVerifyBridge:
                 raise AssertionError("verify_bridge swept the states")
             return least, is_least
         monkeypatch.setattr(bridge, "_canonical_engine", engine)
-        dropped = real_words(5)[40]
-        monkeypatch.setattr(
-            bridge, "enumerate_words",
-            lambda m, budget=None: [w for w in real_words(m, budget) if w != dropped])
+        dropped = enumerate_words(5)[40]
+        patch_walk(monkeypatch, lambda ws: [w for w in ws if w[0] != dropped.letters])
         report = verify_bridge(5)
         assert (report.word_count, report.orbit_count) == (186, 187)
         assert report.missed_orbits == [canonical_form(encode_word(dropped))]
 
     def test_collisions_are_listed_by_canonical_image(self, monkeypatch):
-        real = bridge.enumerate_words
-        first, last = real(4)[0], real(4)[-1]
+        first, last = enumerate_words(4)[0], enumerate_words(4)[-1]
         image = lambda w: state_index(canonical_form(encode_word(w)))
         assert image(first) < image(last)
-        monkeypatch.setattr(bridge, "enumerate_words",
-                            lambda m, budget=None: real(m, budget) + [last, first])
+        patch_walk(monkeypatch, lambda ws: ws + [ws[-1], ws[0]])
         report = verify_bridge(4)
         assert report.word_count == 53
         assert report.collisions == [(first, first), (last, last)]
+
+    def test_words_out_of_order_fall_back_to_certificates(self, monkeypatch):
+        # the right words, out of order: the streamed pass cannot tell them
+        # apart from repeats, so the certificate pass decides, and finds a
+        # bijection
+        expected = verify_bridge(5)
+        walks = patch_walk(monkeypatch, lambda ws: ws[::-1])
+        report = verify_bridge(5)
+        assert len(walks) == 2
+        assert report == expected
+        assert (report.word_count, report.orbit_count) == (187, 187)
+        assert report.is_injective_on_orbits and report.is_surjective_on_orbits
+        assert report.collisions == [] and report.missed_orbits == []
+
+    def test_duplicate_hiding_a_drop_is_certified(self, monkeypatch):
+        # as many words as orbits, yet one orbit twice and one never: every
+        # word round-trips, so only the letter order catches the repeat
+        words4 = enumerate_words(4)
+        patch_walk(monkeypatch, lambda ws: ws[:17] + ws[18:] + ws[5:6])
+        report = verify_bridge(4)
+        assert (report.word_count, report.orbit_count) == (51, 51)
+        assert report.collisions == [(words4[5], words4[5])]
+        assert report.missed_orbits == [canonical_form(encode_word(words4[17]))]
+        assert not (report.is_injective_on_orbits or report.is_surjective_on_orbits)
+
+    def test_success_walks_once(self, monkeypatch):
+        # and builds no RGWord: nothing is collected on success
+        def unreachable(letters):
+            raise AssertionError("verify_bridge built an RGWord on success")
+        monkeypatch.setattr(bridge, "RGWord", unreachable)
+        walks = patch_walk(monkeypatch, lambda ws: ws)
+        report = verify_bridge(5)
+        assert len(walks) == 1
+        assert report.is_injective_on_orbits and report.is_surjective_on_orbits
+
+
+def patch_walk(monkeypatch, change):
+    """Make verify_bridge walk change(the real walk's (letters, index) list);
+    return the list of the m of each walk it starts."""
+    real, walks = bridge._words, []
+
+    def walk(m, budget=None):
+        walks.append(m)
+        return change(list(real(m, budget)))
+    monkeypatch.setattr(bridge, "_words", walk)
+    return walks
+
+
+class TestRoundTrip:
+    """The packed growth rule and decode, against the letter-level oracles."""
+
+    def test_growth_rule_matches_letters(self):
+        for m in range(8):
+            for letters in product(ALPHABET, repeat=m):
+                expected = _growth_violation(letters) is None
+                assert bridge._grows(bridge._word_index(letters, m), m) == expected, letters
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_word_orbit_word(self, m):
+        least, _ = _canonical_engine(GroupSpec.uniform(2, m))
+        for letters, i in _words(m):
+            assert bridge._decode(least(i), m) == i, letters
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_orbit_word_orbit(self, m):
+        spec = GroupSpec.uniform(2, m)
+        least, _ = _canonical_engine(spec)
+        decoded = []
+        for rep, _ in _echelon_minima(spec):
+            i = bridge._decode(rep, m)
+            assert bridge._grows(i, m) and least(i) == rep, rep
+            decoded.append(i)
+        # so decoding the minima gives exactly the words
+        assert sorted(decoded) == sorted(i for _, i in _words(m))

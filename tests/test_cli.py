@@ -395,15 +395,25 @@ class TestVerify:
     ], ids=["duplicate", "drop"])
     def test_bridge_failure_evidence(self, capsys, monkeypatch, change, evidence):
         # word 17 at m = 4 is 2113, whose orbit minimum has rows 01 00 00 10
-        real = cli.bridge.enumerate_words
+        real = cli.bridge._words
         monkeypatch.setattr(
-            cli.bridge, "enumerate_words",
-            lambda m, budget=None: change(real(m, budget)) if m == 4 else real(m, budget))
+            cli.bridge, "_words",
+            lambda m, budget=None: change(list(real(m, budget))) if m == 4 else real(m, budget))
         code, out, err = run(capsys, "verify", "--m-max", "4")
         assert code == 1
         assert out.splitlines()[-1] == "4 PASS PASS FAIL FAIL FAIL 51"
         assert err == ("verify: m=4 FAIL bfs=51 canonical=51 burnside=51 formula=51 "
                        f"words=51 {evidence}\n")
+
+    def test_bridge_memory_is_bounded(self):
+        # the bridge streams its words and holds no word list or image map:
+        # at m = 10 that list and map alone lifted the peak past 70 MiB
+        code, out, peak = run_measured("verify", "--m-max", "10")
+        assert (code, out) == (0, "".join(
+            ["m methods formula words bridge result r\n"]
+            + [f"{m} PASS PASS PASS PASS PASS {r}\n" for m, r in enumerate(
+                [2, 5, 15, 51, 187, 715, 2795, 11051, 43947, 175275], 1)]))
+        assert peak < 32 * 1024
 
     def test_m_max_validation(self, capsys):
         assert run(capsys, "verify", "--m-max", "0")[0] == 2

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from orbitlab import bridge
 from orbitlab.budget import BudgetExceeded
 from orbitlab.formulas import r_formula
 from orbitlab.words import (
@@ -124,16 +125,22 @@ class TestEnumerate:
 
 
 class TestWalk:
-    """_words, the DFS that the listing streams without validating a word."""
+    """_words, the DFS that the listing and the bridge stream without
+    validating a word; it carries each word's packed index."""
 
     def test_agrees_with_filter_up_to_8(self):
         for m in range(9):
             expected = [w for w in product(ALPHABET, repeat=m) if is_valid_word(w)]
-            assert list(_words(m)) == expected, m
+            assert [letters for letters, _ in _words(m)] == expected, m
+
+    def test_carried_index_is_the_encoding(self):
+        for m in range(9):
+            for letters, index in _words(m):
+                assert index == bridge._word_index(letters, m), letters
 
     def test_no_recursion_limit(self):
         # far deeper than Python's recursion limit: the walk must not recurse
-        assert next(_words(2000, 4 ** 2000)) == (1,) * 2000
+        assert next(_words(2000, 4 ** 2000)) == ((1,) * 2000, 0)
 
 
 class TestCount:
