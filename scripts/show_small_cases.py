@@ -18,7 +18,7 @@ def show_orbits(n: int) -> None:
     print(f"orbit classes over Z_2^{n} ({spec.state_count} states):")
     for idx, summary in enumerate(orbit_summaries(spec), 1):
         members = sorted(orbit_of(summary.representative), key=state_index)
-        listing = "  ~  ".join(format_state(s) for s in members)
+        listing = "  ~  ".join(format_state(state_index(s), spec) for s in members)
         print(f"  ({idx}) size {summary.size}, stabilizer {summary.stabilizer_order}: {listing}")
     print()
 
@@ -29,7 +29,8 @@ def show_words(m: int) -> None:
     for w in words:
         state = encode_word(w)
         canon = canonical_form(state)
-        print(f"  {w}  ->  [{format_state(state)}]  class [{format_state(canon)}]")
+        print(f"  {w}  ->  [{format_state(state_index(state), state.spec)}]  "
+              f"class [{format_state(state_index(canon), canon.spec)}]")
     print()
 
 

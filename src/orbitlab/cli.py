@@ -20,15 +20,19 @@ from types import SimpleNamespace
 
 from . import bridge, formulas, orbits, words
 from .budget import BudgetExceeded, check_budget
-from .residues import GroupSpec, PairState
+from .residues import GroupSpec, state_index
 
 
-def format_state(state: PairState) -> str:
-    """Rows as digit strings, row i = g_i then k_i, joined by spaces."""
-    if state.spec.n == 0:
-        return "-"
-    sep = "" if state.spec.p <= 10 else ":"
-    return " ".join(f"{gi}{sep}{ki}" for gi, ki in state.rows())
+def format_state(i: int, spec: GroupSpec) -> str:
+    """Rows of the state with packed index i as digit strings, row j = g_j
+    then k_j, joined by spaces; "-" at n = 0."""
+    p, sep = spec.p, "" if spec.p <= 10 else ":"
+    g, k = divmod(i, spec.group_order)
+    rows = []
+    for _ in range(spec.n):  # the last row first; % and // run faster than divmod
+        rows.append(f"{g % p}{sep}{k % p}")
+        g, k = g // p, k // p
+    return " ".join(reversed(rows)) or "-"
 
 
 def _refuse_unprintable(p: int, n: int) -> None:
@@ -63,7 +67,7 @@ def _emit(fmt: str, header: list[str], rows, payload, text=None) -> None:
 def cmd_orbits(args) -> int:
     spec = GroupSpec.uniform(args.p, args.n)
     if args.list:  # over the state budget exits 3 before any count or row
-        check_budget(spec.state_count, args.budget)
+        check_budget(args.p, 2 * args.n, args.budget)
         listed = sum(1 for _ in orbits._echelon_minima(spec))
     if args.method in ("formula", "burnside"):  # the others are bounded by the budget
         _refuse_unprintable(args.p, args.n)
@@ -89,7 +93,7 @@ def cmd_orbits(args) -> int:
               f"the listing has {listed}", file=sys.stderr)
         return 1
     header = ["representative", "size", "stabilizer_order"]
-    rows = ([format_state(s.representative), str(s.size),
+    rows = ([format_state(s.index, spec), str(s.size),
              "-" if s.stabilizer_order is None else str(s.stabilizer_order)]
             for s in orbits._summaries(spec))
     if args.format == "json":  # the row dicts are built whole; text and csv stream
@@ -118,8 +122,8 @@ def cmd_words(args) -> int:
 def cmd_encode(args) -> int:
     word = words.word_from_string(args.word)
     state = bridge.encode_word(word)
-    rows = format_state(state)
-    canon = format_state(orbits.canonical_form(state))
+    rows = format_state(state_index(state), state.spec)
+    canon = format_state(state_index(orbits.canonical_form(state)), state.spec)
     _emit(args.format, ["word", "rows", "canonical"], [[str(word), rows, canon]],
           {"word": str(word), "rows": rows.split(" "),
            "canonical": canon.split(" ")},
@@ -130,7 +134,7 @@ def cmd_encode(args) -> int:
 def cmd_verify(args) -> int:
     if args.m_max < 1:
         raise ValueError(f"m-max must be >= 1, got {args.m_max}")
-    check_budget(4 ** args.m_max, args.budget)  # the largest m has the most states
+    check_budget(4, args.m_max, args.budget)  # the largest m has the most states
     rows = []
     all_ok = True
     for m in range(1, args.m_max + 1):
@@ -151,7 +155,7 @@ def cmd_verify(args) -> int:
         all_ok = all_ok and ok
         if not ok:  # the evidence: every count, the first certificate of each kind
             pair = "/".join(map(str, report.collisions[0])) if report.collisions else "-"
-            miss = (format_state(report.missed_orbits[0]).replace(" ", ",")
+            miss = (format_state(state_index(report.missed_orbits[0]), spec).replace(" ", ",")
                     if report.missed_orbits else "-")
             print(f"verify: m={m} FAIL bfs={bfs} canonical={can} burnside={bur} "
                   f"formula={r} words={wc} bridge_words={report.word_count} "

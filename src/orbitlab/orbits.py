@@ -6,7 +6,9 @@ is counted when it has the row-reduced shape of its orbit's minimum); and
 class-equation averaging of fixed-point counts.  The three routes share no
 code beyond the index packing, which is the point: they are meant to
 disagree loudly if any one of them is wrong.  The orbit listing enumerates
-the row-reduced minima directly and visits no state.
+the row-reduced minima directly and visits no state: each orbit is the
+packed index of its minimum and its size, unpacked into a PairState only
+when a caller asks for one.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from typing import NamedTuple
 
 from .budget import check_budget
 from .formulas import exact_div
 from .residues import (
     GroupSpec,
     PairState,
-    ResidueVector,
     apply_s,
     apply_t,
     state_from_index,
@@ -30,17 +31,24 @@ from .residues import (
     vector_unrank,
 )
 
-@dataclass(frozen=True, slots=True)
-class OrbitSummary:
-    """One equivalence class: minimal member, size, stabilizer order.
+class OrbitSummary(NamedTuple):
+    """One equivalence class as the echelon walk yields it: the packed index
+    of its minimal member, unpacked on each read of representative, its size
+    and the group.  stabilizer_order is p(p^2 - 1) / size, and None at n = 0,
+    where the one state is listed with no matrix group acting on it."""
 
-    stabilizer_order is p(p^2 - 1) / size, and None at n = 0, where the one
-    state is listed with no matrix group acting on it.
-    """
-
-    representative: PairState
+    index: int
     size: int
-    stabilizer_order: int | None
+    spec: GroupSpec
+
+    @property
+    def representative(self) -> PairState:
+        return state_from_index(self.index, self.spec)
+
+    @property
+    def stabilizer_order(self) -> int | None:
+        p = self.spec.p
+        return exact_div(p * (p * p - 1), self.size) if self.spec.n else None
 
 
 @dataclass(slots=True)
@@ -90,8 +98,8 @@ def _bfs_orbits(spec: GroupSpec, budget: int | None):
     read from _move_tables and inlined here for every p, so the start is the
     orbit's minimal index.  Yields (rep, size) per orbit, in index order.
     """
+    check_budget(spec.p, 2 * spec.n, budget)
     total = spec.state_count
-    check_budget(total, budget)
     p, order = spec.p, spec.group_order
     neg, base, top, low_sum, high_sum = _move_tables(spec)
     visited = bytearray(total)
@@ -206,7 +214,7 @@ def canonical_form(s: PairState) -> PairState:
 
 def count_orbits_canonical(spec: GroupSpec, budget: int | None = None) -> CensusReport:
     """Count the states that are their orbit's minimum; O(1) extra memory."""
-    check_budget(spec.state_count, budget)
+    check_budget(spec.p, 2 * spec.n, budget)
     _, is_least = _canonical_engine(spec)
     return CensusReport(sum(map(is_least, range(spec.state_count))))
 
@@ -224,7 +232,7 @@ def count_orbits_burnside(spec: GroupSpec, budget: int | None = None) -> CensusR
     error.
     """
     n, p = spec.n, spec.p
-    check_budget(p * p, budget, "diagonals")
+    check_budget(p, 2, budget, "diagonals")
     fixed = (p ** (2 * n), p ** n, 1)  # by rank of A - I
     total = fixed[0] - fixed[1]  # the identity, counted below as rank 1
     for a in range(p):
@@ -256,29 +264,12 @@ def _echelon_minima(spec: GroupSpec):
 
 
 def _summaries(spec: GroupSpec):
-    """Yield one summary per orbit, sorted by representative index.
-
-    Read off the echelon minima in O(orbits), not O(states): one ResidueVector
-    per distinct rank of g or k, shared by every representative that holds
-    it, and one stabilizer division per orbit size.  The memos live for this
-    walk only; the vector memo, keyed by rank, holds at most p^n vectors.
-    """
-    p, n, order = spec.p, spec.n, spec.group_order
-
-    @cache
-    def vector(r: int) -> ResidueVector:
-        return ResidueVector(vector_unrank(r, p, n), spec)
-
-    @cache
-    def stabilizer(size: int) -> int | None:
-        return exact_div(p * (p * p - 1), size) if n else None
-
-    for rep, size in _echelon_minima(spec):
-        gr, kr = divmod(rep, order)
-        yield OrbitSummary(PairState(vector(gr), vector(kr)), size, stabilizer(size))
+    """Yield one OrbitSummary per orbit, sorted by representative index: the
+    echelon minima as records, in O(orbits) and with no state built."""
+    return (OrbitSummary(rep, size, spec) for rep, size in _echelon_minima(spec))
 
 
 def orbit_summaries(spec: GroupSpec, budget: int | None = None) -> list[OrbitSummary]:
     """_summaries as a list, after the state budget check of the censuses."""
-    check_budget(spec.state_count, budget)
+    check_budget(spec.p, 2 * spec.n, budget)
     return list(_summaries(spec))

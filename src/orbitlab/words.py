@@ -74,31 +74,38 @@ def _words(m: int, budget: int | None = None):
 
     index is the packed index of the word's pair state (see
     bridge.encode_word): its g bits, then its k bits, the first letter's
-    bits most significant.  A depth-first walk on an explicit stack of
-    (prefix, running maximum, index so far) triples, so no recursion limit
-    bounds m.  A prefix is extended only by the letters the growth bound
-    allows, so every word yielded is valid.
+    bits most significant.  A depth-first walk over one shared letter list,
+    on an explicit stack of (place, letter, running maximum, index so far)
+    entries, so no recursion limit bounds m and the walk holds O(m) letters.
+    A prefix is extended only by the letters the growth bound allows, so
+    every word yielded is valid.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    check_budget(4 ** m, budget)
+    check_budget(4, m, budget)
     rows = {a: (g << m) | k for a, (g, k) in LETTER_BITS.items()}  # at the last place
     # after each running maximum: the letters the growth bound allows, in
-    # order, each with the running maximum it leaves and its bit rows
+    # order, each with the running maximum it leaves and its bit rows; lasts
+    # holds them as the 1-tuples that end a word
     nexts = {r: [(a, max(a, r), rows[a]) for a in range(1, min(4, r + 1) + 1)]
              for r in ALPHABET}
-    stack = [((), 1, 0)]
+    lasts = {r: [((a,), row) for a, _, row in allowed] for r, allowed in nexts.items()}
+    letters = [1] * (m + 1)  # the implicit leading 1 at place 0, then the word
+    stack = [(0, 1, 1, 0)]
     while stack:
-        prefix, running, index = stack.pop()
-        shift = m - 1 - len(prefix)  # place of the next letter's bits
+        place, a, running, index = stack.pop()
+        letters[place] = a  # letters[1:place] is already this entry's prefix
+        shift = m - 1 - place  # of the next letter's bits
         if shift > 0:
+            place += 1
             for a, r, row in reversed(nexts[running]):  # descending: 1 pops first
-                stack.append((prefix + (a,), r, index | row << shift))
+                stack.append((place, a, r, index | row << shift))
         elif shift == 0:  # the last letter: yield its words in order, unstacked
-            for a, _, row in nexts[running]:
-                yield prefix + (a,), index | row
+            prefix = tuple(letters[1:m])
+            for last, row in lasts[running]:
+                yield prefix + last, index | row
         else:  # m = 0: the empty word
-            yield prefix, index
+            yield (), index
 
 
 def enumerate_words(m: int, budget: int | None = None) -> list[RGWord]:

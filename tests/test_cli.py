@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from orbitlab import bridge, cli, orbits, words
-from orbitlab.residues import GroupSpec
+from orbitlab import bridge, cli, orbits, residues, words
+from orbitlab.budget import BudgetExceeded, check_budget
+from orbitlab.residues import GroupSpec, state_from_index
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -22,7 +24,7 @@ def run(capsys, *argv):
 
 def listing_rows(p, n):
     """The rows of `orbits --p p --n n --list`, built from the summaries."""
-    return [[cli.format_state(s.representative), str(s.size),
+    return [[cli.format_state(s.index, s.spec), str(s.size),
              "-" if s.stabilizer_order is None else str(s.stabilizer_order)]
             for s in orbits.orbit_summaries(GroupSpec(p, n))]
 
@@ -130,6 +132,32 @@ class TestOrbits:
         assert result.returncode == 0
         assert [line.split()[1:] for line in result.stdout.splitlines()] == [
             ["1", "1000000021000000146000000336"], ["1000000014000000048", "1000000007"]]
+
+    def test_list_builds_no_state(self, capsys, monkeypatch):
+        # every row is read off a packed index: neither the summaries nor the
+        # CLI build a PairState or a ResidueVector per orbit
+        argv = ["orbits", "--p", "2", "--n", "6", "--list", "--format"]
+        expected = {fmt: run(capsys, *argv, fmt) for fmt in ("text", "csv", "json")}
+
+        def unbuildable(*args, **kwargs):
+            raise AssertionError("a state was built")
+
+        for module in (orbits, residues):
+            for name in ("PairState", "ResidueVector"):
+                monkeypatch.setattr(module, name, unbuildable, raising=False)
+        assert len(orbits.orbit_summaries(GroupSpec(2, 6))) == 715
+        for fmt, result in expected.items():
+            assert result[0] == 0 and run(capsys, *argv, fmt) == result, fmt
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (11, 1), (2, 0)])
+    def test_format_state_reads_the_index(self, p, n):
+        # against the rows of the unpacked state, on every state
+        spec = GroupSpec(p, n)
+        sep = "" if p <= 10 else ":"
+        for i in range(spec.state_count):
+            rows = state_from_index(i, spec).rows()
+            expected = " ".join(f"{g}{sep}{k}" for g, k in rows) if n else "-"
+            assert cli.format_state(i, spec) == expected, i
 
     def test_list_count_mismatch_fails(self, capsys, monkeypatch):
         # the listing is no census of its own: a short one must not pass
@@ -537,6 +565,40 @@ class TestContract:
                      "orbits --p 2 --n 20000",
                      "words --m 50000 --list", "verify --m-max 20000"):
             assert run(capsys, *argv.split())[:2] == (3, ""), argv
+
+    @pytest.mark.parametrize("argv", [
+        "orbits --p 3 --n 100000000 --method bfs",
+        "orbits --p 3 --n 100000000 --method canonical",
+        "orbits --p 3 --n 100000000 --list",
+        "orbits --p 1000003 --n 10000000",
+    ])
+    def test_huge_state_counts_are_refused_fast(self, argv):
+        # refused from a lower bound on p^(2n), which is never computed
+        result = subprocess.run(
+            [sys.executable, "-m", "orbitlab", *argv.split()],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("error: at least 2^")
+        assert result.stderr.endswith(" states exceed the budget of 268435456\n")
+
+    @pytest.mark.parametrize("base,exponent,budget,shown", [
+        (100003, 2, None, "10000600009"),  # printed in full
+        (2, 60, 10, "1152921504606846976"),
+        (1009, 1400, None, None),  # 4207 digits: printed in full
+        (3, 10000, None, "at least 2^15849"),  # 4772 digits: the exact floor of log2
+        (2, 40000, None, "at least 2^40000"),
+        (3, 200000000, None, "at least 2^200000000"),  # a bound, never computed
+        (1000003, 20000000, 2 ** 40, "at least 2^380000000"),
+    ])
+    def test_budget_message(self, base, exponent, budget, shown):
+        with pytest.raises(BudgetExceeded) as refused:
+            check_budget(base, exponent, budget, "units")
+        count, _, rest = str(refused.value).rpartition(" units ")
+        assert rest == f"exceed the budget of {budget or 268435456}"
+        assert count == (shown or str(base ** exponent))
+        if count.startswith("at least 2^"):  # a true lower bound
+            assert int(count.removeprefix("at least 2^")) <= exponent * math.log2(base)
 
     def test_deterministic_output(self, capsys):
         first = run(capsys, "verify", "--m-max", "3", "--format", "json")

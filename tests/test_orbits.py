@@ -279,16 +279,28 @@ class TestOrbitSummaries:
             assert len(sizes) == r_formula(p, n)
 
     @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2)])
-    def test_representatives_share_one_vector_per_rank(self, p, n):
-        # each representative is its indexed state, and the g and k vectors
-        # are shared: no more distinct objects than vectors in Z_p^n
+    def test_representatives_are_their_indexed_states(self, p, n):
         spec = GroupSpec.uniform(p, n)
-        summaries = orbit_summaries(spec)
-        for s in summaries:
-            assert s.representative == state_from_index(state_index(s.representative), spec)
-        vectors = {id(v) for s in summaries
-                   for v in (s.representative.g, s.representative.k)}
-        assert len(vectors) <= spec.group_order
+        for s in orbit_summaries(spec):
+            assert s.spec == spec
+            assert s.representative == state_from_index(s.index, spec)
+            assert state_index(s.representative) == s.index
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (11, 1)] + [(2, n) for n in range(7)])
+    def test_records_give_the_eager_values(self, p, n):
+        # the representative and stabilizer order, computed on each read,
+        # against oracles that share no code with the record: the least
+        # member of the BFS orbit, and the matrices that fix it
+        spec = GroupSpec.uniform(p, n)
+        matrices = enumerate_sl2(p)
+        for s in orbit_summaries(spec):
+            rep = s.representative
+            assert isinstance(rep, PairState) and rep.spec == spec
+            assert rep == min(orbit_of(rep), key=state_index)
+            if n:
+                assert s.stabilizer_order == sum(apply_mat(rep, mat) == rep for mat in matrices)
+            else:
+                assert s.stabilizer_order is None
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
