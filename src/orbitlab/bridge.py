@@ -28,8 +28,8 @@ from .words import LETTER_BITS, RGWord, _words
 class BridgeReport:
     """Outcome of comparing word images against the orbit census at one length.
 
-    orbit_count is the Burnside count; missed_orbits is read off the echelon
-    minima, in index order, only when the distinct images are not as many.
+    orbit_count is the Burnside count; missed_orbits, read off only when the
+    images are too few, lists the unreached echelon minima's indices in order.
     collisions pairs each repeated image's first word with a later one, by
     image and then by word order.
     """
@@ -40,7 +40,7 @@ class BridgeReport:
     is_injective_on_orbits: bool
     is_surjective_on_orbits: bool
     collisions: list[tuple[RGWord, RGWord]]
-    missed_orbits: list[PairState]
+    missed_orbits: list[int]
 
 
 def encode_word(word: RGWord) -> PairState:
@@ -119,8 +119,7 @@ def _certified(spec: GroupSpec, least, orbit_count: int,
     # a canonical image is always its orbit's minimal member, so distinct
     # images are distinct orbits, and they cover all orbits iff they are as many
     surjective = len(first) == orbit_count
-    missed = [] if surjective else [
-        state_from_index(i, spec) for i, _ in _echelon_minima(spec) if i not in first]
+    missed = [] if surjective else [i for i, _ in _echelon_minima(spec) if i not in first]
 
     return BridgeReport(
         m=m,

@@ -1,14 +1,25 @@
-"""One knob for enumeration size: the state budget."""
+"""Two size limits: the state budget, the one knob, caps the states a command
+visits; PRINT_DIGITS caps a printed count, whatever the interpreter's setting."""
 
 from __future__ import annotations
 
-import sys
+import math
 
 DEFAULT_STATE_BUDGET = 2 ** 28
+PRINT_DIGITS = 4300  # CPython's default int_max_str_digits
 
 
 class BudgetExceeded(Exception):
     """An enumeration would exceed the configured budget of states or diagonals."""
+
+
+def check_printable(p: int, n: int) -> None:
+    """Refuse r(p, n) before computing it when it has more than PRINT_DIGITS
+    digits; p^(2n-1) / (p^2 - 1) < r, so a count that prints passes."""
+    log10 = (2 * n - 1) * math.log10(p) - math.log10(p * p - 1) if p > 1 else 0
+    if log10 > PRINT_DIGITS:
+        raise ValueError(f"the count has {int(log10) + 1} digits, more than the "
+                         f"{PRINT_DIGITS} that orbitlab prints")
 
 
 def check_budget(base: int, exponent: int, budget: int | None = None,
@@ -19,14 +30,12 @@ def check_budget(base: int, exponent: int, budget: int | None = None,
     computed."""
     limit = DEFAULT_STATE_BUDGET if budget is None else budget
     low = exponent * (base.bit_length() - 1)
-    # with no digit limit (0), a count past 4300 digits still goes unprinted
-    digits = getattr(sys, "get_int_max_str_digits", int)() or 4300
-    if low >= limit.bit_length() and 3 * low >= 10 * digits:  # 2^(10/3) > 10
+    if low >= limit.bit_length() and 3 * low >= 10 * PRINT_DIGITS:  # 2^(10/3) > 10
         raise BudgetExceeded(f"at least 2^{low} {unit} exceed the budget of {limit}")
     count = base ** exponent
     if count > limit:
         try:
             shown = str(count)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
+        except ValueError:  # an interpreter digit limit below PRINT_DIGITS
             shown = f"at least 2^{count.bit_length() - 1}"
         raise BudgetExceeded(f"{shown} {unit} exceed the budget of {limit}")

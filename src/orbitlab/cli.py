@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from itertools import chain, islice
 from types import SimpleNamespace
 
 from . import bridge, formulas, orbits, words
-from .budget import BudgetExceeded, check_budget
+from .budget import BudgetExceeded, check_budget, check_printable
 from .residues import GroupSpec, state_index
 
 
@@ -33,16 +32,6 @@ def format_state(i: int, spec: GroupSpec) -> str:
         rows.append(f"{g % p}{sep}{k % p}")
         g, k = g // p, k // p
     return " ".join(reversed(rows)) or "-"
-
-
-def _refuse_unprintable(p: int, n: int) -> None:
-    """Refuse r(p, n) before computing it when it has more digits than Python
-    prints; p^(2n-1) / (p^2 - 1) < r, so a count that prints passes."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    log10 = (2 * n - 1) * math.log10(p) - math.log10(p * p - 1) if p > 1 else 0
-    if limit and log10 > limit:
-        raise ValueError(f"the count has {int(log10) + 1} digits, more than the "
-                         f"{limit} that sys.get_int_max_str_digits() allows to print")
 
 
 def _emit(fmt: str, header: list[str], rows, payload, text=None) -> None:
@@ -70,7 +59,7 @@ def cmd_orbits(args) -> int:
         check_budget(args.p, 2 * args.n, args.budget)
         listed = sum(1 for _ in orbits._echelon_minima(spec))
     if args.method in ("formula", "burnside"):  # the others are bounded by the budget
-        _refuse_unprintable(args.p, args.n)
+        check_printable(args.p, args.n)
     if args.method == "formula":
         count = formulas.r_formula(args.p, args.n)
     elif args.method == "bfs":
@@ -112,7 +101,7 @@ def cmd_words(args) -> int:
         _emit(args.format, ["word"], ([w] for w in listed), payload, text=listed)
         return 0
 
-    _refuse_unprintable(2, args.m)  # count_words(m) = r(2, m)
+    check_printable(2, args.m)  # count_words(m) = r(2, m)
     count = str(words.count_words(args.m))
     _emit(args.format, ["m", "count"], [[str(args.m), count]],
           {"m": args.m, "count": count}, text=[count])
@@ -155,7 +144,7 @@ def cmd_verify(args) -> int:
         all_ok = all_ok and ok
         if not ok:  # the evidence: every count, the first certificate of each kind
             pair = "/".join(map(str, report.collisions[0])) if report.collisions else "-"
-            miss = (format_state(state_index(report.missed_orbits[0]), spec).replace(" ", ",")
+            miss = (format_state(report.missed_orbits[0], spec).replace(" ", ",")
                     if report.missed_orbits else "-")
             print(f"verify: m={m} FAIL bfs={bfs} canonical={can} burnside={bur} "
                   f"formula={r} words={wc} bridge_words={report.word_count} "
@@ -173,7 +162,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sequence(args) -> int:
-    _refuse_unprintable(args.p, args.n_max)  # r grows with n
+    check_printable(args.p, args.n_max)  # r grows with n
     table = formulas.sequence_table(args.p, args.n_max)
     _emit(args.format, ["n", "r"], [[str(n), str(r)] for n, r in table],
           [{"n": n, "r": str(r)} for n, r in table])

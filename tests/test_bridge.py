@@ -119,7 +119,7 @@ class TestVerifyBridge:
         assert report.orbit_count == 51
         assert report.is_injective_on_orbits
         assert not report.is_surjective_on_orbits
-        assert report.missed_orbits == [canonical_form(encode_word(dropped))]
+        assert report.missed_orbits == [state_index(canonical_form(encode_word(dropped)))]
 
     def test_duplicate_word_is_certified_as_collision(self, monkeypatch):
         walks = patch_walk(monkeypatch, lambda ws: ws + ws[17:18])
@@ -148,7 +148,7 @@ class TestVerifyBridge:
         patch_walk(monkeypatch, lambda ws: [w for w in ws if w[0] != dropped.letters])
         report = verify_bridge(5)
         assert (report.word_count, report.orbit_count) == (186, 187)
-        assert report.missed_orbits == [canonical_form(encode_word(dropped))]
+        assert report.missed_orbits == [state_index(canonical_form(encode_word(dropped)))]
 
     def test_collisions_are_listed_by_canonical_image(self, monkeypatch):
         first, last = enumerate_words(4)[0], enumerate_words(4)[-1]
@@ -180,7 +180,7 @@ class TestVerifyBridge:
         report = verify_bridge(4)
         assert (report.word_count, report.orbit_count) == (51, 51)
         assert report.collisions == [(words4[5], words4[5])]
-        assert report.missed_orbits == [canonical_form(encode_word(words4[17]))]
+        assert report.missed_orbits == [state_index(canonical_form(encode_word(words4[17])))]
         assert not (report.is_injective_on_orbits or report.is_surjective_on_orbits)
 
     def test_success_walks_once(self, monkeypatch):

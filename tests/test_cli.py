@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from orbitlab import bridge, cli, orbits, residues, words
-from orbitlab.budget import BudgetExceeded, check_budget
+from orbitlab.budget import PRINT_DIGITS, BudgetExceeded, check_budget
 from orbitlab.residues import GroupSpec, state_from_index
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -498,6 +498,21 @@ class TestSequence:
         assert "exact only below" in err
 
 
+# inputs whose state count or printed count is far too large: argv -> exit code
+HUGE = {
+    "orbits --p 3 --n 100000000 --method bfs": 3,
+    "orbits --p 3 --n 100000000 --method canonical": 3,
+    "orbits --p 3 --n 100000000 --list": 3,
+    "orbits --p 1000003 --n 10000000": 3,
+    "verify --m-max 20000": 3,
+    "words --m 50000 --list": 3,
+    "words --m 100000000": 2,
+    "orbits --p 2 --n 1000000000 --method formula": 2,
+    "orbits --p 2 --n 100000000 --method burnside": 2,
+    "sequence --p 2 --n-max 20000": 2,
+}
+
+
 class TestContract:
     def test_usage_error_exit_2(self, capsys):
         assert run(capsys, "orbits", "--p", "2")[0] == 2
@@ -526,19 +541,18 @@ class TestContract:
             env={**os.environ, "PYTHONPATH": str(SRC)})
         assert (result.returncode, result.stdout) == (2, "")
         assert "the count has" in result.stderr
-        assert f"more than the {sys.get_int_max_str_digits()}" in result.stderr
+        assert f"more than the {PRINT_DIGITS}" in result.stderr
 
     def test_digit_limit_is_exact(self, capsys):
         # count_words(m) crosses the limit inside this window; nothing that
         # prints is refused and every refusal is the early one
-        limit = sys.get_int_max_str_digits()
         for m in range(7138, 7150):
             code, out, err = run(capsys, "words", "--m", str(m))
-            if words.count_words(m) < 10 ** limit:
+            if words.count_words(m) < 10 ** PRINT_DIGITS:
                 assert (code, out, err) == (0, f"{words.count_words(m)}\n", ""), m
             else:
                 assert (code, out) == (2, ""), m
-                assert f"more than the {limit}" in err
+                assert f"more than the {PRINT_DIGITS}" in err
 
     def test_long_counts_under_the_limit_print(self, capsys):
         code, out, _ = run(capsys, "sequence", "--p", "2", "--n-max", "7000")
@@ -566,21 +580,28 @@ class TestContract:
                      "words --m 50000 --list", "verify --m-max 20000"):
             assert run(capsys, *argv.split())[:2] == (3, ""), argv
 
-    @pytest.mark.parametrize("argv", [
-        "orbits --p 3 --n 100000000 --method bfs",
-        "orbits --p 3 --n 100000000 --method canonical",
-        "orbits --p 3 --n 100000000 --list",
-        "orbits --p 1000003 --n 10000000",
-    ])
-    def test_huge_state_counts_are_refused_fast(self, argv):
-        # refused from a lower bound on p^(2n), which is never computed
+    @pytest.mark.parametrize("argv,code,digits", [
+        pytest.param(argv, code, digits, id=argv if digits is None
+                     else f"{argv} PYTHONINTMAXSTRDIGITS={digits}")
+        for argv, code in HUGE.items() for digits in (None, "0", "640", "100000")])
+    def test_huge_state_counts_are_refused_fast(self, argv, code, digits):
+        # exit 3 is refused from a lower bound on the state count, exit 2 from
+        # one on the printed count: neither is computed, and neither refusal
+        # depends on the interpreter's digit setting (None: not set)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        if digits is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = digits
         result = subprocess.run(
             [sys.executable, "-m", "orbitlab", *argv.split()],
             capture_output=True, text=True, timeout=10,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
-        assert (result.returncode, result.stdout) == (3, "")
-        assert result.stderr.startswith("error: at least 2^")
-        assert result.stderr.endswith(" states exceed the budget of 268435456\n")
+            env={**env, "PYTHONPATH": str(SRC)})
+        assert (result.returncode, result.stdout) == (code, "")
+        if code == 3:
+            assert result.stderr.startswith("error: at least 2^")
+            assert result.stderr.endswith(" states exceed the budget of 268435456\n")
+        else:
+            assert result.stderr.startswith("error: the count has ")
+            assert result.stderr.endswith(f" more than the {PRINT_DIGITS} that orbitlab prints\n")
 
     @pytest.mark.parametrize("base,exponent,budget,shown", [
         (100003, 2, None, "10000600009"),  # printed in full
