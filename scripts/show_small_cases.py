@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from orbitlab.bridge import encode_word
-from orbitlab.cli import format_state
+from orbitlab.cli import state_formatter
 from orbitlab.orbits import canonical_form, orbit_of, orbit_summaries
 from orbitlab.residues import GroupSpec, state_index
 from orbitlab.words import enumerate_words
@@ -15,10 +15,11 @@ from orbitlab.words import enumerate_words
 
 def show_orbits(n: int) -> None:
     spec = GroupSpec.uniform(2, n)
+    fmt = state_formatter(spec)
     print(f"orbit classes over Z_2^{n} ({spec.state_count} states):")
     for idx, summary in enumerate(orbit_summaries(spec), 1):
-        members = sorted(orbit_of(summary.representative), key=state_index)
-        listing = "  ~  ".join(format_state(state_index(s), spec) for s in members)
+        members = sorted(map(state_index, orbit_of(summary.representative)))
+        listing = "  ~  ".join(map(fmt, members))
         print(f"  ({idx}) size {summary.size}, stabilizer {summary.stabilizer_order}: {listing}")
     print()
 
@@ -26,11 +27,11 @@ def show_orbits(n: int) -> None:
 def show_words(m: int) -> None:
     words = enumerate_words(m)
     print(f"{len(words)} words of length {m}, with their encoded classes:")
+    fmt = state_formatter(GroupSpec(2, m))
     for w in words:
         state = encode_word(w)
-        canon = canonical_form(state)
-        print(f"  {w}  ->  [{format_state(state_index(state), state.spec)}]  "
-              f"class [{format_state(state_index(canon), canon.spec)}]")
+        print(f"  {w}  ->  [{fmt(state_index(state))}]  "
+              f"class [{fmt(state_index(canonical_form(state)))}]")
     print()
 
 

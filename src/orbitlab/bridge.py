@@ -51,13 +51,18 @@ def encode_word(word: RGWord) -> PairState:
     return state_from_index(_word_index(word.letters, m), GroupSpec.uniform(2, m))
 
 
+# each letter's g bit and k bit as ASCII digits, for bytes.translate
+_G_DIGITS, _K_DIGITS = (
+    bytes.maketrans(bytes(LETTER_BITS), bytes(ord("0") + bits[j] for bits in LETTER_BITS.values()))
+    for j in (0, 1))
+
+
 def _word_index(letters, m: int) -> int:
-    # packed index of encode_word: g bits then k bits
-    g = k = 0
-    for a in letters:
-        gb, kb = LETTER_BITS[a]
-        g = (g << 1) | gb
-        k = (k << 1) | kb
+    # packed index of encode_word: g bits then k bits, each read in O(m) as
+    # a binary numeral, the first letter's bit most significant
+    letters = bytes(letters)
+    g = int(b"0" + letters.translate(_G_DIGITS), 2)
+    k = int(b"0" + letters.translate(_K_DIGITS), 2)
     return (g << m) | k
 
 

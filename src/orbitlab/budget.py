@@ -27,15 +27,18 @@ def check_budget(base: int, exponent: int, budget: int | None = None,
     """Refuse base ** exponent units over the budget.  The count is at least
     2^low, low = exponent * (bit_length(base) - 1): when 2^low is over the
     budget and too long to print, it is the refusal and the power is never
-    computed."""
+    computed.  A computed count of PRINT_DIGITS digits or more is shown as
+    at least 2^k too, whatever the interpreter's digit setting."""
     limit = DEFAULT_STATE_BUDGET if budget is None else budget
     low = exponent * (base.bit_length() - 1)
     if low >= limit.bit_length() and 3 * low >= 10 * PRINT_DIGITS:  # 2^(10/3) > 10
         raise BudgetExceeded(f"at least 2^{low} {unit} exceed the budget of {limit}")
     count = base ** exponent
     if count > limit:
-        try:
-            shown = str(count)
-        except ValueError:  # an interpreter digit limit below PRINT_DIGITS
-            shown = f"at least 2^{count.bit_length() - 1}"
+        shown = f"at least 2^{count.bit_length() - 1}"
+        if count < 10 ** PRINT_DIGITS:
+            try:
+                shown = str(count)
+            except ValueError:  # an interpreter digit limit below PRINT_DIGITS
+                pass
         raise BudgetExceeded(f"{shown} {unit} exceed the budget of {limit}")

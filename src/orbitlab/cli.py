@@ -19,19 +19,85 @@ from types import SimpleNamespace
 
 from . import bridge, formulas, orbits, words
 from .budget import BudgetExceeded, check_budget, check_printable
-from .residues import GroupSpec, state_index
+from .residues import GroupSpec
 
 
-def format_state(i: int, spec: GroupSpec) -> str:
-    """Rows of the state with packed index i as digit strings, row j = g_j
-    then k_j, joined by spaces; "-" at n = 0."""
-    p, sep = spec.p, "" if spec.p <= 10 else ":"
-    g, k = divmod(i, spec.group_order)
-    rows = []
-    for _ in range(spec.n):  # the last row first; % and // run faster than divmod
-        rows.append(f"{g % p}{sep}{k % p}")
-        g, k = g // p, k // p
-    return " ".join(reversed(rows)) or "-"
+TABLE_ROWS = 4096  # the most strings one formatter's table holds
+
+
+def _table_formatter(p: int, n: int, cells, sep: str, empty: str):
+    """Return fmt(i): the n rows of the packed index i = G * p^n + K, row j
+    the string cells[g_j * p + k_j] of the j-th base-p digits of G and K,
+    the first row most significant, joined by sep; empty at n = 0.
+
+    fmt looks up c rows at a time in a table of their p^(2c) joined strings,
+    c as large as keeps it at TABLE_ROWS entries (and at most n), and the
+    leading n mod c rows in a head table.  Each table is the last one with
+    one more row appended, so building them costs about TABLE_ROWS
+    concatenations.  When p^2 is over TABLE_ROWS, c is 1 and cells need
+    only be indexable.
+    """
+    c = 1
+    while c < n and p ** (2 * c + 2) <= TABLE_ROWS:
+        c += 1
+    tables = [cells]  # tables[j]: the strings of j + 1 rows, index G * p^(j+1) + K
+    # by the new row's g digit: sep and the row, for each k digit
+    appended = [[sep + cells[g * p + k] for k in range(p)] for g in range(p)] if c > 1 else []
+    for j in range(1, c):
+        last, q = tables[-1], p ** j
+        tables.append([left + right
+                       for gs in range(0, q * q, q) for row in appended
+                       for left in last[gs:gs + q] for right in row])
+    body, t, h = tables[c - 1], *divmod(n, c)
+    head = tables[h - 1] if h else None
+    base, head_base, order = p ** c, p ** h, p ** n
+
+    def fmt(i: int) -> str:
+        g, k = divmod(i, order)
+        parts = []
+        for _ in range(t):  # the last c rows first
+            g, gc = divmod(g, base)
+            k, kc = divmod(k, base)
+            parts.append(body[gc * base + kc])
+        if h:
+            parts.append(head[g * head_base + k])
+        parts.reverse()
+        return sep.join(parts) or empty
+
+    return fmt
+
+
+class _Rows:
+    """The one-row strings g:k, indexed g * p + k, for p too large to tabulate."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __getitem__(self, x: int) -> str:
+        g, k = divmod(x, self.p)
+        return f"{g}:{k}"
+
+
+def state_formatter(spec: GroupSpec):
+    """Return fmt(i): the rows of the state with packed index i as digit
+    strings, row j = g_j then k_j (with a ":" between them when p > 10),
+    joined by spaces; "-" at n = 0."""
+    p = spec.p
+    if p * p > TABLE_ROWS:
+        cells = _Rows(p)
+    else:
+        sep = "" if p <= 10 else ":"
+        cells = [f"{g}{sep}{k}" for g in range(p) for k in range(p)]
+    return _table_formatter(p, spec.n, cells, " ", "-")
+
+
+def word_formatter(m: int):
+    """Return fmt(i): the length-m word whose packed bit-row index (see
+    bridge.encode_word) is i, as its digit string; "" at m = 0."""
+    cells = [""] * 4
+    for a, (g, k) in words.LETTER_BITS.items():
+        cells[2 * g + k] = str(a)
+    return _table_formatter(2, m, cells, "", "")
 
 
 def _emit(fmt: str, header: list[str], rows, payload, text=None) -> None:
@@ -82,9 +148,11 @@ def cmd_orbits(args) -> int:
               f"the listing has {listed}", file=sys.stderr)
         return 1
     header = ["representative", "size", "stabilizer_order"]
-    rows = ([format_state(s.index, spec), str(s.size),
-             "-" if s.stabilizer_order is None else str(s.stabilizer_order)]
-            for s in orbits._summaries(spec))
+    fmt, p, shown = state_formatter(spec), args.p, {}
+    for size in (1, p * p - 1, p * (p * p - 1)):  # each orbit size: its two columns
+        stabilizer = orbits.OrbitSummary(0, size, spec).stabilizer_order
+        shown[size] = [str(size), "-" if stabilizer is None else str(stabilizer)]
+    rows = ([fmt(i), *shown[size]] for i, size in orbits._echelon_minima(spec))
     if args.format == "json":  # the row dicts are built whole; text and csv stream
         payload["orbits"] = [dict(zip(header, row)) for row in rows]
     _emit(args.format, header, rows, payload)
@@ -93,7 +161,9 @@ def cmd_orbits(args) -> int:
 
 def cmd_words(args) -> int:
     if args.list:  # text and csv stream the words as the walk yields them
-        listed = ("".join(map(str, w)) for w, _ in words._words(args.m, args.budget))
+        check_budget(4, args.m, args.budget)  # before the formatter reads 2^m
+        fmt = word_formatter(args.m)
+        listed = (fmt(i) for _, i in words._words(args.m, args.budget))
         payload = {"m": args.m}
         if args.format == "json":  # one document, so built whole
             listed = list(listed)
@@ -110,9 +180,14 @@ def cmd_words(args) -> int:
 
 def cmd_encode(args) -> int:
     word = words.word_from_string(args.word)
-    state = bridge.encode_word(word)
-    rows = format_state(state_index(state), state.spec)
-    canon = format_state(state_index(orbits.canonical_form(state)), state.spec)
+    m = len(word)
+    if m < 1:
+        raise ValueError("cannot encode the empty word")
+    spec = GroupSpec(2, m)
+    least, _ = orbits._canonical_engine(spec)
+    fmt = state_formatter(spec)
+    i = bridge._word_index(word.letters, m)
+    rows, canon = fmt(i), fmt(least(i))
     _emit(args.format, ["word", "rows", "canonical"], [[str(word), rows, canon]],
           {"word": str(word), "rows": rows.split(" "),
            "canonical": canon.split(" ")},
@@ -144,7 +219,7 @@ def cmd_verify(args) -> int:
         all_ok = all_ok and ok
         if not ok:  # the evidence: every count, the first certificate of each kind
             pair = "/".join(map(str, report.collisions[0])) if report.collisions else "-"
-            miss = (format_state(report.missed_orbits[0], spec).replace(" ", ",")
+            miss = (state_formatter(spec)(report.missed_orbits[0]).replace(" ", ",")
                     if report.missed_orbits else "-")
             print(f"verify: m={m} FAIL bfs={bfs} canonical={can} burnside={bur} "
                   f"formula={r} words={wc} bridge_words={report.word_count} "

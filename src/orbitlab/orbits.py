@@ -263,13 +263,9 @@ def _echelon_minima(spec: GroupSpec):
                     yield i, plane
 
 
-def _summaries(spec: GroupSpec):
-    """Yield one OrbitSummary per orbit, sorted by representative index: the
-    echelon minima as records, in O(orbits) and with no state built."""
-    return (OrbitSummary(rep, size, spec) for rep, size in _echelon_minima(spec))
-
-
 def orbit_summaries(spec: GroupSpec, budget: int | None = None) -> list[OrbitSummary]:
-    """_summaries as a list, after the state budget check of the censuses."""
+    """One OrbitSummary per orbit, sorted by representative index: the
+    echelon minima as records, in O(orbits) and with no state built, after
+    the state budget check of the censuses."""
     check_budget(spec.p, 2 * spec.n, budget)
-    return list(_summaries(spec))
+    return [OrbitSummary(rep, size, spec) for rep, size in _echelon_minima(spec)]

@@ -22,9 +22,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def format_state(i, spec):
+    """The rows of the state with packed index i, one digit step at a time:
+    the oracle of cli.state_formatter."""
+    p, sep = spec.p, "" if spec.p <= 10 else ":"
+    g, k = divmod(i, spec.group_order)
+    rows = []
+    for _ in range(spec.n):  # the last row first
+        rows.append(f"{g % p}{sep}{k % p}")
+        g, k = g // p, k // p
+    return " ".join(reversed(rows)) or "-"
+
+
 def listing_rows(p, n):
     """The rows of `orbits --p p --n n --list`, built from the summaries."""
-    return [[cli.format_state(s.index, s.spec), str(s.size),
+    fmt = cli.state_formatter(GroupSpec(p, n))
+    return [[fmt(s.index), str(s.size),
              "-" if s.stabilizer_order is None else str(s.stabilizer_order)]
             for s in orbits.orbit_summaries(GroupSpec(p, n))]
 
@@ -157,7 +170,24 @@ class TestOrbits:
         for i in range(spec.state_count):
             rows = state_from_index(i, spec).rows()
             expected = " ".join(f"{g}{sep}{k}" for g, k in rows) if n else "-"
-            assert cli.format_state(i, spec) == expected, i
+            assert format_state(i, spec) == expected, i
+
+    # c rows per lookup: c = 6 at p = 2, 3 at p = 3, 2 at p = 5 and 1 from
+    # p = 11 on, so n mod c is 0 at (2, 0), (2, 6), (11, n), (13, 2), (67, 1)
+    # and not elsewhere; at p = 67 p^2 is too large for a table
+    @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 3), (2, 6), (2, 7), (3, 2), (3, 4),
+                                     (5, 3), (11, 1), (11, 2), (13, 2), (67, 1)])
+    def test_state_formatter_matches_the_oracle(self, p, n):
+        spec = GroupSpec(p, n)
+        fmt = cli.state_formatter(spec)
+        for i in range(spec.state_count):
+            assert fmt(i) == format_state(i, spec), i
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 7, 9])
+    def test_word_formatter_spells_the_letters(self, m):
+        fmt = cli.word_formatter(m)
+        for letters, i in words._words(m):
+            assert fmt(i) == "".join(map(str, letters)), letters
 
     def test_list_count_mismatch_fails(self, capsys, monkeypatch):
         # the listing is no census of its own: a short one must not pass
@@ -369,6 +399,23 @@ class TestEncode:
         assert (code, out) == (2, "")
         assert "empty word" in err
 
+    def test_long_word_is_linear(self):
+        # 100,001 letters: the state and its orbit minimum are read off packed
+        # indices, where the unpacked states and digit loops took 20 s
+        word = "1234" * 25000 + "1"
+        result = subprocess.run(
+            [sys.executable, "-m", "orbitlab", "encode", word],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        m, bits = len(word), {"1": "00", "2": "10", "3": "11", "4": "01"}
+        rows = " ".join(map(bits.get, word))
+        g = int(word.translate(str.maketrans("1234", "0110")), 2)
+        k = int(word.translate(str.maketrans("1234", "0011")), 2)
+        low, mid, _ = sorted((g, k, g ^ k))  # the minimum at p = 2
+        canon = " ".join(map(str.__add__, format(low, f"0{m}b"), format(mid, f"0{m}b")))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == f"rows: {rows}\ncanonical: {canon}\n"
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "encode", "234", "--format", "json")
         payload = json.loads(out)
@@ -506,6 +553,7 @@ HUGE = {
     "orbits --p 1000003 --n 10000000": 3,
     "verify --m-max 20000": 3,
     "words --m 50000 --list": 3,
+    "orbits --p 3 --n 7000 --list": 3,  # 3^14000 is computed, and too long to print
     "words --m 100000000": 2,
     "orbits --p 2 --n 1000000000 --method formula": 2,
     "orbits --p 2 --n 100000000 --method burnside": 2,
@@ -597,8 +645,9 @@ class TestContract:
             env={**env, "PYTHONPATH": str(SRC)})
         assert (result.returncode, result.stdout) == (code, "")
         if code == 3:
-            assert result.stderr.startswith("error: at least 2^")
-            assert result.stderr.endswith(" states exceed the budget of 268435456\n")
+            bound = (result.stderr.removeprefix("error: at least 2^")
+                     .removesuffix(" states exceed the budget of 268435456\n"))
+            assert bound.isdigit(), result.stderr
         else:
             assert result.stderr.startswith("error: the count has ")
             assert result.stderr.endswith(f" more than the {PRINT_DIGITS} that orbitlab prints\n")
