@@ -23,6 +23,7 @@ from .residues import GroupSpec
 
 
 TABLE_ROWS = 4096  # the most strings one formatter's table holds
+HALVING_CHUNKS = 16  # a formatter splits longer runs of table chunks in halves
 
 
 def _table_formatter(p: int, n: int, cells, sep: str, empty: str):
@@ -35,7 +36,9 @@ def _table_formatter(p: int, n: int, cells, sep: str, empty: str):
     leading n mod c rows in a head table.  Each table is the last one with
     one more row appended, so building them costs about TABLE_ROWS
     concatenations.  When p^2 is over TABLE_ROWS, c is 1 and cells need
-    only be indexable.
+    only be indexable.  Peeling c rows at a time off the m-row G and K
+    divides numbers of O(m) digits m / c times, so a state of more than
+    HALVING_CHUNKS chunks is cut by halves first, down to runs that short.
     """
     c = 1
     while c < n and p ** (2 * c + 2) <= TABLE_ROWS:
@@ -51,14 +54,34 @@ def _table_formatter(p: int, n: int, cells, sep: str, empty: str):
     body, t, h = tables[c - 1], *divmod(n, c)
     head = tables[h - 1] if h else None
     base, head_base, order = p ** c, p ** h, p ** n
+    powers = {}  # base ** e, for the halving splits of long states
+
+    def cut(g: int, k: int, count: int, parts: list) -> tuple[int, int]:
+        # append the strings of the low count chunks of g and k, the last
+        # first, and return what is left above them
+        if count > HALVING_CHUNKS:
+            half = count // 2
+            scale = powers.get(half) or powers.setdefault(half, base ** half)
+            g, g_low = divmod(g, scale)
+            k, k_low = divmod(k, scale)
+            cut(g_low, k_low, half, parts)
+            return cut(g, k, count - half, parts)
+        for _ in range(count):
+            g, gc = divmod(g, base)
+            k, kc = divmod(k, base)
+            parts.append(body[gc * base + kc])
+        return g, k
 
     def fmt(i: int) -> str:
         g, k = divmod(i, order)
         parts = []
-        for _ in range(t):  # the last c rows first
-            g, gc = divmod(g, base)
-            k, kc = divmod(k, base)
-            parts.append(body[gc * base + kc])
+        if t > HALVING_CHUNKS:
+            g, k = cut(g, k, t, parts)
+        else:  # cut's loop, inlined: the call costs a short state about 15%
+            for _ in range(t):
+                g, gc = divmod(g, base)
+                k, kc = divmod(k, base)
+                parts.append(body[gc * base + kc])
         if h:
             parts.append(head[g * head_base + k])
         parts.reverse()

@@ -56,26 +56,29 @@ class CensusReport:
     orbit_count: int
 
 
-def _move_tables(spec: GroupSpec):
-    """Return (neg, base, top, low_sum, high_sum): the two moves on vector
-    ranks, built from vector_rank and vector_unrank alone.  neg[rank(g)] is
-    rank(-g).  A rank r splits as (high, low) = divmod(r, base), base =
-    p^(n // 2) and top = p^n // base, and rank(k + g) = high_sum[kh * top +
-    gh] + low_sum[kl * base + gl]: O(p^(n+1)) entries in all.  At n <= 1
-    base is None and no sum table is built; the one digit adds mod p."""
-    n, p = spec.n, spec.p
-    neg = [vector_rank([-e % p for e in vector_unrank(r, p, n)], p)
-           for r in range(spec.group_order)]
-    if n <= 1:
-        return neg, None, None, None, None
-    low, base = n // 2, p ** (n // 2)
+def _row_moves(p: int, n: int):
+    """Return (base, (s_hi, t_hi), (s_lo, t_lo)): the two moves on row-packed
+    indices, row t the base-p^2 digit k_t p + g_t, the first row most
+    significant.  With (hi, lo) = divmod(i, base), S(i) = s_hi[hi] +
+    s_lo[lo] and T(i) = (t_hi[hi] + t_lo[lo]) mod p^(2n); lo is the last
+    n // 2 rows.  At n = 1, where a p^2-entry table would be as long as the
+    state count, hi = k, lo = g and base = p; T's k + g there overflows
+    only past the top digit."""
+    def chunk(rows: int, digits, scale: int):
+        # the images, times scale, of every chunk of rows, each row digit in digits
+        s_row = [(-d % p * p + d // p) * scale for d in digits]  # (k, -g)
+        t_row = [((d // p + d) % p * p + d % p) * scale for d in digits]  # (g, k + g)
+        s = t = [0]
+        for _ in range(rows):
+            s = [x * p * p + y for x in s for y in s_row]
+            t = [x * p * p + y for x in t for y in t_row]
+        return s, t
 
-    def chunk_sums(digits: int, scale: int) -> list[int]:
-        chunks = [vector_unrank(r, p, digits) for r in range(p ** digits)]
-        return [vector_rank([(x + y) % p for x, y in zip(k, g)], p) * scale
-                for k in chunks for g in chunks]
-
-    return neg, base, p ** (n - low), chunk_sums(low, 1), chunk_sums(n - low, base)
+    row = range(p * p)
+    if n == 1:
+        return p, chunk(1, row[::p], 1), chunk(1, range(p), 1)
+    base = p ** (2 * (n // 2))
+    return base, chunk(n - n // 2, row, base), chunk(n // 2, row, 1)
 
 
 def orbit_of(s: PairState) -> set[PairState]:
@@ -92,40 +95,33 @@ def orbit_of(s: PairState) -> set[PairState]:
 
 
 def _bfs_orbits(spec: GroupSpec, budget: int | None):
-    """Visited sweep in index order, one visited byte per state.
-
-    Each unvisited index starts the closure of its orbit under the two moves,
-    read from _move_tables and inlined here for every p, so the start is the
-    orbit's minimal index.  Yields (rep, size) per orbit, in index order.
-    """
+    """Visited sweep on row-packed states (see _row_moves; no other code
+    reads that packing), one visited byte each, skipping visited runs with
+    bytearray.find.  Yields (start, size) per orbit: start is the orbit's
+    least row-packed index, which is not in general its least packed one."""
     check_budget(spec.p, 2 * spec.n, budget)
     total = spec.state_count
-    p, order = spec.p, spec.group_order
-    neg, base, top, low_sum, high_sum = _move_tables(spec)
+    base, (s_hi, t_hi), (s_lo, t_lo) = _row_moves(spec.p, spec.n)
     visited = bytearray(total)
-    for start in range(total):
-        if visited[start]:
-            continue
+    start = 0
+    while start >= 0:
         size = 0
         visited[start] = 1
         queue = deque([start])
         while queue:
             i = queue.popleft()
             size += 1
-            gr, kr = divmod(i, order)
-            j = kr * order + neg[gr]
+            hi, lo = divmod(i, base)
+            j = s_hi[hi] + s_lo[lo]
             if not visited[j]:
                 visited[j] = 1
                 queue.append(j)
-            if base:
-                (kh, kl), (gh, gl) = divmod(kr, base), divmod(gr, base)
-                j = gr * order + high_sum[kh * top + gh] + low_sum[kl * base + gl]
-            else:
-                j = gr * order + (kr + gr) % p
+            j = (t_hi[hi] + t_lo[lo]) % total
             if not visited[j]:
                 visited[j] = 1
                 queue.append(j)
         yield start, size
+        start = visited.find(0, start + 1)
 
 
 def count_orbits_bfs(spec: GroupSpec, budget: int | None = None) -> CensusReport:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -77,11 +78,11 @@ class TestOrbits:
         assert (code, out) == (0, "7\n")
 
     def test_each_answer_sweeps_the_states_at_most_once(self, capsys, monkeypatch):
-        # _move_tables is built once per BFS visited sweep and nowhere else
+        # _row_moves is built once per BFS visited sweep and nowhere else
         sweeps = []
-        real = orbits._move_tables
-        monkeypatch.setattr(orbits, "_move_tables",
-                            lambda spec: sweeps.append(spec) or real(spec))
+        real = orbits._row_moves
+        monkeypatch.setattr(orbits, "_row_moves",
+                            lambda p, n: sweeps.append((p, n)) or real(p, n))
         code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "3", "--list")
         assert (code, len(out.splitlines()), len(sweeps)) == (0, 15, 1)
         sweeps.clear()
@@ -97,8 +98,9 @@ class TestOrbits:
         assert peak < 128 * 1024
 
     def test_bfs_memory_at_n1(self):
-        # the one digit adds without a table: a p^2-entry one would be as
-        # long as the state count and lift the peak past 50 MiB
+        # the one row splits between its digits into p-entry tables: a
+        # p^2-entry one would be as long as the state count and lift the
+        # peak past 50 MiB
         code, out, peak = run_measured("orbits", "--p", "1021", "--n", "1",
                                        "--method", "bfs")
         assert (code, out) == (0, "2\n")
@@ -174,19 +176,33 @@ class TestOrbits:
 
     # c rows per lookup: c = 6 at p = 2, 3 at p = 3, 2 at p = 5 and 1 from
     # p = 11 on, so n mod c is 0 at (2, 0), (2, 6), (11, n), (13, 2), (67, 1)
-    # and not elsewhere; at p = 67 p^2 is too large for a table
+    # and not elsewhere; at p = 67 p^2 is too large for a table.  From
+    # (2, 1000) on a state has more than HALVING_CHUNKS chunks, so fmt cuts
+    # it by halves first; those are checked on seeded random states.
     @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 3), (2, 6), (2, 7), (3, 2), (3, 4),
-                                     (5, 3), (11, 1), (11, 2), (13, 2), (67, 1)])
+                                     (5, 3), (11, 1), (11, 2), (13, 2), (67, 1),
+                                     (2, 1000), (3, 400), (67, 50)])
     def test_state_formatter_matches_the_oracle(self, p, n):
         spec = GroupSpec(p, n)
         fmt = cli.state_formatter(spec)
-        for i in range(spec.state_count):
+        indices = range(spec.state_count)
+        if n >= 50:
+            rng = random.Random(n)
+            indices = [0, 1, spec.group_order - 1, spec.state_count - 1,
+                       *(rng.randrange(spec.state_count) for _ in range(20))]
+        for i in indices:
             assert fmt(i) == format_state(i, spec), i
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 5, 7, 9])
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 7, 9, 5000])
     def test_word_formatter_spells_the_letters(self, m):
         fmt = cli.word_formatter(m)
-        for letters, i in words._words(m):
+        if m < 10:
+            listed = words._words(m)
+        else:  # a seeded random word: after 23 every letter may follow
+            rng = random.Random(m)
+            letters = (2, 3, *(rng.choice(words.ALPHABET) for _ in range(m - 2)))
+            listed = [(letters, bridge._word_index(letters, m))]
+        for letters, i in listed:
             assert fmt(i) == "".join(map(str, letters)), letters
 
     def test_list_count_mismatch_fails(self, capsys, monkeypatch):

@@ -5,6 +5,8 @@ from orbitlab.formulas import r_formula
 from orbitlab.orbits import (
     _bfs_orbits,
     _canonical_engine,
+    _echelon_minima,
+    _row_moves,
     canonical_form,
     count_orbits_bfs,
     count_orbits_burnside,
@@ -17,6 +19,8 @@ from orbitlab.residues import (
     PairState,
     ResidueVector,
     apply_mat,
+    apply_s,
+    apply_t,
     enumerate_sl2,
     state_from_index,
     state_index,
@@ -57,6 +61,39 @@ def gaussian_binomial(n, k, p):
         den *= p ** (i + 1) - 1
     assert num % den == 0
     return num // den
+
+
+def row_index(s):
+    """The row-packed index of _bfs_orbits: row t is the base-p^2 digit
+    k_t p + g_t, the first row most significant."""
+    p, r = s.spec.p, 0
+    for g, k in s.rows():
+        r = r * p * p + k * p + g
+    return r
+
+
+def row_state(r, spec):
+    """The state whose row-packed index is r."""
+    p, rows = spec.p, []
+    for _ in range(spec.n):  # the last row first
+        r, d = divmod(r, p * p)
+        rows.append(divmod(d, p))  # (k, g)
+    rows.reverse()
+    return pair([g for _, g in rows], [k for k, _ in rows], spec)
+
+
+def bfs_minima(spec):
+    """The BFS census as sorted (packed minimum, size) pairs.  Each orbit
+    is unpacked and re-closed by orbit_of: the closure must have the
+    yielded size, and the start must be its least row-packed index, since
+    the sweep runs in row-packed order."""
+    found = []
+    for start, size in _bfs_orbits(spec, None):
+        orbit = orbit_of(row_state(start, spec))
+        assert len(orbit) == size, (start, size)
+        assert start == min(map(row_index, orbit)), start
+        found.append((min(map(state_index, orbit)), size))
+    return sorted(found)
 
 
 PARITY_GRID = ([(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)]
@@ -109,14 +146,25 @@ class TestBfsCensus:
         with pytest.raises(BudgetExceeded, match="^64 states exceed the budget of 10$"):
             count_orbits_bfs(GroupSpec.uniform(2, 3), budget=10)
 
-    @pytest.mark.parametrize("p,n", [(3, 5), (11, 1), (13, 1), (13, 2), (5, 0)])
+    @pytest.mark.parametrize("p,n", [(3, 5), (11, 1), (13, 1), (13, 2), (5, 0),
+                                     (2, 1), (3, 1), (2, 2), (3, 3), (2, 0)])
     def test_move_table_shapes(self, p, n):
-        # odd n splits the digits into unequal chunks; n = 1 adds without a
-        # table; n = 2 splits them evenly; n = 0 has one state
+        # odd n splits the rows into unequal chunks; n = 1 splits the one
+        # row between its digits; n = 2 splits the rows evenly; n = 0 has
+        # one state
         spec = GroupSpec.uniform(p, n)
-        listed = [(state_index(s.representative), s.size) for s in orbit_summaries(spec)]
-        assert list(_bfs_orbits(spec, None)) == listed
+        assert bfs_minima(spec) == list(_echelon_minima(spec))
         assert count_orbits_bfs(spec).orbit_count == r_formula(p, n)
+
+    @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (3, 1), (13, 1), (2, 2), (3, 3), (5, 2)])
+    def test_move_tables_are_the_moves(self, p, n):
+        # both images of every state, read off the tables as the sweep reads them
+        spec = GroupSpec.uniform(p, n)
+        base, (s_hi, t_hi), (s_lo, t_lo) = _row_moves(p, n)
+        for s in all_states(spec):
+            hi, lo = divmod(row_index(s), base)
+            assert s_hi[hi] + s_lo[lo] == row_index(apply_s(s)), s
+            assert (t_hi[hi] + t_lo[lo]) % spec.state_count == row_index(apply_t(s)), s
 
     def test_deterministic(self):
         assert count_orbits_bfs(Z2_2).orbit_count == count_orbits_bfs(Z2_2).orbit_count
@@ -267,7 +315,7 @@ class TestOrbitSummaries:
             spec = GroupSpec.uniform(p, n)
             listed = [(state_index(s.representative), s.size)
                       for s in orbit_summaries(spec)]
-            assert listed == list(_bfs_orbits(spec, None))
+            assert listed == bfs_minima(spec)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_one_orbit_per_line_and_p_minus_1_per_plane(self, p):
