@@ -54,14 +54,13 @@ def _table_formatter(p: int, n: int, cells, sep: str, empty: str):
     body, t, h = tables[c - 1], *divmod(n, c)
     head = tables[h - 1] if h else None
     base, head_base, order = p ** c, p ** h, p ** n
-    powers = {}  # base ** e, for the halving splits of long states
 
     def cut(g: int, k: int, count: int, parts: list) -> tuple[int, int]:
         # append the strings of the low count chunks of g and k, the last
         # first, and return what is left above them
         if count > HALVING_CHUNKS:
             half = count // 2
-            scale = powers.get(half) or powers.setdefault(half, base ** half)
+            scale = base ** half
             g, g_low = divmod(g, scale)
             k, k_low = divmod(k, scale)
             cut(g_low, k_low, half, parts)
@@ -75,13 +74,7 @@ def _table_formatter(p: int, n: int, cells, sep: str, empty: str):
     def fmt(i: int) -> str:
         g, k = divmod(i, order)
         parts = []
-        if t > HALVING_CHUNKS:
-            g, k = cut(g, k, t, parts)
-        else:  # cut's loop, inlined: the call costs a short state about 15%
-            for _ in range(t):
-                g, gc = divmod(g, base)
-                k, kc = divmod(k, base)
-                parts.append(body[gc * base + kc])
+        g, k = cut(g, k, t, parts)
         if h:
             parts.append(head[g * head_base + k])
         parts.reverse()

@@ -1,11 +1,12 @@
 """Orbit enumeration for the pair action, three independent ways.
 
-The engines work on packed state indices: a visited sweep closing each orbit
-under the two moves, read from lookup tables; a canonical-form count (a state
-is counted when it has the row-reduced shape of its orbit's minimum); and
-class-equation averaging of fixed-point counts.  The three routes share no
-code beyond the index packing, which is the point: they are meant to
-disagree loudly if any one of them is wrong.  The orbit listing enumerates
+The three counting routes are a visited sweep closing each orbit under the
+two moves, read from lookup tables on its own row-packed indices (see
+_row_moves); a canonical-form count on packed state indices (a state is
+counted when it has the row-reduced shape of its orbit's minimum); and
+class-equation averaging of fixed-point counts.  The sweep shares no code
+with the other routes, and those two share only the index packing, which is
+the point: they are meant to disagree loudly if any one of them is wrong.  The orbit listing enumerates
 the row-reduced minima directly and visits no state: each orbit is the
 packed index of its minimum and its size, unpacked into a PairState only
 when a caller asks for one.
