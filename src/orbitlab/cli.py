@@ -116,14 +116,24 @@ def word_formatter(m: int):
     return _table_formatter(2, m, cells, "", "")
 
 
-def _emit(fmt: str, header: list[str], rows, payload, text=None) -> None:
-    """Write one result to stdout in the chosen format.
+def _emit(fmt: str, header: list[str], rows, payload, text=None, listing=None) -> None:
+    """Write one result to stdout in the chosen format, a chunk at a time.
 
     text: the text lines, by default each row joined by spaces; csv: header
-    then rows; json: payload, indented.  rows and text may be generators:
-    every format, json as iterencode's chunks, goes out a chunk at a time.
+    then rows; json: payload, indented, in iterencode's chunks, or with the
+    rows as its list `listing` (per row a dict by header, for one column a
+    string) from one row template: the bytes of json.dumps of the whole
+    document.  The template needs no escaping, as row values hold only
+    digits, spaces, ":" and "-", and every listing has a first row (the zero
+    orbit, the all-1s word).  rows and text may be generators.
     """
-    if fmt == "json":
+    if fmt == "json" and listing:
+        placeholder = dict.fromkeys(header, "%s") if len(header) > 1 else "%s"
+        row = "    " + json.dumps(placeholder, indent=2).replace("\n", "\n    ")
+        head, tail = json.dumps({**payload, listing: [placeholder]}, indent=2).split(row)
+        rows = map(tuple, rows)
+        lines = chain([head, row % next(rows)], map((",\n" + row).__mod__, rows), [tail, "\n"])
+    elif fmt == "json":
         lines = chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
     elif fmt == "csv":  # writerow returns what write returns: here, the line
         writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
@@ -169,33 +179,28 @@ def cmd_orbits(args) -> int:
         stabilizer = orbits.OrbitSummary(0, size, spec).stabilizer_order
         shown[size] = [str(size), "-" if stabilizer is None else str(stabilizer)]
     rows = ([fmt(i), *shown[size]] for i, size in orbits._echelon_minima(spec))
-    if args.format == "json":  # the row dicts are built whole; text and csv stream
-        payload["orbits"] = [dict(zip(header, row)) for row in rows]
-    _emit(args.format, header, rows, payload)
+    _emit(args.format, header, rows, payload, listing="orbits")
     return 0
 
 
 def cmd_words(args) -> int:
-    if args.list:  # text and csv stream the words as the walk yields them
-        check_budget(4, args.m, args.budget)  # before the formatter reads 2^m
-        fmt = word_formatter(args.m)
-        listed = (fmt(i) for _, i in words._words(args.m, args.budget))
-        payload = {"m": args.m}
-        if args.format == "json":  # one document, so built whole
-            listed = list(listed)
-            payload.update(count=str(len(listed)), words=listed)
-        _emit(args.format, ["word"], ([w] for w in listed), payload, text=listed)
-        return 0
-
+    if args.list:  # over the state budget exits 3 before the count
+        check_budget(4, args.m, args.budget)
     check_printable(2, args.m)  # count_words(m) = r(2, m)
     count = str(words.count_words(args.m))
-    _emit(args.format, ["m", "count"], [[str(args.m), count]],
-          {"m": args.m, "count": count}, text=[count])
+    payload = {"m": args.m, "count": count}
+    if args.list:  # the words stream as the walk yields them
+        fmt = word_formatter(args.m)
+        listed = (fmt(i) for _, i in words._words(args.m, args.budget))
+        _emit(args.format, ["word"], ([w] for w in listed), payload, text=listed,
+              listing="words")
+    else:
+        _emit(args.format, ["m", "count"], [[str(args.m), count]], payload, text=[count])
     return 0
 
 
 def cmd_encode(args) -> int:
-    word = words.word_from_string(args.word)
+    word = words.word_from_string(args.word)  # so str(word) is args.word
     m = len(word)
     if m < 1:
         raise ValueError("cannot encode the empty word")
@@ -204,8 +209,8 @@ def cmd_encode(args) -> int:
     fmt = state_formatter(spec)
     i = bridge._word_index(word.letters, m)
     rows, canon = fmt(i), fmt(least(i))
-    _emit(args.format, ["word", "rows", "canonical"], [[str(word), rows, canon]],
-          {"word": str(word), "rows": rows.split(" "),
+    _emit(args.format, ["word", "rows", "canonical"], [[args.word, rows, canon]],
+          {"word": args.word, "rows": rows.split(" "),
            "canonical": canon.split(" ")},
           text=[f"rows: {rows}", f"canonical: {canon}"])
     return 0

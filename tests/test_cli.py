@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitlab import bridge, cli, orbits, residues, words
+from orbitlab import bridge, cli, formulas, orbits, residues, words
 from orbitlab.budget import PRINT_DIGITS, BudgetExceeded, check_budget
 from orbitlab.residues import GroupSpec, state_from_index
 
@@ -46,11 +46,12 @@ def listing_rows(p, n):
 LISTED = [(2, 0), (2, 3), (3, 2), (11, 1)]
 
 
-def run_measured(*argv):
+def run_measured(*argv, stdout=None):
     """Run the CLI in a fresh interpreter; return its exit code, stdout and
     peak RSS in KiB.  The peak is VmHWM, that of the interpreter's own
     image: on Linux, ru_maxrss after exec also counts the peak of the
-    process that spawned it, which late in a pytest run is over 100 MiB."""
+    process that spawned it, which late in a pytest run is over 100 MiB.
+    A file given as stdout takes the output, and None is returned for it."""
     code = ("import sys\n"
             "from orbitlab import cli\n"
             f"code = cli.main({list(argv)!r})\n"
@@ -59,7 +60,8 @@ def run_measured(*argv):
             "print(hwm.split()[1], file=sys.stderr)\n"
             "sys.exit(code)\n")
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+        [sys.executable, "-c", code], stdout=stdout or subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, timeout=30,
         env={**os.environ, "PYTHONPATH": str(SRC)})
     return result.returncode, result.stdout, int(result.stderr)
 
@@ -247,7 +249,7 @@ class TestOrbits:
         assert code == 0 and len(out.splitlines()) == 175275 + (fmt == "csv")
         assert peak < 64 * 1024
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_list_memory_is_flat(self, fmt):
         # 245 times the orbits of n = 6 (175,275 against 715), the same peak
         peaks = [run_measured("orbits", "--p", "2", "--n", n, "--list",
@@ -255,16 +257,17 @@ class TestOrbits:
                  for n in ("6", "10")]
         assert peaks[1] - peaks[0] < 4 * 1024
 
-    @pytest.mark.parametrize("argv, cap_mib", [
-        ("orbits --p 2 --n 10 --list --method formula", 128),
-        ("words --m 10 --list", 36),
-    ])
-    def test_json_list_memory(self, argv, cap_mib):
-        # the document goes out in iterencode's chunks, never joined whole;
-        # only its list of rows (dicts or word strings) is held
-        code, out, peak = run_measured(*argv.split(), "--format", "json")
-        assert code == 0 and out.endswith("]\n}\n")
-        assert peak < cap_mib * 1024
+    @pytest.mark.parametrize("argv", ["orbits --p 2 --n 11 --list --method formula",
+                                      "words --m 11 --list"])
+    def test_json_list_memory(self, argv, tmp_path):
+        # the rows go out as they are made, each from one row template, so
+        # no row list and no copy of the document is held: the text
+        # listing's cap holds.  The output goes to a file, not to this process.
+        with open(tmp_path / "out.json", "wb+") as out:
+            code, _, peak = run_measured(*argv.split(), "--format", "json", stdout=out)
+            out.seek(-4, os.SEEK_END)
+            assert code == 0 and out.read() == b"]\n}\n"
+        assert peak < 32 * 1024
 
     def test_list_closed_pipe_ends_quietly(self):
         # as in `orbitlab orbits --p 2 --n 9 --list | head -1`
@@ -690,6 +693,24 @@ class TestContract:
         first = run(capsys, "verify", "--m-max", "3", "--format", "json")
         second = run(capsys, "verify", "--m-max", "3", "--format", "json")
         assert first == second
+
+    @pytest.mark.parametrize("p,n", [(2, 0), (2, 3), (3, 2), (11, 1), (67, 1)])
+    def test_json_orbit_listing_is_the_whole_document(self, capsys, p, n):
+        # the streamed rows against the document built whole, dumped at once
+        header = ["representative", "size", "stabilizer_order"]
+        doc = {"p": p, "n": n, "method": "bfs", "orbit_count": str(formulas.r_formula(p, n)),
+               "orbits": [dict(zip(header, row)) for row in listing_rows(p, n)]}
+        code, out, _ = run(capsys, "orbits", "--p", str(p), "--n", str(n),
+                           "--list", "--format", "json")
+        assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
+
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    def test_json_word_listing_is_the_whole_document(self, capsys, m):
+        listed = ["".join(map(str, letters)) for letters, _ in words._words(m)]
+        doc = {"m": m, "count": str(words.count_words(m)), "words": listed}
+        code, out, _ = run(capsys, "words", "--m", str(m), "--list", "--format", "json")
+        assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
+        assert doc["count"] == str(len(listed))  # the count known before the walk
 
     def test_csv_uses_lf(self, capsys):
         _, out, _ = run(capsys, "sequence", "--p", "2", "--n-max", "2",
