@@ -7,12 +7,12 @@ composing with the canonical form, (min, middle) of the bit rows
 assumed.  It streams the word walk once and takes each packed word index i
 on a round trip, word -> orbit -> word: decode(least(i)) must give i back,
 so no two words share an orbit, given that the walked words are distinct
-(their letters increase) and in the language (the packed growth rule).
-Surjectivity is then pigeonhole against the independent Burnside count
-(four diagonals at p = 2).  On success nothing is collected.  Only when a
-check fails does a second pass keep the first word per canonical image, for
-the collision certificates, and walk the orbit minima in echelon form for
-the missed orbits.
+(their letters increase) and in the language, which the round trip implies
+(see _decode).  Surjectivity is then pigeonhole against the independent
+Burnside count (four diagonals at p = 2).  On success nothing is
+collected.  Only when a check fails does a second pass keep the first word
+per canonical image, for the collision certificates, and walk the orbit
+minima in echelon form for the missed orbits.
 """
 
 from __future__ import annotations
@@ -66,18 +66,16 @@ def _word_index(letters, m: int) -> int:
     return (g << m) | k
 
 
-def _grows(i: int, m: int) -> bool:
-    """The growth rule on a packed word index: the first row with k = 1 (the
-    first 3 or 4) must have g = 1 (be a 3), after an earlier row with g = 1
-    (a 2)."""
-    g, k = i >> m, i & ((1 << m) - 1)
-    top = k.bit_length()
-    return not k or bool(g >> top and g >> (top - 1) & 1)
-
-
 def _decode(rep: int, m: int) -> int:
     """The packed index of the word of the orbit whose minimum is rep:
-    [0 | v] -> [v | 0], and [g | k] -> [g ^ k | g] for g != 0."""
+    [0 | v] -> [v | 0], and [g | k] -> [g ^ k | g] for g != 0.
+
+    Each decoded minimum is a valid word, so an i that round-trips is one.
+    [v | 0] has only 1s and 2s.  Else g < k < g ^ k, the least and middle rows; k lacks
+    g's top bit t, or g ^ k would be below k, so k's top bit is higher.
+    Then [g ^ k | g] has its first 3 or 4 at t, a 3, after a 2 at k's top
+    bit: the growth rule.
+    """
     g, k = rep >> m, rep & ((1 << m) - 1)
     return ((g ^ k) << m) | g if g else k << m
 
@@ -94,7 +92,7 @@ def verify_bridge(m: int, budget: int | None = None) -> BridgeReport:
 
     previous, word_count = (), 0
     for letters, i in _words(m, budget):
-        if letters <= previous or not _grows(i, m) or _decode(least(i), m) != i:
+        if letters <= previous or _decode(least(i), m) != i:
             break
         previous, word_count = letters, word_count + 1
     else:

@@ -184,7 +184,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_words(args) -> int:
-    if args.list:  # over the state budget exits 3 before the count
+    # over the state budget exits 3 before the count; count_words refuses m < 0
+    if args.list and args.m >= 0:
         check_budget(4, args.m, args.budget)
     check_printable(2, args.m)  # count_words(m) = r(2, m)
     count = str(words.count_words(args.m))

@@ -6,10 +6,10 @@ _row_moves); a canonical-form count on packed state indices (a state is
 counted when it has the row-reduced shape of its orbit's minimum); and
 class-equation averaging of fixed-point counts.  The sweep shares no code
 with the other routes, and those two share only the index packing, which is
-the point: they are meant to disagree loudly if any one of them is wrong.  The orbit listing enumerates
-the row-reduced minima directly and visits no state: each orbit is the
-packed index of its minimum and its size, unpacked into a PairState only
-when a caller asks for one.
+the point: they are meant to disagree loudly if any one of them is wrong.
+The orbit listing enumerates the row-reduced minima directly and visits no
+state: each orbit is the packed index of its minimum and its size, unpacked
+into a PairState only when a caller asks for one.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
+import random
 from itertools import product
 
 import pytest
 
-from orbitlab import bridge
+from orbitlab import bridge, cli
 from orbitlab.bridge import encode_word, verify_bridge
 from orbitlab.budget import BudgetExceeded
 from orbitlab.orbits import (
@@ -207,13 +208,18 @@ def patch_walk(monkeypatch, change):
 
 
 class TestRoundTrip:
-    """The packed growth rule and decode, against the letter-level oracles."""
+    """decode against the letter-level oracles: the round trip alone keeps
+    invalid words out of verify_bridge."""
 
-    def test_growth_rule_matches_letters(self):
+    def test_round_trip_holds_exactly_on_words(self):
+        # so the walk's two per-word checks, letter order and round trip,
+        # need no growth rule of their own
         for m in range(8):
+            least, _ = _canonical_engine(GroupSpec.uniform(2, m))
             for letters in product(ALPHABET, repeat=m):
+                i = bridge._word_index(letters, m)
                 expected = _growth_violation(letters) is None
-                assert bridge._grows(bridge._word_index(letters, m), m) == expected, letters
+                assert (bridge._decode(least(i), m) == i) == expected, letters
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_word_orbit_word(self, m):
@@ -228,7 +234,27 @@ class TestRoundTrip:
         decoded = []
         for rep, _ in _echelon_minima(spec):
             i = bridge._decode(rep, m)
-            assert bridge._grows(i, m) and least(i) == rep, rep
+            assert least(i) == rep, rep
             decoded.append(i)
         # so decoding the minima gives exactly the words
         assert sorted(decoded) == sorted(i for _, i in _words(m))
+
+    @pytest.mark.parametrize("m", [16, 64, 1000])
+    def test_decoded_states_are_words(self, m):
+        # past the exhaustive range: any state's orbit decodes to a valid word
+        least, _ = _canonical_engine(GroupSpec.uniform(2, m))
+        spell, rng = cli.word_formatter(m), random.Random(m)
+        for _ in range(200):
+            word = spell(bridge._decode(least(rng.getrandbits(2 * m)), m))
+            assert _growth_violation(tuple(map(int, word))) is None, word
+
+    def test_invalid_walked_word_is_refused(self, monkeypatch):
+        # in place of 1234, between 1233 and 2111, so the letters still
+        # increase: a word breaking the growth bound fails the round trip,
+        # and the certificate pass refuses it when it builds the word
+        bad = (1, 3, 1, 1)
+        at = [letters for letters, _ in _words(4)].index((1, 2, 3, 4))
+        patch_walk(monkeypatch, lambda ws: [*ws[:at], (bad, bridge._word_index(bad, 4)),
+                                            *ws[at + 1:]])
+        with pytest.raises(ValueError, match="breaks the growth bound"):
+            verify_bridge(4)

@@ -369,8 +369,12 @@ class TestWords:
         code, out, _ = run(capsys, "words", "--m", "1", "--list", "--format", "csv")
         assert (code, out) == (0, "word\n1\n2\n")
 
-    def test_negative_m(self, capsys):
-        assert run(capsys, "words", "--m", "-1")[0] == 2
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("extra", [[], ["--list"], ["--list", "--budget", "0"]])
+    def test_negative_m(self, capsys, extra, fmt):
+        # m is refused before the budget is charged: 4^-1 is no state count
+        code, out, err = run(capsys, "words", "--m", "-1", *extra, "--format", fmt)
+        assert (code, out, err) == (2, "", "error: m must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_list_streams(self, fmt):
@@ -711,6 +715,33 @@ class TestContract:
         code, out, _ = run(capsys, "words", "--m", str(m), "--list", "--format", "json")
         assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
         assert doc["count"] == str(len(listed))  # the count known before the walk
+
+    def test_edge_inputs_exit_cleanly(self, capsys):
+        # every command at and past the ends of its domain, in every format:
+        # an answer or a refusal (exit 0 to 3), never a traceback
+        argvs = [["orbits", "--p", str(p), "--n", str(n), "--method", method, *listed]
+                 for p in (-1, 0, 1, 2, 4) for n in (-1, 0, 2)
+                 for method in ("bfs", "canonical", "burnside", "formula")
+                 for listed in ([], ["--list"])]
+        argvs += [["words", "--m", str(m), *listed]
+                  for m in (-1, 0, 2) for listed in ([], ["--list"])]
+        argvs += [["verify", "--m-max", str(m)] for m in (-1, 0, 2)]
+        argvs = [[*argv, *budget] for argv in argvs for budget in ([], ["--budget", "0"])]
+        argvs += [["sequence", "--p", str(p), "--n-max", str(n)]
+                     for p in (-1, 2, 4) for n in (-1, 0, 2)]
+        argvs += [["encode", word]  # the last an Arabic-Indic digit one
+                  for word in ("", "1", "0", "13", "x", "\u0661")]
+        runs = [[*argv, "--format", fmt] for argv in argvs for fmt in ("text", "csv", "json")]
+        assert len(runs) == 819
+        failed = []
+        for argv in runs:
+            try:
+                code = run(capsys, *argv)[0]
+            except Exception as exc:  # a traceback: what this sweep looks for
+                code = repr(exc)
+            if code not in range(4):
+                failed.append((argv, code))
+        assert failed == []
 
     def test_csv_uses_lf(self, capsys):
         _, out, _ = run(capsys, "sequence", "--p", "2", "--n-max", "2",
