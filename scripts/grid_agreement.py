@@ -46,7 +46,7 @@ def main() -> int:
           f"{'bfs[s]':>8} {'canon[s]':>9} {'burn[s]':>8} {'list[s]':>8} {'bridge[s]':>9}")
     for p, n_max in grid:
         for n in range(n_max + 1):
-            spec = GroupSpec.uniform(p, n)
+            spec = GroupSpec(p, n)
             bfs, t_bfs = timed(lambda: count_orbits_bfs(spec).orbit_count)
             canon, t_canon = timed(lambda: count_orbits_canonical(spec).orbit_count)
             burn, t_burn = timed(lambda: count_orbits_burnside(spec).orbit_count)

@@ -1,37 +1,40 @@
 #!/usr/bin/env python3
 """Print the small worlds side by side: orbit class listings over Z_2^n for
 n = 1, 2, the word tables for m <= 3, and where each word lands under the
-bit-row encoding.  Handy for eyeballing the word <-> orbit correspondence."""
+bit-row encoding.  Handy for eyeballing the word <-> orbit correspondence.
+Everything is read on packed state indices and printed by the CLI's state
+formatter."""
 
 import argparse
 import sys
 
-from orbitlab.bridge import encode_word
 from orbitlab.cli import state_formatter
-from orbitlab.orbits import canonical_form, orbit_of, orbit_summaries
-from orbitlab.residues import GroupSpec, state_index
-from orbitlab.words import enumerate_words
+from orbitlab.orbits import _canonical_engine, orbit_summaries
+from orbitlab.residues import GroupSpec
+from orbitlab.words import _words
 
 
 def show_orbits(n: int) -> None:
-    spec = GroupSpec.uniform(2, n)
+    spec = GroupSpec(2, n)
     fmt = state_formatter(spec)
+    least, _ = _canonical_engine(spec)
     print(f"orbit classes over Z_2^{n} ({spec.state_count} states):")
     for idx, summary in enumerate(orbit_summaries(spec), 1):
-        members = sorted(map(state_index, orbit_of(summary.representative)))
+        members = [i for i in range(spec.state_count) if least(i) == summary.index]
         listing = "  ~  ".join(map(fmt, members))
         print(f"  ({idx}) size {summary.size}, stabilizer {summary.stabilizer_order}: {listing}")
     print()
 
 
 def show_words(m: int) -> None:
-    words = enumerate_words(m)
+    words = list(_words(m))
     print(f"{len(words)} words of length {m}, with their encoded classes:")
-    fmt = state_formatter(GroupSpec(2, m))
-    for w in words:
-        state = encode_word(w)
-        print(f"  {w}  ->  [{fmt(state_index(state))}]  "
-              f"class [{fmt(state_index(canonical_form(state)))}]")
+    spec = GroupSpec(2, m)
+    fmt = state_formatter(spec)
+    least, _ = _canonical_engine(spec)
+    for letters, i in words:
+        word = "".join(map(str, letters))
+        print(f"  {word}  ->  [{fmt(i)}]  class [{fmt(least(i))}]")
     print()
 
 

@@ -48,7 +48,7 @@ def encode_word(word: RGWord) -> PairState:
     m = len(word.letters)
     if m < 1:
         raise ValueError("cannot encode the empty word")
-    return state_from_index(_word_index(word.letters, m), GroupSpec.uniform(2, m))
+    return state_from_index(_word_index(word.letters, m), GroupSpec(2, m))
 
 
 # each letter's g bit and k bit as ASCII digits, for bytes.translate
@@ -86,7 +86,7 @@ def verify_bridge(m: int, budget: int | None = None) -> BridgeReport:
     for the 4^m states."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    spec = GroupSpec.uniform(2, m)
+    spec = GroupSpec(2, m)
     least, _ = _canonical_engine(spec)
     orbit_count = count_orbits_burnside(spec).orbit_count
 

@@ -146,7 +146,7 @@ def _emit(fmt: str, header: list[str], rows, payload, text=None, listing=None) -
 
 
 def cmd_orbits(args) -> int:
-    spec = GroupSpec.uniform(args.p, args.n)
+    spec = GroupSpec(args.p, args.n)
     if args.list:  # over the state budget exits 3 before any count or row
         check_budget(args.p, 2 * args.n, args.budget)
         listed = sum(1 for _ in orbits._echelon_minima(spec))
@@ -176,8 +176,8 @@ def cmd_orbits(args) -> int:
     header = ["representative", "size", "stabilizer_order"]
     fmt, p, shown = state_formatter(spec), args.p, {}
     for size in (1, p * p - 1, p * (p * p - 1)):  # each orbit size: its two columns
-        stabilizer = orbits.OrbitSummary(0, size, spec).stabilizer_order
-        shown[size] = [str(size), "-" if stabilizer is None else str(stabilizer)]
+        stabilizer = str(formulas.exact_div(p * (p * p - 1), size)) if args.n else "-"
+        shown[size] = [str(size), stabilizer]
     rows = ([fmt(i), *shown[size]] for i, size in orbits._echelon_minima(spec))
     _emit(args.format, header, rows, payload, listing="orbits")
     return 0
@@ -224,7 +224,7 @@ def cmd_verify(args) -> int:
     rows = []
     all_ok = True
     for m in range(1, args.m_max + 1):
-        spec = GroupSpec.uniform(2, m)
+        spec = GroupSpec(2, m)
         report = bridge.verify_bridge(m, args.budget)
         bfs = orbits.count_orbits_bfs(spec, args.budget).orbit_count
         can = orbits.count_orbits_canonical(spec, args.budget).orbit_count

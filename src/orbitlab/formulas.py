@@ -87,20 +87,6 @@ def f_closed(p: int, n: int) -> int:
     return p ** (n - 1) * (p ** n + p - 1)
 
 
-def f_recurrence(p: int, n: int) -> int:
-    """Same difference computed purely by F(n) = p F(n-1) + p^(2n-2)(p - 1).
-
-    Base case F(1) = 2p - 1.
-    """
-    _require_prime(p)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    value = 2 * p - 1
-    for i in range(2, n + 1):
-        value = p * value + p ** (2 * i - 2) * (p - 1)
-    return value
-
-
 def r_telescoped(p: int, n: int) -> int:
     """Orbit count as the telescoping sum 2 + F(1) + ... + F(n-1)."""
     _require_prime(p)

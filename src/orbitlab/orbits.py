@@ -24,8 +24,6 @@ from .formulas import exact_div
 from .residues import (
     GroupSpec,
     PairState,
-    apply_s,
-    apply_t,
     state_from_index,
     state_index,
     vector_rank,
@@ -80,19 +78,6 @@ def _row_moves(p: int, n: int):
         return p, chunk(1, row[::p], 1), chunk(1, range(p), 1)
     base = p ** (2 * (n // 2))
     return base, chunk(n - n // 2, row, base), chunk(n // 2, row, 1)
-
-
-def orbit_of(s: PairState) -> set[PairState]:
-    """Breadth-first closure of {s} under the two moves."""
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        cur = queue.popleft()
-        for nxt in (apply_s(cur), apply_t(cur)):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
 
 
 def _bfs_orbits(spec: GroupSpec, budget: int | None):

@@ -26,6 +26,7 @@ class GroupSpec:
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
 
+    # outside tests, only perfbench/ reads uniform and moduli (ROADMAP item 2)
     @classmethod
     def uniform(cls, p: int, n: int) -> "GroupSpec":
         return cls(p, n)
@@ -98,22 +99,6 @@ def apply_s(s: PairState) -> PairState:
 def apply_t(s: PairState) -> PairState:
     """(g, k) -> (g, k + g)."""
     return PairState(s.g, s.k + s.g)
-
-
-def apply_mat(s: PairState, mat: tuple[int, int, int, int]) -> PairState:
-    """Right action of mat = (a, b, c, d), the matrix [[a, b], [c, d]] of
-    determinant 1 mod p, on the n x 2 matrix [g | k].
-
-    Columns transform as (g, k) -> (a g + c k, b g + d k), so (0, -1, 1, 0)
-    and (1, 1, 0, 1) reproduce apply_s and apply_t exactly.
-    """
-    spec = s.spec
-    a, b, c, d = mat
-    if (a * d - b * c) % spec.p != 1:
-        raise ValueError(f"determinant must be 1 mod {spec.p}: [[{a},{b}],[{c},{d}]]")
-    g = tuple(a * gi + c * ki for gi, ki in zip(s.g.entries, s.k.entries))
-    k = tuple(b * gi + d * ki for gi, ki in zip(s.g.entries, s.k.entries))
-    return PairState(ResidueVector(g, spec), ResidueVector(k, spec))
 
 
 def enumerate_sl2(p: int) -> list[tuple[int, int, int, int]]:

@@ -11,8 +11,9 @@ import time
 from contextlib import contextmanager
 from itertools import product
 
+from oracles import f_recurrence
 from orbitlab.bridge import encode_word, verify_bridge
-from orbitlab.formulas import f_closed, f_recurrence, is_prime, r_formula
+from orbitlab.formulas import f_closed, is_prime, r_formula
 from orbitlab.orbits import (
     count_orbits_bfs,
     count_orbits_burnside,

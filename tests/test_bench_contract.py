@@ -7,6 +7,7 @@ the public API (a report field, a summary field, an output line) from
 surfacing only when the benchmark runs.
 """
 
+import ast
 import importlib.util
 import re
 import sys
@@ -18,7 +19,8 @@ import pytest
 import orbitlab
 from orbitlab import cli
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS_PY = ROOT / "perfbench" / "workloads.py"
 
 
 def _load_workloads():
@@ -63,3 +65,34 @@ def test_package_exports_what_the_benchmark_reads():
     # everything else imports the submodules
     read = set(re.findall(r"\bol\.(\w+)", WORKLOADS_PY.read_text()))
     assert read == set(orbitlab.__all__)
+
+
+def _defined(tree) -> set[str]:
+    """The public names a module binds at top level (imports aside)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def _read(tree) -> set[str]:
+    """Every name the module loads, bare or as an attribute."""
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)})
+
+
+def test_every_public_name_in_src_has_a_reader():
+    # tests read src, but a name only tests read is an oracle: it belongs
+    # in tests/oracles.py, so the package holds one copy of each job
+    src = sorted((ROOT / "src" / "orbitlab").glob("*.py"))
+    readers = [*src, *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    read = set().union(*(_read(ast.parse(path.read_text())) for path in readers))
+    unread = {f"{path.stem}.{name}" for path in src
+              for name in _defined(ast.parse(path.read_text())) - read}
+    assert not unread

@@ -1,9 +1,9 @@
 import pytest
 
+from oracles import f_recurrence
 from orbitlab.formulas import (
     exact_div,
     f_closed,
-    f_recurrence,
     is_prime,
     r_formula,
     r_p2_product,

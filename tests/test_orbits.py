@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import all_states, apply_mat, group_image, orbit_of, pair
 from orbitlab.budget import BudgetExceeded
 from orbitlab.formulas import r_formula
 from orbitlab.orbits import (
@@ -11,33 +12,17 @@ from orbitlab.orbits import (
     count_orbits_bfs,
     count_orbits_burnside,
     count_orbits_canonical,
-    orbit_of,
     orbit_summaries,
 )
 from orbitlab.residues import (
     GroupSpec,
     PairState,
-    ResidueVector,
-    apply_mat,
     apply_s,
     apply_t,
     enumerate_sl2,
     state_from_index,
     state_index,
 )
-
-
-def pair(g, k, spec):
-    return PairState(ResidueVector(tuple(g), spec), ResidueVector(tuple(k), spec))
-
-
-def all_states(spec):
-    return [state_from_index(i, spec) for i in range(spec.state_count)]
-
-
-def group_image(s):
-    """Independent orbit oracle: the set of all matrix images of s."""
-    return {apply_mat(s, m) for m in enumerate_sl2(s.spec.p)}
 
 
 def brute_minima(spec):

@@ -1,8 +1,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import orbit_of
 from orbitlab.formulas import f_closed, r_formula, r_telescoped
-from orbitlab.orbits import canonical_form, orbit_of
+from orbitlab.orbits import canonical_form
 from orbitlab.residues import (
     GroupSpec,
     PairState,

@@ -2,25 +2,17 @@ from itertools import product
 
 import pytest
 
+from oracles import all_states, apply_mat, pair
 from orbitlab.residues import (
     GroupSpec,
     PairState,
     ResidueVector,
-    apply_mat,
     apply_s,
     apply_t,
     enumerate_sl2,
     state_from_index,
     state_index,
 )
-
-
-def pair(g, k, spec):
-    return PairState(ResidueVector(tuple(g), spec), ResidueVector(tuple(k), spec))
-
-
-def all_states(spec):
-    return [state_from_index(i, spec) for i in range(spec.state_count)]
 
 
 Z2 = GroupSpec.uniform(2, 1)
