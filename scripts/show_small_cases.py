@@ -2,12 +2,13 @@
 """Print the small worlds side by side: orbit class listings over Z_2^n for
 n = 1, 2, the word tables for m <= 3, and where each word lands under the
 bit-row encoding.  Handy for eyeballing the word <-> orbit correspondence.
-Everything is read on packed state indices and printed by the CLI's state
-formatter."""
+Everything is read on packed state indices, each word's from its letters
+by the bridge's encoder, and printed by the CLI's state formatter."""
 
 import argparse
 import sys
 
+from orbitlab.bridge import _word_index
 from orbitlab.cli import state_formatter
 from orbitlab.orbits import _canonical_engine, orbit_summaries
 from orbitlab.residues import GroupSpec
@@ -32,8 +33,8 @@ def show_words(m: int) -> None:
     spec = GroupSpec(2, m)
     fmt = state_formatter(spec)
     least, _ = _canonical_engine(spec)
-    for letters, i in words:
-        word = "".join(map(str, letters))
+    for letters in words:
+        word, i = "".join(map(str, letters)), _word_index(letters, m)
         print(f"  {word}  ->  [{fmt(i)}]  class [{fmt(least(i))}]")
     print()
 

@@ -1,13 +1,16 @@
 """The letter-to-bit-row map from words into pair states over Z_2.
 
 Each letter becomes one row of an m x 2 bit matrix (words.LETTER_BITS:
-1 -> 00, 2 -> 10, 3 -> 11, 4 -> 01).  verify_bridge machine-checks that
+1 -> 00, 2 -> 10, 3 -> 11, 4 -> 01); _word_index is the one map from a
+word's letters to its packed index.  verify_bridge machine-checks that
 composing with the canonical form, (min, middle) of the bit rows
 {g, k, g ^ k}, hits every orbit exactly once: bijectivity is checked, never
-assumed.  It streams the word walk once and takes each packed word index i
-on a round trip, word -> orbit -> word: decode(least(i)) must give i back,
-so no two words share an orbit, given that the walked words are distinct
-(their letters increase) and in the language, which the round trip implies
+assumed.  It streams the word walk once, encodes each word's letters to
+its index i and takes i on a round trip, word -> orbit -> word:
+decode(least(i)) must give i back.  So no two words share an orbit, given
+that the walked words are distinct (their letters increase), that distinct
+words have distinct indices (the four letters have distinct rows, checked
+once), and that they are in the language, which the round trip implies
 (see _decode).  Surjectivity is then pigeonhole against the independent
 Burnside count (four diagonals at p = 2).  On success nothing is
 collected.  Only when a check fails does a second pass keep the first word
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 from .orbits import _canonical_engine, _echelon_minima, count_orbits_burnside
 from .residues import GroupSpec, PairState, state_from_index
-from .words import LETTER_BITS, RGWord, _words
+from .words import ALPHABET, LETTER_BITS, RGWord, _words
 
 
 @dataclass(slots=True)
@@ -46,8 +49,6 @@ class BridgeReport:
 def encode_word(word: RGWord) -> PairState:
     """Pair state over Z_2^m whose row i is the bit row of letter a_i."""
     m = len(word.letters)
-    if m < 1:
-        raise ValueError("cannot encode the empty word")
     return state_from_index(_word_index(word.letters, m), GroupSpec(2, m))
 
 
@@ -58,12 +59,12 @@ _G_DIGITS, _K_DIGITS = (
 
 
 def _word_index(letters, m: int) -> int:
-    # packed index of encode_word: g bits then k bits, each read in O(m) as
-    # a binary numeral, the first letter's bit most significant
+    # packed index of encode_word: the g bits then the k bits, read in O(m)
+    # as one binary numeral, the first letter's bit most significant
+    if m < 1:
+        raise ValueError("cannot encode the empty word")
     letters = bytes(letters)
-    g = int(b"0" + letters.translate(_G_DIGITS), 2)
-    k = int(b"0" + letters.translate(_K_DIGITS), 2)
-    return (g << m) | k
+    return int(letters.translate(_G_DIGITS) + letters.translate(_K_DIGITS), 2)
 
 
 def _decode(rep: int, m: int) -> int:
@@ -90,16 +91,21 @@ def verify_bridge(m: int, budget: int | None = None) -> BridgeReport:
     least, _ = _canonical_engine(spec)
     orbit_count = count_orbits_burnside(spec).orbit_count
 
-    previous, word_count = (), 0
-    for letters, i in _words(m, budget):
-        if letters <= previous or _decode(least(i), m) != i:
-            break
-        previous, word_count = letters, word_count + 1
-    else:
-        # distinct valid words on distinct orbits, so they cover all orbits
-        # iff they are as many
-        if word_count == orbit_count:
-            return BridgeReport(m, word_count, orbit_count, True, True, [], [])
+    # the encoder reads each letter through one table per column, so it is
+    # injective on words iff the four letters have distinct rows
+    index = _word_index
+    if len({index((a,), 1) for a in ALPHABET}) == len(ALPHABET):
+        previous, word_count = (), 0
+        for letters in _words(m, budget):
+            i = index(letters, m)
+            if letters <= previous or _decode(least(i), m) != i:
+                break
+            previous, word_count = letters, word_count + 1
+        else:
+            # distinct valid words on distinct orbits, so they cover all
+            # orbits iff they are as many
+            if word_count == orbit_count:
+                return BridgeReport(m, word_count, orbit_count, True, True, [], [])
     return _certified(spec, least, orbit_count, budget)
 
 
@@ -111,7 +117,7 @@ def _certified(spec: GroupSpec, least, orbit_count: int,
     m = spec.n
     first: dict[int, RGWord] = {}  # canonical image -> first word reaching it
     collisions = []
-    for letters, _ in _words(m, budget):
+    for letters in _words(m, budget):
         word = RGWord(letters)
         rep = least(_word_index(word.letters, m))
         if rep in first:

@@ -26,26 +26,44 @@ TABLE_ROWS = 4096  # the most strings one formatter's table holds
 HALVING_CHUNKS = 16  # a formatter splits longer runs of table chunks in halves
 
 
-def _table_formatter(p: int, n: int, cells, sep: str, empty: str):
-    """Return fmt(i): the n rows of the packed index i = G * p^n + K, row j
-    the string cells[g_j * p + k_j] of the j-th base-p digits of G and K,
-    the first row most significant, joined by sep; empty at n = 0.
+class _Rows:
+    """The one-row strings g:k, indexed g * p + k, for p too large to tabulate."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __getitem__(self, x: int) -> str:
+        g, k = divmod(x, self.p)
+        return f"{g}:{k}"
+
+
+def state_formatter(spec: GroupSpec):
+    """Return fmt(i): the n rows of the state with packed index
+    i = G * p^n + K as digit strings, row j the j-th base-p digits g_j then
+    k_j of G and K (with a ":" between them when p > 10), the first row
+    most significant, joined by spaces; "-" at n = 0.
 
     fmt looks up c rows at a time in a table of their p^(2c) joined strings,
     c as large as keeps it at TABLE_ROWS entries (and at most n), and the
     leading n mod c rows in a head table.  Each table is the last one with
     one more row appended, so building them costs about TABLE_ROWS
-    concatenations.  When p^2 is over TABLE_ROWS, c is 1 and cells need
-    only be indexable.  Peeling c rows at a time off the m-row G and K
-    divides numbers of O(m) digits m / c times, so a state of more than
+    concatenations.  When p^2 is over TABLE_ROWS, c is 1 and the rows come
+    from _Rows.  Peeling c rows at a time off the n-row G and K divides
+    numbers of O(n) digits n / c times, so a state of more than
     HALVING_CHUNKS chunks is cut by halves first, down to runs that short.
     """
+    p, n = spec.p, spec.n
+    if p * p > TABLE_ROWS:
+        cells = _Rows(p)
+    else:
+        colon = "" if p <= 10 else ":"
+        cells = [f"{g}{colon}{k}" for g in range(p) for k in range(p)]
     c = 1
     while c < n and p ** (2 * c + 2) <= TABLE_ROWS:
         c += 1
     tables = [cells]  # tables[j]: the strings of j + 1 rows, index G * p^(j+1) + K
-    # by the new row's g digit: sep and the row, for each k digit
-    appended = [[sep + cells[g * p + k] for k in range(p)] for g in range(p)] if c > 1 else []
+    # by the new row's g digit: a space and the row, for each k digit
+    appended = [[" " + cells[g * p + k] for k in range(p)] for g in range(p)] if c > 1 else []
     for j in range(1, c):
         last, q = tables[-1], p ** j
         tables.append([left + right
@@ -78,42 +96,9 @@ def _table_formatter(p: int, n: int, cells, sep: str, empty: str):
         if h:
             parts.append(head[g * head_base + k])
         parts.reverse()
-        return sep.join(parts) or empty
+        return " ".join(parts) or "-"
 
     return fmt
-
-
-class _Rows:
-    """The one-row strings g:k, indexed g * p + k, for p too large to tabulate."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def __getitem__(self, x: int) -> str:
-        g, k = divmod(x, self.p)
-        return f"{g}:{k}"
-
-
-def state_formatter(spec: GroupSpec):
-    """Return fmt(i): the rows of the state with packed index i as digit
-    strings, row j = g_j then k_j (with a ":" between them when p > 10),
-    joined by spaces; "-" at n = 0."""
-    p = spec.p
-    if p * p > TABLE_ROWS:
-        cells = _Rows(p)
-    else:
-        sep = "" if p <= 10 else ":"
-        cells = [f"{g}{sep}{k}" for g in range(p) for k in range(p)]
-    return _table_formatter(p, spec.n, cells, " ", "-")
-
-
-def word_formatter(m: int):
-    """Return fmt(i): the length-m word whose packed bit-row index (see
-    bridge.encode_word) is i, as its digit string; "" at m = 0."""
-    cells = [""] * 4
-    for a, (g, k) in words.LETTER_BITS.items():
-        cells[2 * g + k] = str(a)
-    return _table_formatter(2, m, cells, "", "")
 
 
 def _emit(fmt: str, header: list[str], rows, payload, text=None, listing=None) -> None:
@@ -183,6 +168,9 @@ def cmd_orbits(args) -> int:
     return 0
 
 
+_SPELLING = bytes.maketrans(bytes(words.ALPHABET), b"1234")  # each letter's digit
+
+
 def cmd_words(args) -> int:
     # over the state budget exits 3 before the count; count_words refuses m < 0
     if args.list and args.m >= 0:
@@ -191,8 +179,8 @@ def cmd_words(args) -> int:
     count = str(words.count_words(args.m))
     payload = {"m": args.m, "count": count}
     if args.list:  # the words stream as the walk yields them
-        fmt = word_formatter(args.m)
-        listed = (fmt(i) for _, i in words._words(args.m, args.budget))
+        listed = (bytes(w).translate(_SPELLING).decode()
+                  for w in words._words(args.m, args.budget))
         _emit(args.format, ["word"], ([w] for w in listed), payload, text=listed,
               listing="words")
     else:
@@ -203,12 +191,10 @@ def cmd_words(args) -> int:
 def cmd_encode(args) -> int:
     word = words.word_from_string(args.word)  # so str(word) is args.word
     m = len(word)
-    if m < 1:
-        raise ValueError("cannot encode the empty word")
+    i = bridge._word_index(word.letters, m)  # refuses the empty word
     spec = GroupSpec(2, m)
     least, _ = orbits._canonical_engine(spec)
     fmt = state_formatter(spec)
-    i = bridge._word_index(word.letters, m)
     rows, canon = fmt(i), fmt(least(i))
     _emit(args.format, ["word", "rows", "canonical"], [[args.word, rows, canon]],
           {"word": args.word, "rows": rows.split(" "),

