@@ -16,6 +16,7 @@ import sys
 import time
 
 from orbitlab.bridge import verify_bridge
+from orbitlab.budget import BudgetExceeded, check_budget
 from orbitlab.formulas import r_formula
 from orbitlab.orbits import (
     count_orbits_bfs,
@@ -39,6 +40,10 @@ def main() -> int:
     parser.add_argument("--p2-max", type=int, default=8,
                         help="largest n for p = 2 (default 8)")
     args = parser.parse_args()
+    try:  # the p = 2 row has the most states: refused before any row
+        check_budget(2, 2 * args.p2_max)
+    except BudgetExceeded as exc:
+        parser.error(str(exc))
 
     grid = [(2, args.p2_max)] + DEFAULT_GRID[1:]
     mismatches = 0

@@ -9,10 +9,11 @@ import argparse
 import sys
 
 from orbitlab.bridge import _word_index
+from orbitlab.budget import BudgetExceeded, check_budget
 from orbitlab.cli import state_formatter
 from orbitlab.orbits import _canonical_engine, orbit_summaries
 from orbitlab.residues import GroupSpec
-from orbitlab.words import _words
+from orbitlab.words import _SPELLING, _words, count_words
 
 
 def show_orbits(n: int) -> None:
@@ -28,13 +29,12 @@ def show_orbits(n: int) -> None:
 
 
 def show_words(m: int) -> None:
-    words = list(_words(m))
-    print(f"{len(words)} words of length {m}, with their encoded classes:")
+    print(f"{count_words(m)} words of length {m}, with their encoded classes:")
     spec = GroupSpec(2, m)
     fmt = state_formatter(spec)
     least, _ = _canonical_engine(spec)
-    for letters in words:
-        word, i = "".join(map(str, letters)), _word_index(letters, m)
+    for letters in _words(m):  # streamed: no word list is held
+        word, i = bytes(letters).translate(_SPELLING).decode(), _word_index(letters, m)
         print(f"  {word}  ->  [{fmt(i)}]  class [{fmt(least(i))}]")
     print()
 
@@ -43,6 +43,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--m-max", type=int, default=3)
     args = parser.parse_args()
+    try:  # the longest words are the most: refused before anything prints
+        check_budget(4, args.m_max)
+    except BudgetExceeded as exc:
+        parser.error(str(exc))
     for n in (1, 2):
         show_orbits(n)
     for m in range(1, args.m_max + 1):

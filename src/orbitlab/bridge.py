@@ -81,10 +81,9 @@ def _decode(rep: int, m: int) -> int:
     return ((g ^ k) << m) | g if g else k << m
 
 
-def verify_bridge(m: int, budget: int | None = None) -> BridgeReport:
+def verify_bridge(m: int) -> BridgeReport:
     """Encode every length-m word, canonicalize, and compare against the
-    orbit census at p = 2, n = m.  The budget is charged by the word walk,
-    for the 4^m states."""
+    orbit census at p = 2, n = m."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     spec = GroupSpec(2, m)
@@ -96,7 +95,7 @@ def verify_bridge(m: int, budget: int | None = None) -> BridgeReport:
     index = _word_index
     if len({index((a,), 1) for a in ALPHABET}) == len(ALPHABET):
         previous, word_count = (), 0
-        for letters in _words(m, budget):
+        for letters in _words(m):
             i = index(letters, m)
             if letters <= previous or _decode(least(i), m) != i:
                 break
@@ -106,18 +105,17 @@ def verify_bridge(m: int, budget: int | None = None) -> BridgeReport:
             # orbits iff they are as many
             if word_count == orbit_count:
                 return BridgeReport(m, word_count, orbit_count, True, True, [], [])
-    return _certified(spec, least, orbit_count, budget)
+    return _certified(spec, least, orbit_count)
 
 
-def _certified(spec: GroupSpec, least, orbit_count: int,
-               budget: int | None) -> BridgeReport:
+def _certified(spec: GroupSpec, least, orbit_count: int) -> BridgeReport:
     """The report with its certificates, from the letters alone: the first
     word per canonical image, each later word with that image as a collision,
     and the echelon minima no word reached."""
     m = spec.n
     first: dict[int, RGWord] = {}  # canonical image -> first word reaching it
     collisions = []
-    for letters in _words(m, budget):
+    for letters in _words(m):
         word = RGWord(letters)
         rep = least(_word_index(word.letters, m))
         if rep in first:

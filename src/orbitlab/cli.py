@@ -132,19 +132,22 @@ def _emit(fmt: str, header: list[str], rows, payload, text=None, listing=None) -
 
 def cmd_orbits(args) -> int:
     spec = GroupSpec(args.p, args.n)
-    if args.list:  # over the state budget exits 3 before any count or row
+    # over the budget exits 3 before any count or row: a listing or a sweep
+    # is charged its p^(2n) states, Burnside its p^2 diagonals
+    if args.list or args.method in ("bfs", "canonical"):
         check_budget(args.p, 2 * args.n, args.budget)
-        listed = sum(1 for _ in orbits._echelon_minima(spec))
     if args.method in ("formula", "burnside"):  # the others are bounded by the budget
         check_printable(args.p, args.n)
+    if args.method == "burnside":
+        check_budget(args.p, 2, args.budget, "diagonals")
     if args.method == "formula":
         count = formulas.r_formula(args.p, args.n)
     elif args.method == "bfs":
-        count = orbits.count_orbits_bfs(spec, args.budget).orbit_count
+        count = orbits.count_orbits_bfs(spec).orbit_count
     elif args.method == "canonical":
-        count = orbits.count_orbits_canonical(spec, args.budget).orbit_count
+        count = orbits.count_orbits_canonical(spec).orbit_count
     else:
-        count = orbits.count_orbits_burnside(spec, args.budget).orbit_count
+        count = orbits.count_orbits_burnside(spec).orbit_count
     payload = {"p": args.p, "n": args.n, "method": args.method,
                "orbit_count": str(count)}
 
@@ -154,6 +157,7 @@ def cmd_orbits(args) -> int:
               payload, text=[str(count)])
         return 0
 
+    listed = sum(1 for _ in orbits._echelon_minima(spec))
     if count != listed:  # the listing is not a census of its own
         print(f"orbits: {args.method} counts {count} orbits, "
               f"the listing has {listed}", file=sys.stderr)
@@ -168,9 +172,6 @@ def cmd_orbits(args) -> int:
     return 0
 
 
-_SPELLING = bytes.maketrans(bytes(words.ALPHABET), b"1234")  # each letter's digit
-
-
 def cmd_words(args) -> int:
     # over the state budget exits 3 before the count; count_words refuses m < 0
     if args.list and args.m >= 0:
@@ -179,8 +180,7 @@ def cmd_words(args) -> int:
     count = str(words.count_words(args.m))
     payload = {"m": args.m, "count": count}
     if args.list:  # the words stream as the walk yields them
-        listed = (bytes(w).translate(_SPELLING).decode()
-                  for w in words._words(args.m, args.budget))
+        listed = (bytes(w).translate(words._SPELLING).decode() for w in words._words(args.m))
         _emit(args.format, ["word"], ([w] for w in listed), payload, text=listed,
               listing="words")
     else:
@@ -211,9 +211,9 @@ def cmd_verify(args) -> int:
     all_ok = True
     for m in range(1, args.m_max + 1):
         spec = GroupSpec(2, m)
-        report = bridge.verify_bridge(m, args.budget)
-        bfs = orbits.count_orbits_bfs(spec, args.budget).orbit_count
-        can = orbits.count_orbits_canonical(spec, args.budget).orbit_count
+        report = bridge.verify_bridge(m)
+        bfs = orbits.count_orbits_bfs(spec).orbit_count
+        can = orbits.count_orbits_canonical(spec).orbit_count
         bur = report.orbit_count  # verify_bridge's Burnside census
         r = formulas.r_formula(2, m)
         wc = words.count_words(m)

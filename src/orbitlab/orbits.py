@@ -19,7 +19,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .budget import check_budget
 from .formulas import exact_div
 from .residues import (
     GroupSpec,
@@ -73,19 +72,18 @@ def _row_moves(p: int, n: int):
             t = [x * p * p + y for x in t for y in t_row]
         return s, t
 
-    row = range(p * p)
+    row = range(p * p if n else 0)  # n = 0: one state, and no row to move
     if n == 1:
         return p, chunk(1, row[::p], 1), chunk(1, range(p), 1)
     base = p ** (2 * (n // 2))
     return base, chunk(n - n // 2, row, base), chunk(n // 2, row, 1)
 
 
-def _bfs_orbits(spec: GroupSpec, budget: int | None):
+def _bfs_orbits(spec: GroupSpec):
     """Visited sweep on row-packed states (see _row_moves; no other code
     reads that packing), one visited byte each, skipping visited runs with
     bytearray.find.  Yields (start, size) per orbit: start is the orbit's
     least row-packed index, which is not in general its least packed one."""
-    check_budget(spec.p, 2 * spec.n, budget)
     total = spec.state_count
     base, (s_hi, t_hi), (s_lo, t_lo) = _row_moves(spec.p, spec.n)
     visited = bytearray(total)
@@ -110,9 +108,9 @@ def _bfs_orbits(spec: GroupSpec, budget: int | None):
         start = visited.find(0, start + 1)
 
 
-def count_orbits_bfs(spec: GroupSpec, budget: int | None = None) -> CensusReport:
+def count_orbits_bfs(spec: GroupSpec) -> CensusReport:
     """Exact orbit count by visited-sweep BFS over all p^(2n) states."""
-    return CensusReport(sum(1 for _ in _bfs_orbits(spec, budget)))
+    return CensusReport(sum(1 for _ in _bfs_orbits(spec)))
 
 
 def _canonical_engine(spec: GroupSpec):
@@ -194,14 +192,13 @@ def canonical_form(s: PairState) -> PairState:
     return state_from_index(least(state_index(s)), s.spec)
 
 
-def count_orbits_canonical(spec: GroupSpec, budget: int | None = None) -> CensusReport:
+def count_orbits_canonical(spec: GroupSpec) -> CensusReport:
     """Count the states that are their orbit's minimum; O(1) extra memory."""
-    check_budget(spec.p, 2 * spec.n, budget)
     _, is_least = _canonical_engine(spec)
     return CensusReport(sum(map(is_least, range(spec.state_count))))
 
 
-def count_orbits_burnside(spec: GroupSpec, budget: int | None = None) -> CensusReport:
+def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
     """Average fixed-point counts over the matrix group, by diagonal (a, d).
 
     A matrix fixes a state iff every row lies in the fixed space of the row
@@ -209,12 +206,10 @@ def count_orbits_burnside(spec: GroupSpec, budget: int | None = None) -> CensusR
     only at the identity; otherwise det(A - I) = 2 - trace makes it 1 exactly
     when a + d = 2, and 2 elsewhere.  bc = ad - 1 has 2p - 1 solutions (b, c)
     when ad = 1 and p - 1 otherwise, so O(p^2) diagonals cover all
-    p(p^2 - 1) matrices.  The p^2 diagonals count against the budget, at
-    every n.  The averaged sum must divide exactly; a remainder is a hard
-    error.
+    p(p^2 - 1) matrices, at every n.  The averaged sum must divide exactly;
+    a remainder is a hard error.
     """
     n, p = spec.n, spec.p
-    check_budget(p, 2, budget, "diagonals")
     fixed = (p ** (2 * n), p ** n, 1)  # by rank of A - I
     total = fixed[0] - fixed[1]  # the identity, counted below as rank 1
     for a in range(p):
@@ -245,9 +240,7 @@ def _echelon_minima(spec: GroupSpec):
                     yield i, plane
 
 
-def orbit_summaries(spec: GroupSpec, budget: int | None = None) -> list[OrbitSummary]:
+def orbit_summaries(spec: GroupSpec) -> list[OrbitSummary]:
     """One OrbitSummary per orbit, sorted by representative index: the
-    echelon minima as records, in O(orbits) and with no state built, after
-    the state budget check of the censuses."""
-    check_budget(spec.p, 2 * spec.n, budget)
+    echelon minima as records, in O(orbits) and with no state built."""
     return [OrbitSummary(rep, size, spec) for rep, size in _echelon_minima(spec)]

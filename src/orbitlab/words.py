@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import check_budget
-
 ALPHABET = (1, 2, 3, 4)
+# each letter's ASCII digit, for bytes.translate: the one spelling of words;
+# word_from_string parses through its inverse
+_SPELLING = bytes.maketrans(bytes(ALPHABET), "".join(map(str, ALPHABET)).encode())
+_LETTERS = {chr(_SPELLING[a]): a for a in ALPHABET}
 
 # the bit row (g, k) of each letter: bridge._word_index reads a word through
 # one table per column, so it is injective iff these four rows are distinct
@@ -54,22 +56,19 @@ class RGWord:
             raise ValueError(violation)
 
     def __str__(self) -> str:
-        return "".join(str(a) for a in self.letters)
+        return bytes(self.letters).translate(_SPELLING).decode()
 
     def __len__(self) -> int:
         return len(self.letters)
 
 
-_DIGITS = {str(a): a for a in ALPHABET}
-
-
 def word_from_string(text: str) -> RGWord:
     """Parse a digit string; the error names the first violated constraint."""
     # a character outside 1..4 stays a string so the error can quote it
-    return RGWord(tuple(_DIGITS.get(ch, ch) for ch in text))
+    return RGWord(tuple(_LETTERS.get(ch, ch) for ch in text))
 
 
-def _words(m: int, budget: int | None = None):
+def _words(m: int):
     """Yield the valid words of length m as letter tuples, lexicographically.
 
     A depth-first walk over one shared letter list, on an explicit stack of
@@ -79,7 +78,6 @@ def _words(m: int, budget: int | None = None):
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    check_budget(4, m, budget)
     # after each running maximum: the letters the growth bound allows, in
     # order, each with the running maximum it leaves; lasts holds them as
     # the 1-tuples that end a word
@@ -102,9 +100,9 @@ def _words(m: int, budget: int | None = None):
             yield ()
 
 
-def enumerate_words(m: int, budget: int | None = None) -> list[RGWord]:
+def enumerate_words(m: int) -> list[RGWord]:
     """All valid words of length m, lexicographically, by prefix extension."""
-    return [RGWord(w) for w in _words(m, budget)]
+    return [RGWord(w) for w in _words(m)]
 
 
 def count_words(m: int) -> int:

@@ -6,7 +6,6 @@ import pytest
 from oracles import letters_of_rows, pair
 from orbitlab import bridge, cli
 from orbitlab.bridge import encode_word, verify_bridge
-from orbitlab.budget import BudgetExceeded
 from orbitlab.orbits import (
     _canonical_engine,
     _echelon_minima,
@@ -127,9 +126,7 @@ class TestVerifyBridge:
         assert report.is_injective_on_orbits
         assert report.word_count == report.orbit_count
 
-    def test_budget_and_domain(self):
-        with pytest.raises(BudgetExceeded):
-            verify_bridge(6, budget=100)
+    def test_domain(self):
         with pytest.raises(ValueError):
             verify_bridge(0)
 
@@ -241,9 +238,9 @@ def patch_walk(monkeypatch, change):
     return the list of the m of each walk it starts."""
     real, walks = bridge._words, []
 
-    def walk(m, budget=None):
+    def walk(m):
         walks.append(m)
-        return change(list(real(m, budget)))
+        return change(list(real(m)))
     monkeypatch.setattr(bridge, "_words", walk)
     return walks
 

@@ -108,6 +108,14 @@ class TestOrbits:
         assert (code, out) == (0, "2\n")
         assert peak < 32 * 1024
 
+    def test_bfs_memory_at_n0(self):
+        # one state and no row: move tables built over all p^2 row digits
+        # anyway took 7.9 s and peaked at 705 MiB
+        code, out, peak = run_measured("orbits", "--p", "3001", "--n", "0",
+                                       "--method", "bfs")
+        assert (code, out) == (0, "1\n")
+        assert peak < 32 * 1024
+
     def test_canonical_large_prime_finishes(self):
         # 1,018,081 states, each decided by row reduction, not by 1e9 matrices
         result = subprocess.run(
@@ -385,6 +393,16 @@ class TestWords:
         assert first == "1" * 1100 + "\n"
         assert (proc.returncode, err) == (0, "")
 
+    def test_listing_parser_and_word_spell_alike(self, capsys):
+        # the listing, RGWord and word_from_string read one spelling table
+        for m in range(8):
+            code, out, _ = run(capsys, "words", "--m", str(m), "--list")
+            lines = out.split("\n")[:-1]
+            assert code == 0 and len(lines) == words.count_words(m), m
+            for line, letters in zip(lines, words._words(m)):
+                assert line == str(words.RGWord(letters))
+                assert words.word_from_string(line).letters == letters
+
 
 class TestEncode:
     def test_example_234(self, capsys):
@@ -484,7 +502,7 @@ class TestVerify:
         real = cli.bridge._words
         monkeypatch.setattr(
             cli.bridge, "_words",
-            lambda m, budget=None: change(list(real(m, budget))) if m == 4 else real(m, budget))
+            lambda m: change(list(real(m))) if m == 4 else real(m))
         code, out, err = run(capsys, "verify", "--m-max", "4")
         assert code == 1
         assert out.splitlines()[-1] == "4 PASS PASS FAIL FAIL FAIL 51"
@@ -503,14 +521,6 @@ class TestVerify:
 
     def test_m_max_validation(self, capsys):
         assert run(capsys, "verify", "--m-max", "0")[0] == 2
-
-    def test_budget_refused_before_any_m(self, capsys, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("verify_bridge ran on an over-budget m-max")
-        monkeypatch.setattr(cli.bridge, "verify_bridge", unreachable)
-        code, out, err = run(capsys, "verify", "--m-max", "10", "--budget", "262144")
-        assert (code, out) == (3, "")
-        assert "262144" in err
 
 
 class TestSequence:
@@ -628,6 +638,52 @@ class TestContract:
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert f"budget must be >= 0, got {argv.split()[-1]}" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_budget_refused_before_any_engine(self, capsys, monkeypatch, fmt):
+        # each command charges its budget once, up front; the engines only compute
+        def unreachable(*args):
+            raise AssertionError("an engine ran on an over-budget command")
+        for module, name in [(orbits, "count_orbits_bfs"), (orbits, "count_orbits_canonical"),
+                             (orbits, "count_orbits_burnside"), (orbits, "_echelon_minima"),
+                             (words, "_words"), (bridge, "verify_bridge")]:
+            monkeypatch.setattr(module, name, unreachable)
+        states = "error: 262144 states exceed the budget of 10\n"
+        refusals = {f"orbits --p 2 --n 9 --method {method}{listed} --budget 10": states
+                    for method in ("bfs", "canonical", "burnside", "formula")
+                    for listed in ("", " --list")}
+        # counts that visit no state: 4 diagonals, and the closed form
+        del refusals["orbits --p 2 --n 9 --method burnside --budget 10"]
+        del refusals["orbits --p 2 --n 9 --method formula --budget 10"]
+        refusals.update({
+            "orbits --p 7 --n 1 --method burnside --budget 48":
+                "error: 49 diagonals exceed the budget of 48\n",
+            "orbits --p 2 --n 20000 --method canonical":
+                "error: at least 2^40000 states exceed the budget of 268435456\n",
+            "words --m 9 --list --budget 10": states,
+            "verify --m-max 9 --budget 10": states,
+            "verify --m-max 10 --budget 262144":
+                "error: 1048576 states exceed the budget of 262144\n"})
+        for argv, err in refusals.items():
+            assert run(capsys, *argv.split(), "--format", fmt) == (3, "", err), argv
+
+    @pytest.mark.parametrize("argv,err", [
+        ("orbits --p 2 --n 3 --budget 10", "64 states exceed the budget of 10"),
+        ("orbits --p 2 --n 3 --list --method formula --budget 63",
+         "64 states exceed the budget of 63"),
+        ("words --m 5 --list --budget 100", "1024 states exceed the budget of 100"),
+        ("verify --m-max 6 --budget 100", "4096 states exceed the budget of 100"),
+    ])
+    def test_budget_error_names_limit(self, capsys, argv, err):
+        assert run(capsys, *argv.split()) == (3, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_burnside_budget_counts_diagonals(self, capsys, n):
+        # p^2 = 25 diagonals at every n, the trivial group included
+        argv = ["orbits", "--p", "5", "--n", str(n), "--method", "burnside", "--budget"]
+        assert run(capsys, *argv, "25") == (0, f"{formulas.r_formula(5, n)}\n", "")
+        assert run(capsys, *argv, "24") == (
+            3, "", "error: 25 diagonals exceed the budget of 24\n")
 
     def test_budget_still_comes_first(self, capsys):
         # the last three have state counts too long to print: still exit 3

@@ -1,7 +1,6 @@
 import pytest
 
 from oracles import all_states, apply_mat, group_image, orbit_of, pair
-from orbitlab.budget import BudgetExceeded
 from orbitlab.formulas import r_formula
 from orbitlab.orbits import (
     _bfs_orbits,
@@ -73,7 +72,7 @@ def bfs_minima(spec):
     yielded size, and the start must be its least row-packed index, since
     the sweep runs in row-packed order."""
     found = []
-    for start, size in _bfs_orbits(spec, None):
+    for start, size in _bfs_orbits(spec):
         orbit = orbit_of(row_state(start, spec))
         assert len(orbit) == size, (start, size)
         assert start == min(map(row_index, orbit)), start
@@ -126,10 +125,6 @@ class TestBfsCensus:
             summaries = orbit_summaries(spec)
             assert len(summaries) == count_orbits_bfs(spec).orbit_count
             assert sum(s.size for s in summaries) == spec.state_count
-
-    def test_budget_error_names_limit(self):
-        with pytest.raises(BudgetExceeded, match="^64 states exceed the budget of 10$"):
-            count_orbits_bfs(GroupSpec.uniform(2, 3), budget=10)
 
     @pytest.mark.parametrize("p,n", [(3, 5), (11, 1), (13, 1), (13, 2), (5, 0),
                                      (2, 1), (3, 1), (2, 2), (3, 3), (2, 0)])
@@ -236,14 +231,6 @@ class TestBurnsideCensus:
         with pytest.raises(ValueError):
             count_orbits_burnside(GroupSpec.uniform(6, 1))
 
-    def test_budget_counts_diagonals(self):
-        # p^2 = 25 diagonals at every n, the trivial group included
-        for n in (0, 1, 3):
-            spec = GroupSpec.uniform(5, n)
-            assert count_orbits_burnside(spec, budget=25).orbit_count == r_formula(5, n)
-            with pytest.raises(BudgetExceeded, match="^25 diagonals exceed the budget of 24$"):
-                count_orbits_burnside(spec, budget=24)
-
 
 class TestMethodAgreement:
     GRID = [(2, 8), (3, 4), (5, 3), (7, 2)]
@@ -334,10 +321,6 @@ class TestOrbitSummaries:
                 assert s.stabilizer_order == sum(apply_mat(rep, mat) == rep for mat in matrices)
             else:
                 assert s.stabilizer_order is None
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            orbit_summaries(GroupSpec.uniform(2, 3), budget=63)
 
     def test_rejects_non_uniform(self):
         with pytest.raises(ValueError):

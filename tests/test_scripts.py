@@ -11,10 +11,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(script, args):
+def _run(script, args, timeout=60):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
 
 
@@ -26,6 +26,18 @@ def test_script_runs(script, args, expected_line):
     result = _run(script, args)
     assert (result.returncode, result.stderr) == (0, "")
     assert expected_line in result.stdout.splitlines()
+
+
+@pytest.mark.parametrize("script,args", [
+    ("grid_agreement.py", ["--p2-max", "15"]),  # 2^30 states at p = 2, n = 15
+    ("show_small_cases.py", ["--m-max", "15"]),  # 4^15 states' worth of words
+])
+def test_script_refuses_before_any_row(script, args):
+    # the whole run is charged once, before the first row: sweeping the
+    # rows below the refused one would take minutes and hundreds of MiB
+    result = _run(script, args, timeout=10)
+    assert result.returncode != 0 and result.stdout == ""
+    assert "exceed the budget" in result.stderr
 
 
 SMALL_CASES_M2 = """\
