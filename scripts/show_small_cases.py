@@ -9,8 +9,8 @@ import argparse
 import sys
 
 from orbitlab.bridge import _word_index
-from orbitlab.budget import BudgetExceeded, check_budget
-from orbitlab.cli import state_formatter
+from orbitlab.budget import check_budget
+from orbitlab.cli import main, state_formatter
 from orbitlab.orbits import _canonical_engine, orbit_summaries
 from orbitlab.residues import GroupSpec
 from orbitlab.words import _SPELLING, _words, count_words
@@ -39,14 +39,10 @@ def show_words(m: int) -> None:
     print()
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--m-max", type=int, default=3)
-    args = parser.parse_args()
-    try:  # the longest words are the most: refused before anything prints
-        check_budget(4, args.m_max)
-    except BudgetExceeded as exc:
-        parser.error(str(exc))
+def run(args) -> int:
+    if args.m_max < 0:
+        raise ValueError(f"m-max must be >= 0, got {args.m_max}")
+    check_budget(4, args.m_max)  # the longest words are the most: refused before anything prints
     for n in (1, 2):
         show_orbits(n)
     for m in range(1, args.m_max + 1):
@@ -55,4 +51,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--m-max", type=int, default=3)
+    parser.set_defaults(run=run)
+    sys.exit(main(parser=parser))

@@ -2,7 +2,7 @@
 
 Subcommands: orbits, words, encode, verify, sequence.  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 verification failure
-(verify, or an orbits listing whose length differs from the count),
+(verify, or an orbits listing that differs from the count or the states),
 2 usage error or a count too long to print, 3 state budget exceeded.  Json
 and csv counts are decimal strings, so consumers never round large values.
 """
@@ -14,7 +14,10 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
+from functools import partial
 from itertools import chain, islice
+from time import perf_counter
 from types import SimpleNamespace
 
 from . import bridge, formulas, orbits, words
@@ -130,24 +133,77 @@ def _emit(fmt: str, header: list[str], rows, payload, text=None, listing=None) -
         sys.stdout.write(chunk)
 
 
+# The census routes, which share no counting code (see orbits): name ->
+# (what `orbitlab orbits` charges it to the budget, its count of a GroupSpec)
+ROUTES = {
+    "bfs": ("states", lambda spec: orbits.count_orbits_bfs(spec).orbit_count),
+    "canonical": ("states", lambda spec: orbits.count_orbits_canonical(spec).orbit_count),
+    "burnside": ("diagonals", lambda spec: orbits.count_orbits_burnside(spec).orbit_count),
+    "formula": (None, lambda spec: formulas.r_formula(spec.p, spec.n)),
+}
+
+
+def walk_listing(spec: GroupSpec):
+    """The echelon listing walked once, not held: length, size sum, distinct sizes."""
+    sizes = Counter(size for _, size in orbits._echelon_minima(spec))
+    return sizes.total(), sum(size * count for size, count in sizes.items()), sizes.keys()
+
+
+def check_cell(spec: GroupSpec):
+    """Time each check of one cell, run once: the ROUTES, the listing and, at
+    p = 2, n >= 1, product, words and bridge; return (values, seconds) by name."""
+    checks = {name: partial(count, spec) for name, (_, count) in ROUTES.items()}
+    checks["listing"] = partial(walk_listing, spec)
+    if spec.p == 2 and spec.n >= 1:
+        checks.update(product=partial(formulas.r_p2_product, spec.n),
+                      words=partial(words.count_words, spec.n),
+                      bridge=partial(bridge.verify_bridge, spec.n))
+    values, seconds = {}, {}
+    for name, check in checks.items():
+        start = perf_counter()
+        values[name] = check()
+        seconds[name] = perf_counter() - start
+    return values, seconds
+
+
+def judge(spec: GroupSpec, values: dict):
+    """Return (verdict, evidence) for check_cell's values: whether each
+    column passes, and, unless all do, every count, the listing's totals and
+    the bridge's first certificate of each kind, as key=value pairs."""
+    p, bfs, r, report = spec.p, values["bfs"], values["formula"], values.get("bridge")
+    listed, covered, sizes = values["listing"]
+    verdict = {
+        "methods": (bfs == values["canonical"] == values["burnside"] == listed
+                    and covered == spec.state_count
+                    and all(p * (p * p - 1) % size == 0 for size in sizes)),
+        "formula": bfs == r == values.get("product", r),
+        "words": report is None or values["words"] == r == report.word_count,
+        "bridge": report is None or report.is_injective_on_orbits and report.is_surjective_on_orbits,
+    }
+    if all(verdict.values()):
+        return verdict, None
+    evidence = " ".join(f"{name}={values[name]}" for name in ROUTES)
+    if report is not None:
+        pair = "/".join(map(str, report.collisions[0])) if report.collisions else "-"
+        miss = (state_formatter(spec)(report.missed_orbits[0]).replace(" ", ",")
+                if report.missed_orbits else "-")
+        evidence += (f" words={values['words']} bridge_words={report.word_count} "
+                     f"collisions={len(report.collisions)} first_collision={pair} "
+                     f"missed={len(report.missed_orbits)} first_missed={miss}")
+    return verdict, f"{evidence} listed={listed} covered={covered}"
+
+
 def cmd_orbits(args) -> int:
     spec = GroupSpec(args.p, args.n)
+    charged, count_of = ROUTES[args.method]
     # over the budget exits 3 before any count or row: a listing or a sweep
     # is charged its p^(2n) states, Burnside its p^2 diagonals
-    if args.list or args.method in ("bfs", "canonical"):
+    if args.list or charged == "states":
         check_budget(args.p, 2 * args.n, args.budget)
-    if args.method in ("formula", "burnside"):  # the others are bounded by the budget
-        check_printable(args.p, args.n)
-    if args.method == "burnside":
-        check_budget(args.p, 2, args.budget, "diagonals")
-    if args.method == "formula":
-        count = formulas.r_formula(args.p, args.n)
-    elif args.method == "bfs":
-        count = orbits.count_orbits_bfs(spec).orbit_count
-    elif args.method == "canonical":
-        count = orbits.count_orbits_canonical(spec).orbit_count
-    else:
-        count = orbits.count_orbits_burnside(spec).orbit_count
+    check_printable(args.p, args.n)  # for a sweep, the budget has already bounded it
+    if charged == "diagonals":
+        check_budget(args.p, 2, args.budget, charged)
+    count = count_of(spec)
     payload = {"p": args.p, "n": args.n, "method": args.method,
                "orbit_count": str(count)}
 
@@ -157,16 +213,19 @@ def cmd_orbits(args) -> int:
               payload, text=[str(count)])
         return 0
 
-    listed = sum(1 for _ in orbits._echelon_minima(spec))
+    listed, covered, sizes = walk_listing(spec)
     if count != listed:  # the listing is not a census of its own
         print(f"orbits: {args.method} counts {count} orbits, "
               f"the listing has {listed}", file=sys.stderr)
         return 1
+    if covered != spec.state_count:
+        print(f"orbits: the listing's sizes sum to {covered}, "
+              f"not to the {spec.state_count} states", file=sys.stderr)
+        return 1
     header = ["representative", "size", "stabilizer_order"]
-    fmt, p, shown = state_formatter(spec), args.p, {}
-    for size in (1, p * p - 1, p * (p * p - 1)):  # each orbit size: its two columns
-        stabilizer = str(formulas.exact_div(p * (p * p - 1), size)) if args.n else "-"
-        shown[size] = [str(size), stabilizer]
+    fmt, p = state_formatter(spec), args.p
+    shown = {size: [str(size), str(formulas.exact_div(p * (p * p - 1), size)) if args.n else "-"]
+             for size in sizes}  # each orbit size: its two columns
     rows = ([fmt(i), *shown[size]] for i, size in orbits._echelon_minima(spec))
     _emit(args.format, header, rows, payload, listing="orbits")
     return 0
@@ -208,47 +267,26 @@ def cmd_verify(args) -> int:
         raise ValueError(f"m-max must be >= 1, got {args.m_max}")
     check_budget(4, args.m_max, args.budget)  # the largest m has the most states
     rows = []
-    all_ok = True
     for m in range(1, args.m_max + 1):
         spec = GroupSpec(2, m)
-        report = bridge.verify_bridge(m)
-        bfs = orbits.count_orbits_bfs(spec).orbit_count
-        can = orbits.count_orbits_canonical(spec).orbit_count
-        bur = report.orbit_count  # verify_bridge's Burnside census
-        r = formulas.r_formula(2, m)
-        wc = words.count_words(m)
+        values, _ = check_cell(spec)
+        verdict, evidence = judge(spec, values)
+        if evidence:
+            print(f"verify: m={m} FAIL {evidence}", file=sys.stderr)
+        flags = [*verdict.values(), not evidence]
+        rows.append([str(m), *("PASS" if ok else "FAIL" for ok in flags), str(values["formula"])])
 
-        methods_ok = bfs == can == bur
-        formula_ok = bfs == r and formulas.r_p2_product(m) == r
-        words_ok = wc == r and report.word_count == r
-        bridge_ok = (report.is_injective_on_orbits
-                     and report.is_surjective_on_orbits)
-        ok = methods_ok and formula_ok and words_ok and bridge_ok
-        all_ok = all_ok and ok
-        if not ok:  # the evidence: every count, the first certificate of each kind
-            pair = "/".join(map(str, report.collisions[0])) if report.collisions else "-"
-            miss = (state_formatter(spec)(report.missed_orbits[0]).replace(" ", ",")
-                    if report.missed_orbits else "-")
-            print(f"verify: m={m} FAIL bfs={bfs} canonical={can} burnside={bur} "
-                  f"formula={r} words={wc} bridge_words={report.word_count} "
-                  f"collisions={len(report.collisions)} first_collision={pair} "
-                  f"missed={len(report.missed_orbits)} first_missed={miss}",
-                  file=sys.stderr)
-        flag = lambda b: "PASS" if b else "FAIL"
-        rows.append([str(m), flag(methods_ok), flag(formula_ok),
-                     flag(words_ok), flag(bridge_ok), flag(ok), str(r)])
-
-    header = ["m", "methods", "formula", "words", "bridge", "result", "r"]
+    header = ["m", *verdict, "result", "r"]
     _emit(args.format, header, rows, [dict(zip(header, row)) for row in rows],
           text=[" ".join(row) for row in [header, *rows]])
-    return 0 if all_ok else 1
+    return 1 if any(row[-2] == "FAIL" for row in rows) else 0  # the result column
 
 
 def cmd_sequence(args) -> int:
     check_printable(args.p, args.n_max)  # r grows with n
-    table = formulas.sequence_table(args.p, args.n_max)
-    _emit(args.format, ["n", "r"], [[str(n), str(r)] for n, r in table],
-          [{"n": n, "r": str(r)} for n, r in table])
+    table = [(n, str(r)) for n, r in formulas.sequence_table(args.p, args.n_max)]
+    _emit(args.format, ["n", "r"], [[str(n), r] for n, r in table],
+          [{"n": n, "r": r} for n, r in table])
     return 0
 
 
@@ -279,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbits = sub.add_parser("orbits", help="count or list orbit classes")
     p_orbits.add_argument("--p", type=int, required=True)
     p_orbits.add_argument("--n", type=int, required=True)
-    p_orbits.add_argument("--method", default="bfs",
-                          choices=["bfs", "canonical", "burnside", "formula"])
+    p_orbits.add_argument("--method", default="bfs", choices=list(ROUTES))
     p_orbits.add_argument("--list", action="store_true",
                           help="print one orbit summary per line")
     _add_common(p_orbits, cmd_orbits)
@@ -306,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def main(argv=None, parser=None) -> int:
+    """Parse argv with parser (the CLI's by default, or a script's) and call its run."""
+    parser = build_parser() if parser is None else parser
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help

@@ -212,6 +212,15 @@ class TestOrbits:
         assert (code, out) == (1, "")
         assert err == "orbits: canonical counts 5 orbits, the listing has 4\n"
 
+    def test_list_sizes_must_cover_the_states(self, capsys, monkeypatch):
+        # as many orbits as the count, but one with a wrong size
+        real = orbits._echelon_minima
+        monkeypatch.setattr(orbits, "_echelon_minima",
+                            lambda spec: [*list(real(spec))[:-1], (9, 3)])
+        code, out, err = run(capsys, "orbits", "--p", "2", "--n", "2", "--list")
+        assert (code, out) == (1, "")
+        assert err == "orbits: the listing's sizes sum to 13, not to the 16 states\n"
+
     def test_list_text(self, capsys):
         code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "1", "--list")
         assert code == 0
@@ -492,10 +501,10 @@ class TestVerify:
     @pytest.mark.parametrize("change,evidence", [
         (lambda ws: ws + ws[17:18],
          "bridge_words=52 collisions=1 first_collision=2113/2113 "
-         "missed=0 first_missed=-"),
+         "missed=0 first_missed=- listed=51 covered=256"),
         (lambda ws: ws[:17] + ws[18:],
          "bridge_words=50 collisions=0 first_collision=- "
-         "missed=1 first_missed=01,00,00,10"),
+         "missed=1 first_missed=01,00,00,10 listed=51 covered=256"),
     ], ids=["duplicate", "drop"])
     def test_bridge_failure_evidence(self, capsys, monkeypatch, change, evidence):
         # word 17 at m = 4 is 2113, whose orbit minimum has rows 01 00 00 10
@@ -508,6 +517,27 @@ class TestVerify:
         assert out.splitlines()[-1] == "4 PASS PASS FAIL FAIL FAIL 51"
         assert err == ("verify: m=4 FAIL bfs=51 canonical=51 burnside=51 formula=51 "
                        f"words=51 {evidence}\n")
+
+    @pytest.mark.parametrize("m,change,row,evidence", [
+        (4, lambda minima: minima[:-1], "4 FAIL PASS PASS PASS FAIL 51",
+         "bfs=51 canonical=51 burnside=51 formula=51 words=51 bridge_words=51 "
+         "collisions=0 first_collision=- missed=0 first_missed=- listed=50 covered=250"),
+        # as many orbits, covering the 16 states, but sizes 4 and 5 do not divide 6
+        (2, lambda minima: minima[:3] + [(minima[3][0], 4), (minima[4][0], 5)],
+         "2 FAIL PASS PASS PASS FAIL 5",
+         "bfs=5 canonical=5 burnside=5 formula=5 words=5 bridge_words=5 "
+         "collisions=0 first_collision=- missed=0 first_missed=- listed=5 covered=16"),
+    ], ids=["drop", "sizes"])
+    def test_listing_failure_evidence(self, capsys, monkeypatch, m, change, row, evidence):
+        # verify checks the orbit listing with the routes: a listing that is
+        # not a census fails the methods column, and the evidence counts it
+        real = orbits._echelon_minima
+        monkeypatch.setattr(orbits, "_echelon_minima",
+                            lambda spec: change(list(real(spec))) if spec.n == m else real(spec))
+        code, out, err = run(capsys, "verify", "--m-max", str(m))
+        assert code == 1
+        assert out.splitlines()[-1] == row and out.count("FAIL") == 2  # only at m
+        assert err == f"verify: m={m} FAIL {evidence}\n"
 
     def test_bridge_memory_is_bounded(self):
         # the bridge streams its words and holds no word list or image map:

@@ -1,14 +1,22 @@
 """Smoke runs of the scripts: they import the CLI and the engines directly,
-so an interface change that breaks them fails here."""
+so an interface change that breaks them fails here.  Both run through the
+CLI's runner, so they refuse, exit and end on a closed pipe as it does."""
 
 import os
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from orbitlab import orbits
+from orbitlab.orbits import CensusReport
+
 ROOT = Path(__file__).resolve().parent.parent
+GRID_HEADER = ("  p   n     states        count   bfs[s]  canon[s]  burn[s]  "
+               "list[s] bridge[s]")
 
 
 def _run(script, args, timeout=60):
@@ -36,8 +44,75 @@ def test_script_refuses_before_any_row(script, args):
     # the whole run is charged once, before the first row: sweeping the
     # rows below the refused one would take minutes and hundreds of MiB
     result = _run(script, args, timeout=10)
-    assert result.returncode != 0 and result.stdout == ""
+    assert result.returncode == 3 and result.stdout == ""
     assert "exceed the budget" in result.stderr
+
+
+@pytest.mark.parametrize("script,args,err", [
+    ("grid_agreement.py", ["--p2-max", "-3"], "error: p2-max must be >= 0, got -3\n"),
+    ("show_small_cases.py", ["--m-max", "-1"], "error: m-max must be >= 0, got -1\n"),
+])
+def test_script_refuses_a_negative_bound(script, args, err):
+    result = _run(script, args)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
+
+
+@pytest.mark.parametrize("script,args", [
+    ("grid_agreement.py", ["--p2-max", "9"]),
+    ("show_small_cases.py", ["--m-max", "8"]),  # more than a pipe buffer of rows
+])
+def test_script_closed_pipe_ends_quietly(script, args):
+    # as in `| head -1`; unbuffered, so rows are still written after the close
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": "1"})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first != ""
+    assert (proc.returncode, err) == (0, "")
+
+
+def test_grid_memory_is_bounded():
+    # the listing is walked, not held: one record per orbit lifted the
+    # peak to 41 MiB.  VmHWM of a fresh interpreter, as test_cli reads it
+    script = str(ROOT / "scripts" / "grid_agreement.py")
+    code = ("import runpy, sys\n"
+            f"sys.argv = [{script!r}, '--p2-max', '10']\n"
+            "try:\n"
+            "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "with open('/proc/self/status') as status:\n"
+            "    hwm = next(line for line in status if line.startswith('VmHWM:'))\n"
+            "print(hwm.split()[1], file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[-1] == "all methods agree with the closed form"
+    assert int(result.stderr) < 24 * 1024
+
+
+def test_grid_mismatch_evidence(monkeypatch, capsys):
+    # one route wrong at one cell: its evidence goes to stderr, and the
+    # stdout rows keep their columns
+    real = orbits.count_orbits_canonical
+    monkeypatch.setattr(orbits, "count_orbits_canonical", lambda spec: (
+        CensusReport(8) if (spec.p, spec.n) == (3, 2) else real(spec)))
+    monkeypatch.setattr(sys, "argv", ["grid_agreement.py", "--p2-max", "3"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(ROOT / "scripts" / "grid_agreement.py"), run_name="__main__")
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 1
+    assert err == ("grid_agreement: p=3 n=2 FAIL bfs=7 canonical=8 burnside=7 "
+                   "formula=7 listed=7 covered=81\n1 mismatching cells\n")
+    header, *rows = out.splitlines()
+    assert header == GRID_HEADER and len(rows) == 4 + 6 + 4 + 3
+    row = re.compile(r" *\d+ +\d+ +\d+ +\d+( +\d+\.\d{3}){4} +(\d+\.\d{3}|-)")
+    assert all(row.fullmatch(line) for line in rows), rows
 
 
 SMALL_CASES_M2 = """\
