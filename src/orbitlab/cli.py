@@ -2,9 +2,10 @@
 
 Subcommands: orbits, words, encode, verify, sequence.  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 verification failure
-(verify, or an orbits listing that differs from the count or the states),
-2 usage error or a count too long to print, 3 state budget exceeded.  Json
-and csv counts are decimal strings, so consumers never round large values.
+(verify, or an orbits --list whose length, coverage of the states or orbit
+sizes fail the listing check verify makes), 2 usage error or a count too
+long to print, 3 state budget exceeded.  Json and csv counts are decimal
+strings, so consumers never round large values.
 """
 
 from __future__ import annotations
@@ -149,6 +150,22 @@ def walk_listing(spec: GroupSpec):
     return sizes.total(), sum(size * count for size, count in sizes.items()), sizes.keys()
 
 
+def listing_fault(spec: GroupSpec, counts: dict, listing) -> str | None:
+    """Why walk_listing's totals are no census, or None: its length against each
+    method's count, its size sum against p^(2n), each size against p(p^2 - 1)."""
+    listed, covered, sizes = listing
+    group = spec.p * (spec.p * spec.p - 1)
+    for method, count in counts.items():
+        if count != listed:
+            return f"{method} counts {count} orbits, the listing has {listed}"
+    if covered != spec.state_count:
+        return f"the listing's sizes sum to {covered}, not to the {spec.state_count} states"
+    for size in sizes:
+        if group % size:
+            return f"the listing has an orbit of size {size}, which does not divide {group}"
+    return None
+
+
 def check_cell(spec: GroupSpec):
     """Time each check of one cell, run once: the ROUTES, the listing and, at
     p = 2, n >= 1, product, words and bridge; return (values, seconds) by name."""
@@ -170,12 +187,10 @@ def judge(spec: GroupSpec, values: dict):
     """Return (verdict, evidence) for check_cell's values: whether each
     column passes, and, unless all do, every count, the listing's totals and
     the bridge's first certificate of each kind, as key=value pairs."""
-    p, bfs, r, report = spec.p, values["bfs"], values["formula"], values.get("bridge")
-    listed, covered, sizes = values["listing"]
+    bfs, r, report = values["bfs"], values["formula"], values.get("bridge")
     verdict = {
-        "methods": (bfs == values["canonical"] == values["burnside"] == listed
-                    and covered == spec.state_count
-                    and all(p * (p * p - 1) % size == 0 for size in sizes)),
+        "methods": listing_fault(spec, {m: values[m] for m in ROUTES if m != "formula"},
+                                 values["listing"]) is None,
         "formula": bfs == r == values.get("product", r),
         "words": report is None or values["words"] == r == report.word_count,
         "bridge": report is None or report.is_injective_on_orbits and report.is_surjective_on_orbits,
@@ -190,7 +205,7 @@ def judge(spec: GroupSpec, values: dict):
         evidence += (f" words={values['words']} bridge_words={report.word_count} "
                      f"collisions={len(report.collisions)} first_collision={pair} "
                      f"missed={len(report.missed_orbits)} first_missed={miss}")
-    return verdict, f"{evidence} listed={listed} covered={covered}"
+    return verdict, f"{evidence} listed={values['listing'][0]} covered={values['listing'][1]}"
 
 
 def cmd_orbits(args) -> int:
@@ -213,19 +228,14 @@ def cmd_orbits(args) -> int:
               payload, text=[str(count)])
         return 0
 
-    listed, covered, sizes = walk_listing(spec)
-    if count != listed:  # the listing is not a census of its own
-        print(f"orbits: {args.method} counts {count} orbits, "
-              f"the listing has {listed}", file=sys.stderr)
-        return 1
-    if covered != spec.state_count:
-        print(f"orbits: the listing's sizes sum to {covered}, "
-              f"not to the {spec.state_count} states", file=sys.stderr)
+    listing = walk_listing(spec)
+    if fault := listing_fault(spec, {args.method: count}, listing):
+        print(f"orbits: {fault}", file=sys.stderr)
         return 1
     header = ["representative", "size", "stabilizer_order"]
     fmt, p = state_formatter(spec), args.p
     shown = {size: [str(size), str(formulas.exact_div(p * (p * p - 1), size)) if args.n else "-"]
-             for size in sizes}  # each orbit size: its two columns
+             for size in listing[2]}  # each orbit size: its two columns
     rows = ([fmt(i), *shown[size]] for i, size in orbits._echelon_minima(spec))
     _emit(args.format, header, rows, payload, listing="orbits")
     return 0

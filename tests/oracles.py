@@ -1,13 +1,17 @@
 """Independent oracles that only the tests read: the object-level orbit
 closure and matrix action, the forward-difference recurrence, and the state
-builders and word speller the test modules share.
+builders, word speller and fresh-interpreter runner the test modules share.
 
 orbit_of closes a state under src's apply_s and apply_t alone, and
 group_image applies every matrix of SL(2, Z_p), so their agreement is the
 fact the visited sweep rests on: the two moves generate the whole group.
 """
 
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 from orbitlab.formulas import _require_prime
 from orbitlab.residues import (
@@ -83,3 +87,56 @@ def f_recurrence(p: int, n: int) -> int:
     for i in range(2, n + 1):
         value = p * value + p ** (2 * i - 2) * (p - 1)
     return value
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# python_peak's child: the program, then its VmHWM in KiB, all it writes to stderr
+_MEASURED = """\
+import sys
+try:
+    exec({!r})
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+with open('/proc/self/status') as status:
+    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _env(env):
+    """os.environ with src/ on the path and env's overrides; None unsets one."""
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(SRC)}
+    return {k: v for k, v in env.items() if v is not None}
+
+
+def python_run(*args, timeout, env=None, stdout=None):
+    """Run `python *args` in a fresh interpreter, its output read as text; a
+    file given as stdout takes that stream, and the result holds None for it."""
+    return subprocess.run([sys.executable, *args], stdout=stdout or subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, timeout=timeout, env=_env(env))
+
+
+def python_peak(program, *, timeout, stdout=None):
+    """python_run of program: its exit code, stdout and peak RSS in KiB.  The
+    peak is VmHWM, that of the interpreter's own image: on Linux, ru_maxrss
+    after exec also counts the peak of the process that spawned it, which
+    late in a pytest run is over 100 MiB.  A program that raises, or writes
+    to stderr, fails here: stderr must be the peak alone."""
+    result = python_run("-c", _MEASURED.format(program), timeout=timeout, stdout=stdout)
+    return result.returncode, result.stdout, int(result.stderr)
+
+
+def python_head(*args, timeout, env=None):
+    """Run `python *args`, read one line of its stdout and close the pipe,
+    as `| head -1` does; return that line, the exit code and stderr."""
+    with subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=_env(env)) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=timeout)
+        finally:
+            proc.kill()  # a no-op once it has exited
+    return first, proc.returncode, err

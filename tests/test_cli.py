@@ -4,17 +4,13 @@ import json
 import math
 import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from oracles import python_head, python_peak, python_run
 from orbitlab import bridge, cli, formulas, orbits, residues, words
 from orbitlab.budget import PRINT_DIGITS, BudgetExceeded, check_budget
 from orbitlab.residues import GroupSpec, state_from_index
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -47,23 +43,9 @@ LISTED = [(2, 0), (2, 3), (3, 2), (11, 1)]
 
 
 def run_measured(*argv, stdout=None):
-    """Run the CLI in a fresh interpreter; return its exit code, stdout and
-    peak RSS in KiB.  The peak is VmHWM, that of the interpreter's own
-    image: on Linux, ru_maxrss after exec also counts the peak of the
-    process that spawned it, which late in a pytest run is over 100 MiB.
-    A file given as stdout takes the output, and None is returned for it."""
-    code = ("import sys\n"
-            "from orbitlab import cli\n"
-            f"code = cli.main({list(argv)!r})\n"
-            "with open('/proc/self/status') as status:\n"
-            "    hwm = next(line for line in status if line.startswith('VmHWM:'))\n"
-            "print(hwm.split()[1], file=sys.stderr)\n"
-            "sys.exit(code)\n")
-    result = subprocess.run(
-        [sys.executable, "-c", code], stdout=stdout or subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, timeout=30,
-        env={**os.environ, "PYTHONPATH": str(SRC)})
-    return result.returncode, result.stdout, int(result.stderr)
+    """python_peak of the CLI: its exit code, stdout and peak RSS in KiB."""
+    return python_peak(f"from orbitlab import cli\nraise SystemExit(cli.main({list(argv)!r}))",
+                       timeout=30, stdout=stdout)
 
 
 class TestOrbits:
@@ -72,12 +54,10 @@ class TestOrbits:
         assert (code, out, err) == (0, "5\n", "")
 
     def test_formula_n0(self, capsys):
-        code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "0", "--method", "formula")
-        assert (code, out) == (0, "1\n")
+        assert run(capsys, *"orbits --p 2 --n 0 --method formula".split())[:2] == (0, "1\n")
 
     def test_burnside_p3(self, capsys):
-        code, out, _ = run(capsys, "orbits", "--p", "3", "--n", "2", "--method", "burnside")
-        assert (code, out) == (0, "7\n")
+        assert run(capsys, *"orbits --p 3 --n 2 --method burnside".split())[:2] == (0, "7\n")
 
     def test_each_answer_sweeps_the_states_at_most_once(self, capsys, monkeypatch):
         # _row_moves is built once per BFS visited sweep and nowhere else
@@ -118,42 +98,29 @@ class TestOrbits:
 
     def test_canonical_large_prime_finishes(self):
         # 1,018,081 states, each decided by row reduction, not by 1e9 matrices
-        result = subprocess.run(
-            [sys.executable, "-m", "orbitlab", "orbits",
-             "--p", "1009", "--n", "1", "--method", "canonical"],
-            capture_output=True, text=True, timeout=10,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
+        result = python_run("-m", "orbitlab", "orbits", "--p", "1009", "--n", "1",
+                            "--method", "canonical", timeout=10)
         assert (result.returncode, result.stdout) == (0, "2\n")
 
     def test_burnside_large_prime_finishes(self):
         # O(p^2) diagonals: about a million steps here
-        result = subprocess.run(
-            [sys.executable, "-m", "orbitlab", "orbits",
-             "--p", "1009", "--n", "1", "--method", "burnside"],
-            capture_output=True, text=True, timeout=10,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
+        result = python_run("-m", "orbitlab", "orbits", "--p", "1009", "--n", "1",
+                            "--method", "burnside", timeout=10)
         assert (result.returncode, result.stdout) == (0, "2\n")
 
     @pytest.mark.parametrize("n", ["0", "1"])
     def test_burnside_diagonals_are_budgeted(self, n):
         # 100003^2 diagonals would take about an hour; refused at once
-        result = subprocess.run(
-            [sys.executable, "-m", "orbitlab", "orbits",
-             "--p", "100003", "--n", n, "--method", "burnside"],
-            capture_output=True, text=True, timeout=10,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
+        result = python_run("-m", "orbitlab", "orbits", "--p", "100003", "--n", n,
+                            "--method", "burnside", timeout=10)
         assert (result.returncode, result.stdout) == (3, "")
         assert "268435456" in result.stderr
         assert "diagonals" in result.stderr and "states" not in result.stderr
 
     def test_list_large_prime_finishes(self):
         # two orbits at n = 1: the listing must not build all p vectors
-        result = subprocess.run(
-            [sys.executable, "-m", "orbitlab", "orbits", "--p", "1000000007",
-             "--n", "1", "--list", "--method", "formula",
-             "--budget", "10000000000000000000"],
-            capture_output=True, text=True, timeout=10,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
+        result = python_run(*("-m orbitlab orbits --p 1000000007 --n 1 --list --method formula "
+                              "--budget 10000000000000000000").split(), timeout=10)
         assert result.returncode == 0
         assert [line.split()[1:] for line in result.stdout.splitlines()] == [
             ["1", "1000000021000000146000000336"], ["1000000014000000048", "1000000007"]]
@@ -221,6 +188,15 @@ class TestOrbits:
         assert (code, out) == (1, "")
         assert err == "orbits: the listing's sizes sum to 13, not to the 16 states\n"
 
+    def test_list_sizes_must_divide_the_group(self, capsys, monkeypatch):
+        # as many orbits, covering the 16 states, but sizes 4 and 5 do not divide 6
+        real = orbits._echelon_minima
+        monkeypatch.setattr(orbits, "_echelon_minima", lambda spec: [
+            *(minima := list(real(spec)))[:3], (minima[3][0], 4), (minima[4][0], 5)])
+        code, out, err = run(capsys, "orbits", "--p", "2", "--n", "2", "--list")
+        assert (code, out) == (1, "")
+        assert err == "orbits: the listing has an orbit of size 4, which does not divide 6\n"
+
     def test_list_text(self, capsys):
         code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "1", "--list")
         assert code == 0
@@ -276,29 +252,17 @@ class TestOrbits:
 
     def test_list_closed_pipe_ends_quietly(self):
         # as in `orbitlab orbits --p 2 --n 9 --list | head -1`
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "orbitlab", "orbits", "--p", "2", "--n", "9",
-             "--list", "--method", "formula"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=30)
+        first, code, err = python_head("-m", "orbitlab", "orbits", "--p", "2", "--n", "9",
+                                       "--list", "--method", "formula", timeout=30)
         assert first == "00 00 00 00 00 00 00 00 00 1 6\n"
-        assert (proc.returncode, err) == (0, "")
+        assert (code, err) == (0, "")
 
     def test_json_list_closed_pipe_ends_quietly(self):
         # json goes out in chunks too, so the reader may be gone mid-document
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "orbitlab", "orbits", "--p", "2", "--n", "9",
-             "--list", "--format", "json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=30)
+        first, code, err = python_head("-m", "orbitlab", "orbits", "--p", "2", "--n", "9",
+                                       "--list", "--format", "json", timeout=30)
         assert first == "{\n"
-        assert (proc.returncode, err) == (0, "")
+        assert (code, err) == (0, "")
 
     def test_json_counts_are_strings(self, capsys):
         code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "2", "--format", "json")
@@ -346,8 +310,7 @@ class TestOrbits:
         assert code == 2 and "error" in err
 
     def test_list_trivial_group(self, capsys):
-        code, out, _ = run(capsys, "orbits", "--p", "2", "--n", "0", "--list")
-        assert (code, out) == (0, "- 1 -\n")
+        assert run(capsys, "orbits", "--p", "2", "--n", "0", "--list")[:2] == (0, "- 1 -\n")
 
 
 class TestWords:
@@ -361,18 +324,14 @@ class TestWords:
         assert out.splitlines() == ["11", "12", "21", "22", "23"]
 
     def test_csv(self, capsys):
-        code, out, _ = run(capsys, "words", "--m", "2", "--format", "csv")
-        assert code == 0
-        assert out == "m,count\n2,5\n"
+        assert run(capsys, *"words --m 2 --format csv".split())[:2] == (0, "m,count\n2,5\n")
 
     def test_json_list(self, capsys):
-        code, out, _ = run(capsys, "words", "--m", "1", "--list", "--format", "json")
-        payload = json.loads(out)
-        assert payload == {"m": 1, "count": "2", "words": ["1", "2"]}
+        out = run(capsys, "words", "--m", "1", "--list", "--format", "json")[1]
+        assert json.loads(out) == {"m": 1, "count": "2", "words": ["1", "2"]}
 
     def test_csv_list(self, capsys):
-        code, out, _ = run(capsys, "words", "--m", "1", "--list", "--format", "csv")
-        assert (code, out) == (0, "word\n1\n2\n")
+        assert run(capsys, *"words --m 1 --list --format csv".split())[:2] == (0, "word\n1\n2\n")
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     @pytest.mark.parametrize("extra", [[], ["--list"], ["--list", "--budget", "0"]])
@@ -391,16 +350,10 @@ class TestWords:
     def test_list_long_words_closed_pipe(self):
         # as in `orbitlab words --m 1100 --list --budget <4^1100> | head -1`,
         # far deeper than Python's recursion limit
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "orbitlab", "words", "--m", "1100", "--list",
-             "--budget", str(4 ** 1100)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=30)
+        first, code, err = python_head("-m", "orbitlab", "words", "--m", "1100", "--list",
+                                       "--budget", str(4 ** 1100), timeout=30)
         assert first == "1" * 1100 + "\n"
-        assert (proc.returncode, err) == (0, "")
+        assert (code, err) == (0, "")
 
     def test_listing_parser_and_word_spell_alike(self, capsys):
         # the listing, RGWord and word_from_string read one spelling table
@@ -441,10 +394,7 @@ class TestEncode:
         # 100,001 letters: the state and its orbit minimum are read off packed
         # indices, where the unpacked states and digit loops took 20 s
         word = "1234" * 25000 + "1"
-        result = subprocess.run(
-            [sys.executable, "-m", "orbitlab", "encode", word],
-            capture_output=True, text=True, timeout=10,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
+        result = python_run("-m", "orbitlab", "encode", word, timeout=10)
         m, bits = len(word), {"1": "00", "2": "10", "3": "11", "4": "01"}
         rows = " ".join(map(bits.get, word))
         g = int(word.translate(str.maketrans("1234", "0110")), 2)
@@ -455,8 +405,7 @@ class TestEncode:
         assert result.stdout == f"rows: {rows}\ncanonical: {canon}\n"
 
     def test_json(self, capsys):
-        code, out, _ = run(capsys, "encode", "234", "--format", "json")
-        payload = json.loads(out)
+        payload = json.loads(run(capsys, "encode", "234", "--format", "json")[1])
         assert payload["word"] == "234"
         assert payload["rows"] == ["10", "11", "01"]
         assert len(payload["canonical"]) == 3
@@ -563,8 +512,7 @@ class TestSequence:
         assert lines[-1] == "6,715"
 
     def test_single_row(self, capsys):
-        code, out, _ = run(capsys, "sequence", "--p", "2", "--n-max", "0")
-        assert (code, out) == (0, "0 1\n")
+        assert run(capsys, "sequence", "--p", "2", "--n-max", "0")[:2] == (0, "0 1\n")
 
     def test_p3_values(self, capsys):
         code, out, _ = run(capsys, "sequence", "--p", "3", "--n-max", "3")
@@ -582,11 +530,8 @@ class TestSequence:
 
     def test_large_prime_finishes(self):
         # 2^61 - 1: trial division would need ~1.5e9 steps per primality test
-        result = subprocess.run(
-            [sys.executable, "-m", "orbitlab", "sequence",
-             "--p", "2305843009213693951", "--n-max", "1"],
-            capture_output=True, text=True, timeout=10,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
+        result = python_run("-m", "orbitlab", "sequence", "--p", "2305843009213693951",
+                            "--n-max", "1", timeout=10)
         assert (result.returncode, result.stdout) == (0, "0 1\n1 2\n")
 
     def test_prime_beyond_exact_range(self, capsys):
@@ -634,10 +579,7 @@ class TestContract:
     ])
     def test_count_too_long_to_print_fails_fast(self, argv):
         # refused before the count is computed, which would take seconds to hours
-        result = subprocess.run(
-            [sys.executable, "-m", "orbitlab", *argv.split()],
-            capture_output=True, text=True, timeout=10,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
+        result = python_run("-m", "orbitlab", *argv.split(), timeout=10)
         assert (result.returncode, result.stdout) == (2, "")
         assert "the count has" in result.stderr
         assert f"more than the {PRINT_DIGITS}" in result.stderr
@@ -733,13 +675,8 @@ class TestContract:
         # exit 3 is refused from a lower bound on the state count, exit 2 from
         # one on the printed count: neither is computed, and neither refusal
         # depends on the interpreter's digit setting (None: not set)
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
-        if digits is not None:
-            env["PYTHONINTMAXSTRDIGITS"] = digits
-        result = subprocess.run(
-            [sys.executable, "-m", "orbitlab", *argv.split()],
-            capture_output=True, text=True, timeout=10,
-            env={**env, "PYTHONPATH": str(SRC)})
+        result = python_run("-m", "orbitlab", *argv.split(), timeout=10,
+                            env={"PYTHONINTMAXSTRDIGITS": digits})
         assert (result.returncode, result.stdout) == (code, "")
         if code == 3:
             bound = (result.stderr.removeprefix("error: at least 2^")

@@ -2,28 +2,20 @@
 so an interface change that breaks them fails here.  Both run through the
 CLI's runner, so they refuse, exit and end on a closed pipe as it does."""
 
-import os
 import re
 import runpy
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from oracles import python_head, python_peak, python_run
 from orbitlab import orbits
 from orbitlab.orbits import CensusReport
 
-ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 GRID_HEADER = ("  p   n     states        count   bfs[s]  canon[s]  burn[s]  "
                "list[s] bridge[s]")
-
-
-def _run(script, args, timeout=60):
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
 
 
 @pytest.mark.parametrize("script,args,expected_line", [
@@ -31,7 +23,7 @@ def _run(script, args, timeout=60):
     ("grid_agreement.py", ["--p2-max", "4"], "all methods agree with the closed form"),
 ])
 def test_script_runs(script, args, expected_line):
-    result = _run(script, args)
+    result = python_run(str(SCRIPTS / script), *args, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
     assert expected_line in result.stdout.splitlines()
 
@@ -43,7 +35,7 @@ def test_script_runs(script, args, expected_line):
 def test_script_refuses_before_any_row(script, args):
     # the whole run is charged once, before the first row: sweeping the
     # rows below the refused one would take minutes and hundreds of MiB
-    result = _run(script, args, timeout=10)
+    result = python_run(str(SCRIPTS / script), *args, timeout=10)
     assert result.returncode == 3 and result.stdout == ""
     assert "exceed the budget" in result.stderr
 
@@ -53,7 +45,7 @@ def test_script_refuses_before_any_row(script, args):
     ("show_small_cases.py", ["--m-max", "-1"], "error: m-max must be >= 0, got -1\n"),
 ])
 def test_script_refuses_a_negative_bound(script, args, err):
-    result = _run(script, args)
+    result = python_run(str(SCRIPTS / script), *args, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
 
 
@@ -63,37 +55,21 @@ def test_script_refuses_a_negative_bound(script, args, err):
 ])
 def test_script_closed_pipe_ends_quietly(script, args):
     # as in `| head -1`; unbuffered, so rows are still written after the close
-    proc = subprocess.Popen(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": "1"})
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
+    first, code, err = python_head(str(SCRIPTS / script), *args, timeout=60,
+                                   env={"PYTHONUNBUFFERED": "1"})
     assert first != ""
-    assert (proc.returncode, err) == (0, "")
+    assert (code, err) == (0, "")
 
 
 def test_grid_memory_is_bounded():
     # the listing is walked, not held: one record per orbit lifted the
-    # peak to 41 MiB.  VmHWM of a fresh interpreter, as test_cli reads it
-    script = str(ROOT / "scripts" / "grid_agreement.py")
-    code = ("import runpy, sys\n"
-            f"sys.argv = [{script!r}, '--p2-max', '10']\n"
-            "try:\n"
-            "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    code = exc.code\n"
-            "with open('/proc/self/status') as status:\n"
-            "    hwm = next(line for line in status if line.startswith('VmHWM:'))\n"
-            "print(hwm.split()[1], file=sys.stderr)\n"
-            "sys.exit(code)\n")
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert result.returncode == 0
-    assert result.stdout.splitlines()[-1] == "all methods agree with the closed form"
-    assert int(result.stderr) < 24 * 1024
+    # peak to 41 MiB
+    script = str(SCRIPTS / "grid_agreement.py")
+    code, out, peak = python_peak(f"import runpy, sys\nsys.argv = [{script!r}, '--p2-max', '10']\n"
+                                  "runpy.run_path(sys.argv[0], run_name='__main__')", timeout=60)
+    assert code == 0
+    assert out.splitlines()[-1] == "all methods agree with the closed form"
+    assert peak < 24 * 1024
 
 
 def test_grid_mismatch_evidence(monkeypatch, capsys):
@@ -104,7 +80,7 @@ def test_grid_mismatch_evidence(monkeypatch, capsys):
         CensusReport(8) if (spec.p, spec.n) == (3, 2) else real(spec)))
     monkeypatch.setattr(sys, "argv", ["grid_agreement.py", "--p2-max", "3"])
     with pytest.raises(SystemExit) as exit_:
-        runpy.run_path(str(ROOT / "scripts" / "grid_agreement.py"), run_name="__main__")
+        runpy.run_path(str(SCRIPTS / "grid_agreement.py"), run_name="__main__")
     out, err = capsys.readouterr()
     assert exit_.value.code == 1
     assert err == ("grid_agreement: p=3 n=2 FAIL bfs=7 canonical=8 burnside=7 "
@@ -143,5 +119,5 @@ orbit classes over Z_2^2 (16 states):
 
 def test_show_small_cases_whole_output():
     # every orbit's members, every word, its rows and its class
-    result = _run("show_small_cases.py", ["--m-max", "2"])
+    result = python_run(str(SCRIPTS / "show_small_cases.py"), "--m-max", "2", timeout=60)
     assert (result.returncode, result.stderr, result.stdout) == (0, "", SMALL_CASES_M2)

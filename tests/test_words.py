@@ -1,11 +1,8 @@
-import os
-import subprocess
-import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 
+from oracles import python_peak
 from orbitlab.formulas import r_formula
 from orbitlab.words import (
     ALPHABET,
@@ -16,8 +13,6 @@ from orbitlab.words import (
     is_valid_word,
     word_from_string,
 )
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 # row-major reading of the fifteen length-3 words
 WORDS_M3 = ["111", "112", "121", "122", "123",
@@ -142,15 +137,10 @@ class TestWalk:
     def test_walk_memory_is_linear_in_m(self):
         # one shared letter list and O(m) stack entries: a walk that stacked
         # every pending sibling's whole prefix peaked at 141 MiB
-        code = ("from orbitlab.words import _words\n"
-                "assert next(_words(4000)) == (1,) * 4000\n"
-                "with open('/proc/self/status') as status:\n"
-                "    print(next(line for line in status if line.startswith('VmHWM:')).split()[1])\n")
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
-        assert result.returncode == 0, result.stderr
-        assert int(result.stdout) < 32 * 1024  # KiB
+        code, _, peak = python_peak("from orbitlab.words import _words\n"
+                                    "assert next(_words(4000)) == (1,) * 4000\n", timeout=60)
+        assert code == 0
+        assert peak < 32 * 1024  # KiB
 
 
 class TestCount:
