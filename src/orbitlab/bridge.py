@@ -20,30 +20,19 @@ minima in echelon form for the missed orbits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .orbits import _canonical_engine, _echelon_minima, count_orbits_burnside
 from .residues import GroupSpec, PairState, state_from_index
 from .words import ALPHABET, LETTER_BITS, RGWord, _words
 
-
-@dataclass(slots=True)
-class BridgeReport:
-    """Outcome of comparing word images against the orbit census at one length.
-
-    orbit_count is the Burnside count; missed_orbits, read off only when the
-    images are too few, lists the unreached echelon minima's indices in order.
-    collisions pairs each repeated image's first word with a later one, by
-    image and then by word order.
-    """
-
-    m: int
-    word_count: int
-    orbit_count: int
-    is_injective_on_orbits: bool
-    is_surjective_on_orbits: bool
-    collisions: list[tuple[RGWord, RGWord]]
-    missed_orbits: list[int]
+# Word images against the orbit census at one length.  orbit_count is the
+# Burnside count; missed_orbits, read off only when the images are too few,
+# lists the unreached echelon minima's indices in order; collisions pairs each
+# repeated image's first word with a later one, by image and then by word order.
+BridgeReport = namedtuple("BridgeReport", [
+    "m", "word_count", "orbit_count", "is_injective_on_orbits",
+    "is_surjective_on_orbits", "collisions", "missed_orbits"])
 
 
 def encode_word(word: RGWord) -> PairState:

@@ -11,8 +11,6 @@ strings, so consumers never round large values.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from collections import Counter
@@ -116,15 +114,19 @@ def _emit(fmt: str, header: list[str], rows, payload, text=None, listing=None) -
     digits, spaces, ":" and "-", and every listing has a first row (the zero
     orbit, the all-1s word).  rows and text may be generators.
     """
-    if fmt == "json" and listing:
-        placeholder = dict.fromkeys(header, "%s") if len(header) > 1 else "%s"
-        row = "    " + json.dumps(placeholder, indent=2).replace("\n", "\n    ")
-        head, tail = json.dumps({**payload, listing: [placeholder]}, indent=2).split(row)
-        rows = map(tuple, rows)
-        lines = chain([head, row % next(rows)], map((",\n" + row).__mod__, rows), [tail, "\n"])
-    elif fmt == "json":
-        lines = chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
+    if fmt == "json":
+        import json  # here, not at the top: a text run never loads json or csv
+        if listing:
+            placeholder = dict.fromkeys(header, "%s") if len(header) > 1 else "%s"
+            row = "    " + json.dumps(placeholder, indent=2).replace("\n", "\n    ")
+            head, tail = json.dumps({**payload, listing: [placeholder]}, indent=2).split(row)
+            rows = map(tuple, rows)
+            lines = chain([head, row % next(rows)], map((",\n" + row).__mod__, rows),
+                          [tail, "\n"])
+        else:
+            lines = chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
     elif fmt == "csv":  # writerow returns what write returns: here, the line
+        import csv
         writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
         lines = map(writerow, chain([header], rows))
     else:
@@ -154,7 +156,7 @@ def listing_fault(spec: GroupSpec, counts: dict, listing) -> str | None:
     """Why walk_listing's totals are no census, or None: its length against each
     method's count, its size sum against p^(2n), each size against p(p^2 - 1)."""
     listed, covered, sizes = listing
-    group = spec.p * (spec.p * spec.p - 1)
+    group = spec.sl2_order
     for method, count in counts.items():
         if count != listed:
             return f"{method} counts {count} orbits, the listing has {listed}"
@@ -233,8 +235,8 @@ def cmd_orbits(args) -> int:
         print(f"orbits: {fault}", file=sys.stderr)
         return 1
     header = ["representative", "size", "stabilizer_order"]
-    fmt, p = state_formatter(spec), args.p
-    shown = {size: [str(size), str(formulas.exact_div(p * (p * p - 1), size)) if args.n else "-"]
+    fmt = state_formatter(spec)
+    shown = {size: [str(size), str(formulas.exact_div(spec.sl2_order, size)) if args.n else "-"]
              for size in listing[2]}  # each orbit size: its two columns
     rows = ([fmt(i), *shown[size]] for i, size in orbits._echelon_minima(spec))
     _emit(args.format, header, rows, payload, listing="orbits")

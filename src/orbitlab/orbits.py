@@ -15,9 +15,7 @@ into a PairState only when a caller asks for one.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import deque, namedtuple
 
 from .formulas import exact_div
 from .residues import (
@@ -29,15 +27,14 @@ from .residues import (
     vector_unrank,
 )
 
-class OrbitSummary(NamedTuple):
+
+class OrbitSummary(namedtuple("OrbitSummary", "index size spec")):
     """One equivalence class as the echelon walk yields it: the packed index
     of its minimal member, unpacked on each read of representative, its size
     and the group.  stabilizer_order is p(p^2 - 1) / size, and None at n = 0,
     where the one state is listed with no matrix group acting on it."""
 
-    index: int
-    size: int
-    spec: GroupSpec
+    __slots__ = ()
 
     @property
     def representative(self) -> PairState:
@@ -45,13 +42,10 @@ class OrbitSummary(NamedTuple):
 
     @property
     def stabilizer_order(self) -> int | None:
-        p = self.spec.p
-        return exact_div(p * (p * p - 1), self.size) if self.spec.n else None
+        return exact_div(self.spec.sl2_order, self.size) if self.spec.n else None
 
 
-@dataclass(slots=True)
-class CensusReport:
-    orbit_count: int
+CensusReport = namedtuple("CensusReport", "orbit_count")
 
 
 def _row_moves(p: int, n: int):
@@ -216,7 +210,7 @@ def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
         for d in range(p):
             solutions = 2 * p - 1 if a * d % p == 1 else p - 1
             total += solutions * fixed[1 if (a + d - 2) % p == 0 else 2]
-    return CensusReport(exact_div(total, p * (p * p - 1)))
+    return CensusReport(exact_div(total, spec.sl2_order))
 
 
 def _echelon_minima(spec: GroupSpec):
@@ -227,7 +221,7 @@ def _echelon_minima(spec: GroupSpec):
     yield 0, 1
     n, p = spec.n, spec.p
     order = spec.group_order
-    line, plane = p * p - 1, p * (p * p - 1)  # orbit sizes
+    line, plane = p * p - 1, spec.sl2_order  # orbit sizes
     lead = [p ** t for t in range(n)]  # a leading entry 1 at place t: [p^t, 2 p^t)
     for place in lead:
         for v in range(place, 2 * place):

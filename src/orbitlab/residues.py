@@ -9,22 +9,21 @@ integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .formulas import _require_prime
 
 
-@dataclass(frozen=True, slots=True)
-class GroupSpec:
+class GroupSpec(namedtuple("GroupSpec", "p n")):
     """The group Z_p^n for a prime p and n >= 0, checked once here."""
 
-    p: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_prime(self.p)
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+    def __new__(cls, p: int, n: int) -> "GroupSpec":
+        _require_prime(p)
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        return super().__new__(cls, p, n)
 
     # outside tests, only perfbench/ reads uniform and moduli (ROADMAP item 2)
     @classmethod
@@ -43,19 +42,19 @@ class GroupSpec:
     def state_count(self) -> int:
         return self.group_order ** 2
 
+    @property
+    def sl2_order(self) -> int:
+        """p(p^2 - 1), the order of SL(2, Z_p)."""
+        return self.p * (self.p * self.p - 1)
 
-@dataclass(frozen=True, slots=True)
-class ResidueVector:
-    entries: tuple[int, ...]
-    spec: GroupSpec
 
-    def __post_init__(self):
-        if len(self.entries) != self.spec.n:
-            raise ValueError(
-                f"expected {self.spec.n} entries, got {len(self.entries)}")
-        object.__setattr__(
-            self, "entries",
-            tuple(int(e) % self.spec.p for e in self.entries))
+class ResidueVector(namedtuple("ResidueVector", "entries spec")):
+    __slots__ = ()
+
+    def __new__(cls, entries, spec: GroupSpec) -> "ResidueVector":
+        if len(entries) != spec.n:
+            raise ValueError(f"expected {spec.n} entries, got {len(entries)}")
+        return super().__new__(cls, tuple(int(e) % spec.p for e in entries), spec)
 
     def __neg__(self) -> "ResidueVector":
         return ResidueVector(tuple(-e for e in self.entries), self.spec)
@@ -67,16 +66,15 @@ class ResidueVector:
             tuple(a + b for a, b in zip(self.entries, other.entries)), self.spec)
 
 
-@dataclass(frozen=True, slots=True)
-class PairState:
+class PairState(namedtuple("PairState", "g k")):
     """An element (g, k) of G x G, i.e. an n x 2 matrix with rows (g_i, k_i)."""
 
-    g: ResidueVector
-    k: ResidueVector
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g.spec is not self.k.spec and self.g.spec != self.k.spec:
+    def __new__(cls, g: ResidueVector, k: ResidueVector) -> "PairState":
+        if g.spec is not k.spec and g.spec != k.spec:
             raise ValueError("g and k must share one group spec")
+        return super().__new__(cls, g, k)
 
     @property
     def spec(self) -> GroupSpec:

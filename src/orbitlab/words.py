@@ -8,8 +8,6 @@ somewhere earlier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 ALPHABET = (1, 2, 3, 4)
 # each letter's ASCII digit, for bytes.translate: the one spelling of words;
 # word_from_string parses through its inverse
@@ -45,15 +43,34 @@ def is_valid_word(letters) -> bool:
     return _growth_violation(letters) is None
 
 
-@dataclass(frozen=True, slots=True)
 class RGWord:
-    letters: tuple[int, ...]
+    """A valid word, immutable; a class, not a tuple, as len() counts letters."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        violation = _growth_violation(self.letters)
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[int, ...]) -> None:
+        letters = tuple(letters)
+        violation = _growth_violation(letters)
         if violation is not None:
             raise ValueError(violation)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle through the checking constructor
+        return RGWord, (self.letters,)
+
+    def __eq__(self, other):
+        return self.letters == other.letters if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
+    def __repr__(self) -> str:
+        return f"RGWord(letters={self.letters!r})"
 
     def __str__(self) -> str:
         return bytes(self.letters).translate(_SPELLING).decode()

@@ -754,6 +754,24 @@ class TestContract:
                 failed.append((argv, code))
         assert failed == []
 
+    def test_cold_import_loads_only_what_runs(self):
+        # dataclasses would pull in inspect, dis, ast and tokenize, and json
+        # and csv load only where those formats are written.  Sets, not the
+        # module list, as site may have loaded typing before orbitlab
+        program = ("import sys\n"
+                   "before = set(sys.modules)\n"
+                   "from orbitlab import cli\n"
+                   "print(*sorted(set(sys.modules) - before))\n"
+                   "cli.main(['sequence', '--p', '2', '--n-max', '3'])\n"
+                   "print(*sorted(set(sys.modules) - before))\n")
+        result = python_run("-c", program, timeout=30)
+        imported, *table, after = result.stdout.splitlines()
+        assert (result.returncode, table) == (0, ["0 1", "1 2", "2 5", "3 15"])
+        heavy = {"dataclasses", "inspect", "dis", "ast", "tokenize", "typing", "json", "csv"}
+        assert "orbitlab.cli" in imported.split()
+        assert heavy & set(imported.split()) == set()
+        assert {"json", "csv"} & set(after.split()) == set()
+
     def test_csv_uses_lf(self, capsys):
         _, out, _ = run(capsys, "sequence", "--p", "2", "--n-max", "2",
                         "--format", "csv")

@@ -210,6 +210,18 @@ class TestVectors:
         s = PairState(ResidueVector((1, 2), first), ResidueVector((0, 1), second))
         assert s.rows() == [(1, 0), (2, 1)]
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: GroupSpec(4, 1), "p must be prime, got 4"),
+        (lambda: GroupSpec(2, -1), "n must be >= 0, got -1"),
+        (lambda: ResidueVector((1,), Z2_2), "expected 2 entries, got 1"),
+        (lambda: PairState(ResidueVector((1,), Z2), ResidueVector((1,), Z3)),
+         "g and k must share one group spec"),
+    ], ids=["composite p", "negative n", "entry count", "two specs"])
+    def test_messages(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
     def test_vector_mismatch_add(self):
         with pytest.raises(ValueError):
             ResidueVector((1,), Z2) + ResidueVector((1,), Z3)

@@ -74,9 +74,11 @@ class TestRGWord:
         ((2, 1, 4, 4), "letter 4 at position 3 breaks the growth bound: "
                        "at most running maximum 2 plus 1 is allowed"),
         ((1, 5, 5), "letter 5 at position 2 is outside the alphabet 1..4"),
+        ((1, 3), "letter 3 at position 2 breaks the growth bound: "
+                 "at most running maximum 1 plus 1 is allowed"),
     ])
     def test_message_names_the_first_faulty_position(self, letters, message):
-        # the faulty letter repeats; the message names its first position
+        # where the faulty letter repeats, the message names its first position
         with pytest.raises(ValueError) as exc:
             RGWord(letters)
         assert str(exc.value) == message
