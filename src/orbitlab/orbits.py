@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque, namedtuple
+from itertools import repeat
 
 from .formulas import exact_div
 from .residues import (
@@ -55,7 +56,9 @@ def _row_moves(p: int, n: int):
     s_lo[lo] and T(i) = (t_hi[hi] + t_lo[lo]) mod p^(2n); lo is the last
     n // 2 rows.  At n = 1, where a p^2-entry table would be as long as the
     state count, hi = k, lo = g and base = p; T's k + g there overflows
-    only past the top digit."""
+    only past the top digit, so the sum is below twice the state count.
+    At n != 1 each row's digit wraps inside its own table entry, and the
+    sum is T(i) itself."""
     def chunk(rows: int, digits, scale: int):
         # the images, times scale, of every chunk of rows, each row digit in digits
         s_row = [(-d % p * p + d // p) * scale for d in digits]  # (k, -g)
@@ -76,28 +79,38 @@ def _row_moves(p: int, n: int):
 def _bfs_orbits(spec: GroupSpec):
     """Visited sweep on row-packed states (see _row_moves; no other code
     reads that packing), one visited byte each, skipping visited runs with
-    bytearray.find.  Yields (start, size) per orbit: start is the orbit's
-    least row-packed index, which is not in general its least packed one."""
+    bytearray.find.  Each orbit is closed through one FIFO, so the queue
+    holds a frontier, never a whole orbit.  An index splits into (hi, lo)
+    by one floor division and one subtraction, and T's table sum, below
+    twice the state count, is brought back by one conditional
+    subtraction.  Yields (start, size) per orbit: start is the orbit's
+    least row-packed index, which is not in general its least packed
+    one."""
     total = spec.state_count
     base, (s_hi, t_hi), (s_lo, t_lo) = _row_moves(spec.p, spec.n)
     visited = bytearray(total)
+    queue = deque()
+    pop, push = queue.popleft, queue.append
     start = 0
     while start >= 0:
         size = 0
         visited[start] = 1
-        queue = deque([start])
+        push(start)
         while queue:
-            i = queue.popleft()
+            i = pop()
             size += 1
-            hi, lo = divmod(i, base)
+            hi = i // base
+            lo = i - hi * base
             j = s_hi[hi] + s_lo[lo]
             if not visited[j]:
                 visited[j] = 1
-                queue.append(j)
-            j = (t_hi[hi] + t_lo[lo]) % total
+                push(j)
+            j = t_hi[hi] + t_lo[lo]
+            if j >= total:
+                j -= total
             if not visited[j]:
                 visited[j] = 1
-                queue.append(j)
+                push(j)
         yield start, size
         start = visited.find(0, start + 1)
 
@@ -111,9 +124,10 @@ def _canonical_engine(spec: GroupSpec):
     """Return (least, is_least) on packed indices.
 
     least(i) is the least index in the matrix orbit of i, read off by row
-    reduction in O(n) field operations; is_least(i) is least(i) == i,
-    decided without computing the minimum.  Every orbit is one of three
-    kinds, and its minimum under the packed order is:
+    reduction in O(n) field operations.  is_least(g, k) takes the two
+    halves of i = g * p^n + k and is least(i) == i, decided without
+    computing the minimum.  Every orbit is one of three kinds, and its
+    minimum under the packed order is:
 
     - rank 0: the zero state;
     - rank 1: [0 | v], v the vector of the line with leading entry 1;
@@ -137,9 +151,7 @@ def _canonical_engine(spec: GroupSpec):
             lo, mid, _ = sorted((g, k, g ^ k))
             return (lo << n) | mid
 
-        def is_least(i: int) -> bool:
-            g = i >> n
-            k = i & mask
+        def is_least(g: int, k: int) -> bool:
             return not g or g < k < g ^ k
 
         return least, is_least
@@ -167,12 +179,11 @@ def _canonical_engine(spec: GroupSpec):
         lam_e1 = [(gj * y - kj * x) % p for x, y in zip(g, k)]
         return vector_rank(e2, p) * order + vector_rank(lam_e1, p)
 
-    def is_least(i: int) -> bool:
-        gr, kr = divmod(i, order)
-        if not gr:  # k's leading entry is 1 iff p^t <= k < 2 p^t
-            return not kr or kr < 2 * powers[bisect_right(powers, kr) - 1]
-        place = powers[bisect_right(powers, gr) - 1]  # g's leading place value
-        return gr < 2 * place and kr >= place * p and not kr // place % p
+    def is_least(g: int, k: int) -> bool:
+        if not g:  # k's leading entry is 1 iff p^t <= k < 2 p^t
+            return not k or k < 2 * powers[bisect_right(powers, k) - 1]
+        place = powers[bisect_right(powers, g) - 1]  # g's leading place value
+        return g < 2 * place and k >= place * p and not k // place % p
 
     return least, is_least
 
@@ -187,9 +198,13 @@ def canonical_form(s: PairState) -> PairState:
 
 
 def count_orbits_canonical(spec: GroupSpec) -> CensusReport:
-    """Count the states that are their orbit's minimum; O(1) extra memory."""
+    """Count the states that are their orbit's minimum; O(1) extra memory.
+    The sweep runs over each half g and, inside it, every half k, so each
+    state reaches is_least(g, k) already split."""
     _, is_least = _canonical_engine(spec)
-    return CensusReport(sum(map(is_least, range(spec.state_count))))
+    order = spec.group_order
+    return CensusReport(sum(sum(map(is_least, repeat(g, order), range(order)))
+                            for g in range(order)))
 
 
 def count_orbits_burnside(spec: GroupSpec) -> CensusReport:

@@ -159,7 +159,7 @@ class TestVerifyBridge:
         def engine(spec):
             least, _ = real_engine(spec)
 
-            def is_least(i):
+            def is_least(g, k):
                 raise AssertionError("verify_bridge swept the states")
             return least, is_least
         monkeypatch.setattr(bridge, "_canonical_engine", engine)

@@ -96,6 +96,14 @@ class TestOrbits:
         assert (code, out) == (0, "1\n")
         assert peak < 32 * 1024
 
+    def test_bfs_memory_at_n2(self):
+        # orbits of 29,760 states beside a 923,521-byte visited map: the
+        # sweep's peak stays near the interpreter's own, about 16 MiB
+        code, out, peak = run_measured("orbits", "--p", "31", "--n", "2",
+                                       "--method", "bfs")
+        assert (code, out) == (0, "63\n")
+        assert peak < 32 * 1024
+
     def test_canonical_large_prime_finishes(self):
         # 1,018,081 states, each decided by row reduction, not by 1e9 matrices
         result = python_run("-m", "orbitlab", "orbits", "--p", "1009", "--n", "1",

@@ -146,6 +146,18 @@ class TestBfsCensus:
             assert s_hi[hi] + s_lo[lo] == row_index(apply_s(s)), s
             assert (t_hi[hi] + t_lo[lo]) % spec.state_count == row_index(apply_t(s)), s
 
+    @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (3, 1), (13, 1), (2, 2), (3, 3),
+                                     (5, 2), (2, 3), (3, 5)])
+    def test_t_sum_wraps_at_most_once(self, p, n):
+        # the sweep brings T's table sum back with one conditional
+        # subtraction: every sum, so the largest, max + max, is below twice
+        # the state count, and at n != 1, where each row wraps inside its
+        # own entry, below it
+        total = GroupSpec.uniform(p, n).state_count
+        _, (_, t_hi), (_, t_lo) = _row_moves(p, n)
+        bound = 2 * total if n == 1 else total
+        assert max(t_hi) + max(t_lo) < bound
+
     def test_deterministic(self):
         assert count_orbits_bfs(Z2_2).orbit_count == count_orbits_bfs(Z2_2).orbit_count
         assert orbit_summaries(Z2_2) == orbit_summaries(Z2_2)
@@ -188,7 +200,8 @@ class TestCanonicalForm:
         least, is_least = _canonical_engine(spec)
         for i, low in brute_minima(spec).items():
             assert least(i) == low, state_from_index(i, spec)
-            assert is_least(i) == (least(i) == i), state_from_index(i, spec)
+            assert is_least(*divmod(i, spec.group_order)) == (least(i) == i), \
+                state_from_index(i, spec)
 
     def test_rejects_non_uniform(self):
         # a composite modulus is refused when the spec is built
