@@ -11,7 +11,7 @@ import sys
 from orbitlab.bridge import _word_index
 from orbitlab.budget import check_budget
 from orbitlab.cli import main, state_formatter
-from orbitlab.orbits import _canonical_engine, orbit_summaries
+from orbitlab.orbits import _least, orbit_summaries
 from orbitlab.residues import GroupSpec
 from orbitlab.words import _SPELLING, _words, count_words
 
@@ -19,7 +19,7 @@ from orbitlab.words import _SPELLING, _words, count_words
 def show_orbits(n: int) -> None:
     spec = GroupSpec(2, n)
     fmt = state_formatter(spec)
-    least, _ = _canonical_engine(spec)
+    least = _least(spec)
     print(f"orbit classes over Z_2^{n} ({spec.state_count} states):")
     for idx, summary in enumerate(orbit_summaries(spec), 1):
         members = [i for i in range(spec.state_count) if least(i) == summary.index]
@@ -32,7 +32,7 @@ def show_words(m: int) -> None:
     print(f"{count_words(m)} words of length {m}, with their encoded classes:")
     spec = GroupSpec(2, m)
     fmt = state_formatter(spec)
-    least, _ = _canonical_engine(spec)
+    least = _least(spec)
     for letters in _words(m):  # streamed: no word list is held
         word, i = bytes(letters).translate(_SPELLING).decode(), _word_index(letters, m)
         print(f"  {word}  ->  [{fmt(i)}]  class [{fmt(least(i))}]")

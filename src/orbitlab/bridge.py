@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .orbits import _canonical_engine, _echelon_minima, count_orbits_burnside
+from .orbits import _echelon_minima, _least, count_orbits_burnside
 from .residues import GroupSpec, PairState, state_from_index
 from .words import ALPHABET, LETTER_BITS, RGWord, _words
 
@@ -76,7 +76,7 @@ def verify_bridge(m: int) -> BridgeReport:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     spec = GroupSpec(2, m)
-    least, _ = _canonical_engine(spec)
+    least = _least(spec)
     orbit_count = count_orbits_burnside(spec).orbit_count
 
     # the encoder reads each letter through one table per column, so it is

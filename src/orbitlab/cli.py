@@ -17,7 +17,6 @@ from collections import Counter
 from functools import partial
 from itertools import chain, islice
 from time import perf_counter
-from types import SimpleNamespace
 
 from . import bridge, formulas, orbits, words
 from .budget import BudgetExceeded, check_budget, check_printable
@@ -110,12 +109,14 @@ def _emit(fmt: str, header: list[str], rows, payload, text=None, listing=None) -
     then rows; json: payload, indented, in iterencode's chunks, or with the
     rows as its list `listing` (per row a dict by header, for one column a
     string) from one row template: the bytes of json.dumps of the whole
-    document.  The template needs no escaping, as row values hold only
-    digits, spaces, ":" and "-", and every listing has a first row (the zero
+    document.  Neither the template nor a csv line needs escaping, as values
+    hold only digits, spaces, ":", "-" and letters (PASS, FAIL, header
+    names), so csv.writer would quote only a row of one empty field (the
+    word of `words --m 0 --list`).  Every listing has a first row (the zero
     orbit, the all-1s word).  rows and text may be generators.
     """
     if fmt == "json":
-        import json  # here, not at the top: a text run never loads json or csv
+        import json  # here, not at the top: a text run never loads json
         if listing:
             placeholder = dict.fromkeys(header, "%s") if len(header) > 1 else "%s"
             row = "    " + json.dumps(placeholder, indent=2).replace("\n", "\n    ")
@@ -125,10 +126,8 @@ def _emit(fmt: str, header: list[str], rows, payload, text=None, listing=None) -
                           [tail, "\n"])
         else:
             lines = chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
-    elif fmt == "csv":  # writerow returns what write returns: here, the line
-        import csv
-        writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-        lines = map(writerow, chain([header], rows))
+    elif fmt == "csv":  # as csv.writer quotes: nothing, but a lone empty field
+        lines = ((",".join(row) or '""') + "\n" for row in chain([header], rows))
     else:
         lines = (f"{line}\n" for line in (map(" ".join, rows) if text is None else text))
     # one write per 4096 lines: under PYTHONUNBUFFERED each write is a syscall
@@ -264,7 +263,7 @@ def cmd_encode(args) -> int:
     m = len(word)
     i = bridge._word_index(word.letters, m)  # refuses the empty word
     spec = GroupSpec(2, m)
-    least, _ = orbits._canonical_engine(spec)
+    least = orbits._least(spec)
     fmt = state_formatter(spec)
     rows, canon = fmt(i), fmt(least(i))
     _emit(args.format, ["word", "rows", "canonical"], [[args.word, rows, canon]],

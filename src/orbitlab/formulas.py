@@ -66,6 +66,10 @@ def r_formula(p: int, n: int) -> int:
     _require_prime(p)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    return _r(p, n)
+
+
+def _r(p: int, n: int) -> int:  # r_formula's closed form, p and n unchecked
     if n == 0:
         return 1
     num = p ** (2 * n - 1) + p ** (n + 1) - p ** (n - 1) + p * p - p - 1
@@ -100,4 +104,4 @@ def sequence_table(p: int, n_max: int) -> list[tuple[int, int]]:
     _require_prime(p)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return [(n, r_formula(p, n)) for n in range(n_max + 1)]
+    return [(n, _r(p, n)) for n in range(n_max + 1)]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque, namedtuple
-from itertools import repeat
 
 from .formulas import exact_div
 from .residues import (
@@ -120,14 +119,10 @@ def count_orbits_bfs(spec: GroupSpec) -> CensusReport:
     return CensusReport(sum(1 for _ in _bfs_orbits(spec)))
 
 
-def _canonical_engine(spec: GroupSpec):
-    """Return (least, is_least) on packed indices.
-
-    least(i) is the least index in the matrix orbit of i, read off by row
-    reduction in O(n) field operations.  is_least(g, k) takes the two
-    halves of i = g * p^n + k and is least(i) == i, decided without
-    computing the minimum.  Every orbit is one of three kinds, and its
-    minimum under the packed order is:
+def _least(spec: GroupSpec):
+    """Return least(i): the least packed index in the matrix orbit of i,
+    read off by row reduction in O(n) field operations.  Every orbit is one
+    of three kinds, and its minimum under the packed order is:
 
     - rank 0: the zero state;
     - rank 1: [0 | v], v the vector of the line with leading entry 1;
@@ -135,13 +130,9 @@ def _canonical_engine(spec: GroupSpec):
       plane with pivots j1 < j2, and lam = -(g_j1 k_j2 - k_j1 g_j2), since
       the determinant of the coordinates in that basis is invariant.
 
-    So [g | k] is minimal iff g = 0 and k is 0 or has leading entry 1, or g
-    has leading entry 1 at some j, k is nonzero before j and k_j = 0.  At
-    p = 2 the minimum is (min, middle) of {g, k, g ^ k}.
+    At p = 2 the minimum is (min, middle) of {g, k, g ^ k}.
     """
-    n, p = spec.n, spec.p
-    order = spec.group_order
-
+    n, p, order = spec.n, spec.p, spec.group_order
     if p == 2:
         mask = order - 1
 
@@ -150,13 +141,7 @@ def _canonical_engine(spec: GroupSpec):
             k = i & mask
             lo, mid, _ = sorted((g, k, g ^ k))
             return (lo << n) | mid
-
-        def is_least(g: int, k: int) -> bool:
-            return not g or g < k < g ^ k
-
-        return least, is_least
-
-    powers = [p ** t for t in range(n + 1)]
+        return least
 
     def least(i: int) -> int:
         gr, kr = divmod(i, order)
@@ -179,32 +164,44 @@ def _canonical_engine(spec: GroupSpec):
         lam_e1 = [(gj * y - kj * x) % p for x, y in zip(g, k)]
         return vector_rank(e2, p) * order + vector_rank(lam_e1, p)
 
-    def is_least(g: int, k: int) -> bool:
-        if not g:  # k's leading entry is 1 iff p^t <= k < 2 p^t
-            return not k or k < 2 * powers[bisect_right(powers, k) - 1]
-        place = powers[bisect_right(powers, g) - 1]  # g's leading place value
-        return g < 2 * place and k >= place * p and not k // place % p
+    return least
 
-    return least, is_least
+
+def _minimal(spec: GroupSpec):
+    """Return minimal(g), the test on k that [g | k], index g * p^n + k, has
+    the shape of its orbit's minimum (see _least), decided once for g: at
+    g = 0, k is 0 or leads with 1; if g does not lead with 1, never; else,
+    p^t g's leading place value, k is nonzero before it and 0 at it."""
+    n, p = spec.n, spec.p
+    powers = [p ** t for t in range(n + 1)]
+
+    def zero(k: int) -> bool:  # k's leading entry is 1 iff p^t <= k < 2 p^t
+        return not k or k < 2 * powers[bisect_right(powers, k) - 1]
+
+    def minimal(g: int):
+        if not g:
+            return zero
+        place = powers[bisect_right(powers, g) - 1]  # g's leading place value
+        if g >= 2 * place:  # g's leading entry is not 1
+            return lambda k: False
+        step = place * p
+        return lambda k: k >= step and not k // place % p
+
+    return minimal
 
 
 def canonical_form(s: PairState) -> PairState:
-    """Minimal matrix image of s under the packed-index order.
-
-    Idempotent and constant on orbits, so it identifies an orbit.
-    """
-    least, _ = _canonical_engine(s.spec)
-    return state_from_index(least(state_index(s)), s.spec)
+    """Minimal matrix image of s under the packed-index order: idempotent
+    and constant on orbits, so it identifies an orbit."""
+    return state_from_index(_least(s.spec)(state_index(s)), s.spec)
 
 
 def count_orbits_canonical(spec: GroupSpec) -> CensusReport:
     """Count the states that are their orbit's minimum; O(1) extra memory.
-    The sweep runs over each half g and, inside it, every half k, so each
-    state reaches is_least(g, k) already split."""
-    _, is_least = _canonical_engine(spec)
-    order = spec.group_order
-    return CensusReport(sum(sum(map(is_least, repeat(g, order), range(order)))
-                            for g in range(order)))
+    The sweep runs over each half g and builds its test once, and every
+    half k inside it reaches that test: one call per state."""
+    minimal, order = _minimal(spec), spec.group_order
+    return CensusReport(sum(sum(map(minimal(g), range(order))) for g in range(order)))
 
 
 def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
@@ -230,7 +227,7 @@ def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
 
 def _echelon_minima(spec: GroupSpec):
     """Yield (rep, size) for every orbit, in index order, from the shape of
-    the minima (see _canonical_engine): the zero state, then [0 | v] for
+    the minima (see _least): the zero state, then [0 | v] for
     each line, then [g | k] for each plane and determinant class.  No state
     is visited."""
     yield 0, 1

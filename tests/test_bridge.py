@@ -4,11 +4,11 @@ from itertools import product
 import pytest
 
 from oracles import letters_of_rows, pair
-from orbitlab import bridge, cli
+from orbitlab import bridge, cli, orbits
 from orbitlab.bridge import encode_word, verify_bridge
 from orbitlab.orbits import (
-    _canonical_engine,
     _echelon_minima,
+    _least,
     canonical_form,
     orbit_summaries,
 )
@@ -154,15 +154,11 @@ class TestVerifyBridge:
     def test_missed_orbits_need_no_sweep(self, monkeypatch):
         # the certificates are read off the orbit minima, not found by
         # testing every state for the shape of a minimum
-        real_engine = bridge._canonical_engine
-
-        def engine(spec):
-            least, _ = real_engine(spec)
-
-            def is_least(g, k):
+        def unsweepable(spec):
+            def minimal(g):
                 raise AssertionError("verify_bridge swept the states")
-            return least, is_least
-        monkeypatch.setattr(bridge, "_canonical_engine", engine)
+            return minimal
+        monkeypatch.setattr(orbits, "_minimal", unsweepable)
         dropped = enumerate_words(5)[40]
         patch_walk(monkeypatch, lambda ws: [w for w in ws if w != dropped.letters])
         report = verify_bridge(5)
@@ -260,7 +256,7 @@ class TestRoundTrip:
         # so the walk's two per-word checks, letter order and round trip,
         # need no growth rule of their own; the encoder refuses the empty word
         for m in range(1, 8):
-            least, _ = _canonical_engine(GroupSpec.uniform(2, m))
+            least = _least(GroupSpec.uniform(2, m))
             for letters in product(ALPHABET, repeat=m):
                 i = bridge._word_index(letters, m)
                 expected = _growth_violation(letters) is None
@@ -268,7 +264,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_word_orbit_word(self, m):
-        least, _ = _canonical_engine(GroupSpec.uniform(2, m))
+        least = _least(GroupSpec.uniform(2, m))
         for letters in _words(m):
             i = bridge._word_index(letters, m)
             assert bridge._decode(least(i), m) == i, letters
@@ -276,7 +272,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_orbit_word_orbit(self, m):
         spec = GroupSpec.uniform(2, m)
-        least, _ = _canonical_engine(spec)
+        least = _least(spec)
         decoded = []
         for rep, _ in _echelon_minima(spec):
             i = bridge._decode(rep, m)
@@ -289,7 +285,7 @@ class TestRoundTrip:
     def test_decoded_states_are_words(self, m):
         # past the exhaustive range: any state's orbit decodes to a valid word
         spec = GroupSpec.uniform(2, m)
-        least, _ = _canonical_engine(spec)
+        least = _least(spec)
         fmt, rng = cli.state_formatter(spec), random.Random(m)
         for _ in range(200):
             word = letters_of_rows(fmt(bridge._decode(least(rng.getrandbits(2 * m)), m)))

@@ -341,6 +341,10 @@ class TestWords:
     def test_csv_list(self, capsys):
         assert run(capsys, *"words --m 1 --list --format csv".split())[:2] == (0, "word\n1\n2\n")
 
+    def test_csv_quotes_the_empty_word(self, capsys):
+        # a row of one empty field is quoted, or it would read as no row
+        assert run(capsys, *"words --m 0 --list --format csv".split())[:2] == (0, 'word\n""\n')
+
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     @pytest.mark.parametrize("extra", [[], ["--list"], ["--list", "--budget", "0"]])
     def test_negative_m(self, capsys, extra, fmt):
@@ -1085,3 +1089,19 @@ GOLDEN = {
 def test_golden_stdout(capsys, command, fmt):
     code, out, err = run(capsys, *command.split(), "--format", fmt)
     assert (code, out, err) == (0, GOLDEN[command, fmt], "")
+
+
+CSV_LISTINGS = ["orbits --p 2 --n 0 --list", "orbits --p 2 --n 6 --list",
+                "orbits --p 3 --n 3 --list", "orbits --p 11 --n 2 --list",
+                "orbits --p 13 --n 3 --list --method formula",
+                "words --m 0 --list", "words --m 7 --list"]
+
+
+@pytest.mark.parametrize("command", [c for c, fmt in GOLDEN if fmt == "csv"] + CSV_LISTINGS)
+def test_csv_is_what_csv_writer_writes(capsys, command):
+    # the emitter joins the fields itself: csv's reader and writer must
+    # give back the same bytes
+    code, out, _ = run(capsys, *command.split(), "--format", "csv")
+    written = io.StringIO()
+    csv.writer(written, lineterminator="\n").writerows(csv.reader(io.StringIO(out)))
+    assert (code, written.getvalue()) == (0, out)

@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import f_recurrence
+from orbitlab import formulas
 from orbitlab.formulas import (
     exact_div,
     f_closed,
@@ -129,8 +130,16 @@ def test_sequence_table():
     assert [r for _, r in sequence_table(3, 3)] == [1, 2, 7, 40]
     with pytest.raises(ValueError):
         sequence_table(2, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p must be prime, got 6"):
         sequence_table(6, 3)
+
+
+def test_sequence_table_tests_p_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(formulas, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    table = sequence_table(10_000_000_019, 30)
+    assert calls == [10_000_000_019]
+    assert table == [(n, r_formula(10_000_000_019, n)) for n in range(31)]
 
 
 def test_numerator_divisibility():

@@ -1,11 +1,13 @@
 import pytest
 
 from oracles import all_states, apply_mat, group_image, orbit_of, pair
+from orbitlab import orbits
 from orbitlab.formulas import r_formula
 from orbitlab.orbits import (
     _bfs_orbits,
-    _canonical_engine,
     _echelon_minima,
+    _least,
+    _minimal,
     _row_moves,
     canonical_form,
     count_orbits_bfs,
@@ -197,11 +199,11 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("p,n", PARITY_GRID)
     def test_engine_matches_the_matrix_minimum(self, p, n):
         spec = GroupSpec.uniform(p, n)
-        least, is_least = _canonical_engine(spec)
+        least, minimal = _least(spec), _minimal(spec)
         for i, low in brute_minima(spec).items():
             assert least(i) == low, state_from_index(i, spec)
-            assert is_least(*divmod(i, spec.group_order)) == (least(i) == i), \
-                state_from_index(i, spec)
+            g, k = divmod(i, spec.group_order)
+            assert bool(minimal(g)(k)) == (least(i) == i), state_from_index(i, spec)
 
     def test_rejects_non_uniform(self):
         # a composite modulus is refused when the spec is built
@@ -222,6 +224,35 @@ class TestCanonicalCensus:
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
             count_orbits_canonical(GroupSpec.uniform(4, 1))
+
+    @pytest.mark.parametrize("p,n", [(2, 0), (2, 5), (3, 3), (5, 2), (17, 1)])
+    def test_every_state_reaches_one_test(self, p, n, monkeypatch):
+        # no range bound or closed form stands in for a state: the census
+        # would become the echelon listing or the formula it checks
+        calls = []
+        real = orbits._minimal
+
+        def counted(spec):
+            minimal = real(spec)
+
+            def wrapped(g):
+                test = minimal(g)
+                return lambda k: calls.append(k) or test(k)
+            return wrapped
+        monkeypatch.setattr(orbits, "_minimal", counted)
+        spec = GroupSpec.uniform(p, n)
+        assert count_orbits_canonical(spec).orbit_count == r_formula(p, n)
+        assert len(calls) == p ** (2 * n)
+
+    @pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 3), (7, 2), (13, 2)])
+    def test_minimal_is_the_row_reduced_minimum(self, p, n):
+        spec = GroupSpec.uniform(p, n)
+        least, minimal, order = _least(spec), _minimal(spec), spec.group_order
+        for g in range(order):
+            test = minimal(g)
+            for k in range(order):
+                i = g * order + k
+                assert bool(test(k)) == (least(i) == i), (g, k)
 
 
 class TestBurnsideCensus:
