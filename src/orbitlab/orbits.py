@@ -7,6 +7,15 @@ counted when it has the row-reduced shape of its orbit's minimum); and
 class-equation averaging of fixed-point counts.  The sweep shares no code
 with the other routes, and those two share only the index packing, which is
 the point: they are meant to disagree loudly if any one of them is wrong.
+The sweep reads one value it does not derive from the moves: the group
+order, through GroupSpec.sl2_order, which Burnside divides by too.  It
+takes the orbits above a head orbit of that size in bulk (see _bfs_orbits).
+A wrong order cannot make the routes agree falsely: one that matches no
+head orbit's size only sends every state through the slower FIFO, and one
+that matches the size of a smaller head orbit counts one orbit per tail
+above it, where fewer lie: a count that the canonical and formula routes,
+which do not read the order, do not share.
+
 The orbit listing enumerates the row-reduced minima directly and visits no
 state: each orbit is the packed index of its minimum and its size, unpacked
 into a PairState only when a caller asks for one.
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque, namedtuple
+from itertools import repeat
 
 from .formulas import exact_div
 from .residues import (
@@ -78,19 +88,46 @@ def _row_moves(p: int, n: int):
 def _bfs_orbits(spec: GroupSpec):
     """Visited sweep on row-packed states (see _row_moves; no other code
     reads that packing), one visited byte each, skipping visited runs with
-    bytearray.find.  Each orbit is closed through one FIFO, so the queue
-    holds a frontier, never a whole orbit.  An index splits into (hi, lo)
-    by one floor division and one subtraction, and T's table sum, below
-    twice the state count, is brought back by one conditional
-    subtraction.  Yields (start, size) per orbit: start is the orbit's
-    least row-packed index, which is not in general its least packed
-    one."""
-    total = spec.state_count
+    bytearray.find.  Yields (start, size) per orbit: start is the orbit's
+    least row-packed index, which is not in general its least packed one.
+
+    At n >= 2 an index i is a head hi = i // base (its first n - n // 2
+    rows) and a tail, and both moves carry heads to heads: s_hi[hi] // base
+    is S's image of hi.  So the heads are closed into orbits first, on one
+    byte each.  A head orbit with sl2_order members has a trivial
+    stabilizer, so each of the base states over its least head h lies in
+    its own orbit, and that orbit has one member over each head of the
+    head orbit: the orbits over it are h * base + l for every tail l, each
+    of sl2_order states.  Their states are marked visited one slice per
+    head and their orbits are yielded first, as a stream.
+
+    Every state left is then closed through one FIFO, so the queue holds a
+    frontier, never a whole orbit.  An index splits into (hi, lo) by one
+    floor division and one subtraction, and T's table sum, below twice the
+    state count, is brought back by one conditional subtraction."""
+    total, free = spec.state_count, spec.sl2_order
     base, (s_hi, t_hi), (s_lo, t_lo) = _row_moves(spec.p, spec.n)
     visited = bytearray(total)
+    if spec.n >= 2:  # at n = 1 the split falls inside the one row
+        ones = b"\x01" * base
+        seen = bytearray(len(s_hi))
+        h = 0
+        while h >= 0:
+            seen[h] = 1
+            heads = [h]
+            for x in heads:  # a head orbit has at most p(p^2 - 1) members
+                for y in (s_hi[x] // base, t_hi[x] // base):
+                    if not seen[y]:
+                        seen[y] = 1
+                        heads.append(y)
+            if len(heads) == free:
+                for x in heads:
+                    visited[x * base:(x + 1) * base] = ones
+                yield from zip(range(h * base, (h + 1) * base), repeat(free))
+            h = seen.find(0, h + 1)
     queue = deque()
     pop, push = queue.popleft, queue.append
-    start = 0
+    start = visited.find(0)
     while start >= 0:
         size = 0
         visited[start] = 1

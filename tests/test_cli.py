@@ -104,6 +104,15 @@ class TestOrbits:
         assert (code, out) == (0, "63\n")
         assert peak < 32 * 1024
 
+    def test_bfs_memory_at_n11(self):
+        # 700,075 orbits, most of them yielded in bulk above free head
+        # orbits, beside a 4 MiB visited map: held as a list of pairs they
+        # would lift the peak past 80 MiB
+        code, out, peak = run_measured("orbits", "--p", "2", "--n", "11",
+                                       "--method", "bfs")
+        assert (code, out) == (0, "700075\n")
+        assert peak < 32 * 1024
+
     def test_canonical_large_prime_finishes(self):
         # 1,018,081 states, each decided by row reduction, not by 1e9 matrices
         result = python_run("-m", "orbitlab", "orbits", "--p", "1009", "--n", "1",

@@ -129,14 +129,36 @@ class TestBfsCensus:
             assert sum(s.size for s in summaries) == spec.state_count
 
     @pytest.mark.parametrize("p,n", [(3, 5), (11, 1), (13, 1), (13, 2), (5, 0),
-                                     (2, 1), (3, 1), (2, 2), (3, 3), (2, 0)])
+                                     (2, 1), (3, 1), (2, 2), (3, 3), (2, 0),
+                                     (2, 6), (5, 3)])
     def test_move_table_shapes(self, p, n):
         # odd n splits the rows into unequal chunks; n = 1 splits the one
         # row between its digits; n = 2 splits the rows evenly; n = 0 has
-        # one state
+        # one state; at (2, 6) and (5, 3) most orbits lie over free head
+        # orbits and are yielded in bulk, so orbit_of re-closes them here
         spec = GroupSpec.uniform(p, n)
         assert bfs_minima(spec) == list(_echelon_minima(spec))
         assert count_orbits_bfs(spec).orbit_count == r_formula(p, n)
+
+    @pytest.mark.parametrize("p,n", [(2, 5), (3, 4)])
+    def test_a_wrong_group_order_only_costs_time(self, p, n, monkeypatch):
+        # the orbits over a head orbit are yielded in bulk, and first, only
+        # when it has sl2_order members; an order that matches no head
+        # orbit sends every state through the FIFO, which finds the same
+        # orbits, starting from the zero state
+        spec = GroupSpec.uniform(p, n)
+        bulk = sorted(_bfs_orbits(spec))
+        assert next(_bfs_orbits(spec))[1] == p * (p * p - 1)
+        monkeypatch.setattr(GroupSpec, "sl2_order", property(lambda self: 0))
+        assert next(_bfs_orbits(spec)) == (0, 1)
+        assert sorted(_bfs_orbits(spec)) == bulk
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_the_moves_act_freely_on_a_plane_basis(self, p):
+        # [e1 | e2] has a trivial stabilizer, the fact the bulk orbits rest
+        # on: closed under the two moves alone, it has sl2_order members
+        spec = GroupSpec.uniform(p, 2)
+        assert len(orbit_of(pair([1, 0], [0, 1], spec))) == spec.sl2_order
 
     @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (3, 1), (13, 1), (2, 2), (3, 3), (5, 2)])
     def test_move_tables_are_the_moves(self, p, n):

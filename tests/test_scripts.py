@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from oracles import python_head, python_peak, python_run
-from orbitlab import orbits
+from orbitlab import cli, orbits
 from orbitlab.orbits import CensusReport
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -72,23 +72,62 @@ def test_grid_memory_is_bounded():
     assert peak < 24 * 1024
 
 
-def test_grid_mismatch_evidence(monkeypatch, capsys):
-    # one route wrong at one cell: its evidence goes to stderr, and the
-    # stdout rows keep their columns
-    real = orbits.count_orbits_canonical
-    monkeypatch.setattr(orbits, "count_orbits_canonical", lambda spec: (
-        CensusReport(8) if (spec.p, spec.n) == (3, 2) else real(spec)))
+def run_grid_with_a_wrong_route(monkeypatch, capsys, wrong_runs):
+    """grid_agreement.py --p2-max 3 in-process, with the canonical count
+    of (3, 2) one too high on the runs of that cell numbered in wrong_runs;
+    return the exit code, stdout, stderr and how often that cell was counted."""
+    real, calls = orbits.count_orbits_canonical, []
+
+    def canonical(spec):
+        if (spec.p, spec.n) != (3, 2):
+            return real(spec)
+        calls.append(spec)
+        return CensusReport(8 if len(calls) - 1 in wrong_runs else 7)
+    monkeypatch.setattr(orbits, "count_orbits_canonical", canonical)
     monkeypatch.setattr(sys, "argv", ["grid_agreement.py", "--p2-max", "3"])
     with pytest.raises(SystemExit) as exit_:
         runpy.run_path(str(SCRIPTS / "grid_agreement.py"), run_name="__main__")
     out, err = capsys.readouterr()
-    assert exit_.value.code == 1
-    assert err == ("grid_agreement: p=3 n=2 FAIL bfs=7 canonical=8 burnside=7 "
-                   "formula=7 listed=7 covered=81\n1 mismatching cells\n")
+    return exit_.value.code, out, err, len(calls)
+
+
+GRID_MISMATCH = ("grid_agreement: p=3 n=2 FAIL bfs=7 canonical=8 burnside=7 "
+                 "formula=7 listed=7 covered=81\n1 mismatching cells\n")
+
+
+def test_grid_mismatch_evidence(monkeypatch, capsys):
+    # one route wrong at one cell: its evidence goes to stderr, and the
+    # stdout rows keep their columns
+    code, out, err, _ = run_grid_with_a_wrong_route(monkeypatch, capsys, {0, 1, 2})
+    assert (code, err) == (1, GRID_MISMATCH)
     header, *rows = out.splitlines()
     assert header == GRID_HEADER and len(rows) == 4 + 6 + 4 + 3
     row = re.compile(r" *\d+ +\d+ +\d+ +\d+( +\d+\.\d{3}){4} +(\d+\.\d{3}|-)")
     assert all(row.fullmatch(line) for line in rows), rows
+
+
+def test_grid_judges_every_run(monkeypatch, capsys):
+    # each cell runs three times for its timings, and a route wrong in the
+    # second run alone still fails the cell, with that run's evidence
+    code, _, err, counted = run_grid_with_a_wrong_route(monkeypatch, capsys, {1})
+    assert (code, err, counted) == (1, GRID_MISMATCH, 3)
+
+
+def test_grid_times_are_the_least_of_three(monkeypatch, capsys):
+    # each timing column is the least of the cell's three runs
+    real, seconds = cli.check_cell, iter([0.5, 0.2, 0.9] * 17)
+
+    def check_cell(spec):
+        values, times = real(spec)
+        return values, dict.fromkeys(times, next(seconds))
+    monkeypatch.setattr(cli, "check_cell", check_cell)
+    monkeypatch.setattr(sys, "argv", ["grid_agreement.py", "--p2-max", "3"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(SCRIPTS / "grid_agreement.py"), run_name="__main__")
+    header, *rows, verdict = capsys.readouterr().out.splitlines()
+    assert exit_.value.code == 0 and len(rows) == 4 + 6 + 4 + 3
+    for line in rows:
+        assert line.split()[4:8] == ["0.200"] * 4, line
 
 
 SMALL_CASES_M2 = """\
