@@ -11,7 +11,8 @@ import sys
 from orbitlab.bridge import _word_index
 from orbitlab.budget import check_budget
 from orbitlab.cli import main, state_formatter
-from orbitlab.orbits import _least, orbit_summaries
+from orbitlab.formulas import exact_div
+from orbitlab.orbits import _echelon_minima, _least
 from orbitlab.residues import GroupSpec
 from orbitlab.words import _SPELLING, _words, count_words
 
@@ -21,10 +22,9 @@ def show_orbits(n: int) -> None:
     fmt = state_formatter(spec)
     least = _least(spec)
     print(f"orbit classes over Z_2^{n} ({spec.state_count} states):")
-    for idx, summary in enumerate(orbit_summaries(spec), 1):
-        members = [i for i in range(spec.state_count) if least(i) == summary.index]
-        listing = "  ~  ".join(map(fmt, members))
-        print(f"  ({idx}) size {summary.size}, stabilizer {summary.stabilizer_order}: {listing}")
+    for idx, (rep, size) in enumerate(_echelon_minima(spec), 1):
+        listing = "  ~  ".join(fmt(i) for i in range(spec.state_count) if least(i) == rep)
+        print(f"  ({idx}) size {size}, stabilizer {exact_div(spec.sl2_order, size)}: {listing}")
     print()
 
 

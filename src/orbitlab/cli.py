@@ -14,9 +14,7 @@ import argparse
 import os
 import sys
 from collections import Counter
-from functools import partial
 from itertools import chain, islice
-from time import perf_counter
 
 from . import bridge, formulas, orbits, words
 from .budget import BudgetExceeded, check_budget, check_printable
@@ -167,36 +165,33 @@ def listing_fault(spec: GroupSpec, counts: dict, listing) -> str | None:
     return None
 
 
-def check_cell(spec: GroupSpec):
-    """Time each check of one cell, run once: the ROUTES, the listing and, at
-    p = 2, n >= 1, product, words and bridge; return (values, seconds) by name."""
-    checks = {name: partial(count, spec) for name, (_, count) in ROUTES.items()}
-    checks["listing"] = partial(walk_listing, spec)
+def check_cell(spec: GroupSpec) -> dict:
+    """Run each check of one cell once: the ROUTES, the listing and, at
+    p = 2, n >= 1, product, words and bridge; return their values by name."""
+    values = {name: count(spec) for name, (_, count) in ROUTES.items()}
+    values["listing"] = walk_listing(spec)
     if spec.p == 2 and spec.n >= 1:
-        checks.update(product=partial(formulas.r_p2_product, spec.n),
-                      words=partial(words.count_words, spec.n),
-                      bridge=partial(bridge.verify_bridge, spec.n))
-    values, seconds = {}, {}
-    for name, check in checks.items():
-        start = perf_counter()
-        values[name] = check()
-        seconds[name] = perf_counter() - start
-    return values, seconds
+        values.update(product=formulas.r_p2_product(spec.n),
+                      words=words.count_words(spec.n),
+                      bridge=bridge.verify_bridge(spec.n))
+    return values
 
 
 def judge(spec: GroupSpec, values: dict):
     """Return (verdict, evidence) for check_cell's values: whether each
-    column passes, and, unless all do, every count, the listing's totals and
-    the bridge's first certificate of each kind, as key=value pairs."""
+    column passes (None for words and bridge with no bridge report: not
+    run), and, unless one fails, every count, the listing's totals and the
+    bridge's first certificate of each kind, as key=value pairs."""
     bfs, r, report = values["bfs"], values["formula"], values.get("bridge")
     verdict = {
         "methods": listing_fault(spec, {m: values[m] for m in ROUTES if m != "formula"},
                                  values["listing"]) is None,
         "formula": bfs == r == values.get("product", r),
-        "words": report is None or values["words"] == r == report.word_count,
-        "bridge": report is None or report.is_injective_on_orbits and report.is_surjective_on_orbits,
+        "words": None if report is None else values["words"] == r == report.word_count,
+        "bridge": None if report is None else (report.is_injective_on_orbits
+                                                and report.is_surjective_on_orbits),
     }
-    if all(verdict.values()):
+    if False not in verdict.values():
         return verdict, None
     evidence = " ".join(f"{name}={values[name]}" for name in ROUTES)
     if report is not None:
@@ -276,16 +271,18 @@ def cmd_encode(args) -> int:
 def cmd_verify(args) -> int:
     if args.m_max < 1:
         raise ValueError(f"m-max must be >= 1, got {args.m_max}")
-    check_budget(4, args.m_max, args.budget)  # the largest m has the most states
+    GroupSpec(args.p, 0)  # a composite or unit p exits 2 before the budget
+    check_budget(args.p, 2 * args.m_max, args.budget)  # the largest m has the most states
     rows = []
     for m in range(1, args.m_max + 1):
-        spec = GroupSpec(2, m)
-        values, _ = check_cell(spec)
+        spec = GroupSpec(args.p, m)
+        values = check_cell(spec)
         verdict, evidence = judge(spec, values)
         if evidence:
             print(f"verify: m={m} FAIL {evidence}", file=sys.stderr)
         flags = [*verdict.values(), not evidence]
-        rows.append([str(m), *("PASS" if ok else "FAIL" for ok in flags), str(values["formula"])])
+        rows.append([str(m), *("-" if ok is None else "PASS" if ok else "FAIL" for ok in flags),
+                     str(values["formula"])])
 
     header = ["m", *verdict, "result", "r"]
     _emit(args.format, header, rows, [dict(zip(header, row)) for row in rows],
@@ -342,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.add_argument("word", help="digit string such as 234")
     _add_common(p_encode, cmd_encode, budgeted=False)
 
-    p_verify = sub.add_parser("verify", help="cross-check every route for m <= m-max")
+    p_verify = sub.add_parser("verify", help="cross-check every route over Z_p^m, m <= m-max")
+    p_verify.add_argument("--p", type=int, default=2, help="the prime p (default 2)")
     p_verify.add_argument("--m-max", dest="m_max", type=int, required=True)
     _add_common(p_verify, cmd_verify)
 

@@ -10,6 +10,7 @@ import pytest
 from oracles import python_head, python_peak, python_run
 from orbitlab import bridge, cli, formulas, orbits, residues, words
 from orbitlab.budget import PRINT_DIGITS, BudgetExceeded, check_budget
+from orbitlab.orbits import CensusReport
 from orbitlab.residues import GroupSpec, state_from_index
 
 
@@ -511,16 +512,69 @@ class TestVerify:
 
     def test_bridge_memory_is_bounded(self):
         # the bridge streams its words and holds no word list or image map:
-        # at m = 10 that list and map alone lifted the peak past 70 MiB
+        # at m = 10 that list and map alone lifted the peak past 70 MiB, and
+        # one record per listed orbit to 41 MiB; both walked, it is 16 MiB
         code, out, peak = run_measured("verify", "--m-max", "10")
         assert (code, out) == (0, "".join(
             ["m methods formula words bridge result r\n"]
             + [f"{m} PASS PASS PASS PASS PASS {r}\n" for m, r in enumerate(
                 [2, 5, 15, 51, 187, 715, 2795, 11051, 43947, 175275], 1)]))
-        assert peak < 32 * 1024
+        assert peak < 24 * 1024
 
     def test_m_max_validation(self, capsys):
-        assert run(capsys, "verify", "--m-max", "0")[0] == 2
+        assert run(capsys, "verify", "--m-max", "0") == (
+            2, "", "error: m-max must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize("argv,err", [
+        ("--p 4 --m-max 2", "p must be prime, got 4"),
+        ("--p 4 --m-max 0", "m-max must be >= 1, got 0"),  # m-max is checked first,
+        ("--p 1 --m-max 2 --budget 0", "p must be prime, got 1"),  # then p, then the budget
+    ])
+    def test_p_validation(self, capsys, argv, err):
+        assert run(capsys, "verify", *argv.split()) == (2, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("p,m_max", [(3, 5), (5, 3), (7, 2), (11, 2), (13, 2)])
+    def test_every_prime_passes(self, capsys, p, m_max):
+        # off p = 2 there are no words and no bridge: those columns read "-"
+        code, out, err = run(capsys, "verify", "--p", str(p), "--m-max", str(m_max))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [f"{m} PASS PASS - - PASS {formulas.r_formula(p, m)}"
+                                        for m in range(1, m_max + 1)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_cells_without_a_bridge_pass_with_none(self, p, n):
+        # verify starts at m = 1; the n = 0 cells pass all the same, and the
+        # words and bridge verdicts are None wherever no bridge ran
+        spec = GroupSpec(p, n)
+        values = cli.check_cell(spec)
+        verdict, evidence = cli.judge(spec, values)
+        assert evidence is None and values["formula"] == formulas.r_formula(p, n)
+        bridged = "bridge" in values
+        assert bridged == (p == 2 and n >= 1)
+        ran = True if bridged else None
+        assert verdict == {"methods": True, "formula": True, "words": ran, "bridge": ran}
+
+    def test_closed_pipe_ends_quietly(self):
+        # as in `verify --p 3 --m-max 5 | head -1`; unbuffered, so rows are
+        # still written after the close
+        first, code, err = python_head("-m", "orbitlab", "verify", "--p", "3", "--m-max", "5",
+                                       timeout=60, env={"PYTHONUNBUFFERED": "1"})
+        assert first == "m methods formula words bridge result r\n"
+        assert (code, err) == (0, "")
+
+    def test_mismatch_evidence_off_p2(self, capsys, monkeypatch):
+        # one route wrong at one cell: its evidence goes to stderr, without
+        # the word keys, and only that row fails
+        real = orbits.count_orbits_canonical
+        monkeypatch.setattr(orbits, "count_orbits_canonical", lambda spec: CensusReport(8)
+                            if (spec.p, spec.n) == (3, 2) else real(spec))
+        code, out, err = run(capsys, "verify", "--p", "3", "--m-max", "3")
+        assert code == 1
+        assert out.splitlines()[1:] == ["1 PASS PASS - - PASS 2", "2 FAIL PASS - - FAIL 7",
+                                        "3 PASS PASS - - PASS 40"]
+        assert err == ("verify: m=2 FAIL bfs=7 canonical=8 burnside=7 formula=7 "
+                       "listed=7 covered=81\n")
 
 
 class TestSequence:
@@ -656,7 +710,9 @@ class TestContract:
             "words --m 9 --list --budget 10": states,
             "verify --m-max 9 --budget 10": states,
             "verify --m-max 10 --budget 262144":
-                "error: 1048576 states exceed the budget of 262144\n"})
+                "error: 1048576 states exceed the budget of 262144\n",
+            # 2^30 states at m = 15: the rows below it would take minutes
+            "verify --m-max 15": "error: 1073741824 states exceed the budget of 268435456\n"})
         for argv, err in refusals.items():
             assert run(capsys, *argv.split(), "--format", fmt) == (3, "", err), argv
 
@@ -666,6 +722,8 @@ class TestContract:
          "64 states exceed the budget of 63"),
         ("words --m 5 --list --budget 100", "1024 states exceed the budget of 100"),
         ("verify --m-max 6 --budget 100", "4096 states exceed the budget of 100"),
+        ("verify --p 3 --m-max 5 --budget 59048", "59049 states exceed the budget of 59048"),
+        ("verify --p 1021 --m-max 2", "1086683238481 states exceed the budget of 268435456"),
     ])
     def test_budget_error_names_limit(self, capsys, argv, err):
         assert run(capsys, *argv.split()) == (3, "", f"error: {err}\n")
@@ -758,13 +816,15 @@ class TestContract:
         argvs += [["words", "--m", str(m), *listed]
                   for m in (-1, 0, 2) for listed in ([], ["--list"])]
         argvs += [["verify", "--m-max", str(m)] for m in (-1, 0, 2)]
+        argvs += [["verify", "--p", str(p), "--m-max", str(m)]
+                  for p in (-1, 0, 1, 4, 1021) for m in (0, 2)]
         argvs = [[*argv, *budget] for argv in argvs for budget in ([], ["--budget", "0"])]
         argvs += [["sequence", "--p", str(p), "--n-max", str(n)]
                      for p in (-1, 2, 4) for n in (-1, 0, 2)]
         argvs += [["encode", word]  # the last an Arabic-Indic digit one
                   for word in ("", "1", "0", "13", "x", "\u0661")]
         runs = [[*argv, "--format", fmt] for argv in argvs for fmt in ("text", "csv", "json")]
-        assert len(runs) == 819
+        assert len(runs) == 879
         failed = []
         for argv in runs:
             try:
