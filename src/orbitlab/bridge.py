@@ -5,10 +5,12 @@ Each letter becomes one row of an m x 2 bit matrix (words.LETTER_BITS:
 word's letters to its packed index.  verify_bridge machine-checks that
 composing with the canonical form, (min, middle) of the bit rows
 {g, k, g ^ k}, hits every orbit exactly once: bijectivity is checked, never
-assumed.  It streams the word walk once, encodes each word's letters to
-its index i and takes i on a round trip, word -> orbit -> word:
-decode(least(i)) must give i back.  So no two words share an orbit, given
-that the walked words are distinct (their letters increase), that distinct
+assumed.  It streams the word walk once, in blocks that share a prefix:
+one encoder call per block, xor the offsets of its tails table, gives each
+word's index i (see _tails_table), and i goes on a round trip, word ->
+orbit -> word: decode(least(i)) must give i back.  So no two words share
+an orbit, given that the walked words are distinct (their letters
+increase, in each tails table and from block to block), that distinct
 words have distinct indices (the four letters have distinct rows, checked
 once), and that they are in the language, which the round trip implies
 (see _decode).  Surjectivity is then pigeonhole against the independent
@@ -21,10 +23,11 @@ minima in echelon form for the missed orbits.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 
 from .orbits import _echelon_minima, _least, count_orbits_burnside
 from .residues import GroupSpec, PairState, state_from_index
-from .words import ALPHABET, LETTER_BITS, RGWord, _words
+from .words import ALPHABET, LETTER_BITS, RGWord, _blocks
 
 # Word images against the orbit census at one length.  orbit_count is the
 # Burnside count; missed_orbits, read off only when the images are too few,
@@ -70,6 +73,16 @@ def _decode(rep: int, m: int) -> int:
     return ((g ^ k) << m) | g if g else k << m
 
 
+def _tails_table(tails, m: int):
+    """(1^d, offsets) for increasing tails of d letters, else (None, None): as
+    the encoder places each letter's bits by position alone, prefix + t has
+    the index of prefix + 1^d xor t's offset, that of 1^(m - d) + t xor 1^m's."""
+    if any(s >= t for s, t in zip(tails, tails[1:])):
+        return None, None
+    ones, d = _word_index((1,) * m, m), len(tails[0])
+    return (1,) * d, [_word_index((1,) * (m - d) + t, m) ^ ones for t in tails]
+
+
 def verify_bridge(m: int) -> BridgeReport:
     """Encode every length-m word, canonicalize, and compare against the
     orbit census at p = 2, n = m."""
@@ -83,12 +96,15 @@ def verify_bridge(m: int) -> BridgeReport:
     # injective on words iff the four letters have distinct rows
     index = _word_index
     if len({index((a,), 1) for a in ALPHABET}) == len(ALPHABET):
-        previous, word_count = (), 0
-        for letters in _words(m):
-            i = index(letters, m)
-            if letters <= previous or _decode(least(i), m) != i:
+        tables, previous, word_count = {}, (), 0
+        for prefix, tails in _blocks(m):
+            pad, offsets = tables.get(tails) or tables.setdefault(tails, _tails_table(tails, m))
+            if pad is None or prefix + tails[0] <= previous:  # after the last block
                 break
-            previous, word_count = letters, word_count + 1
+            block = list(map(index(prefix + pad, m).__xor__, offsets))
+            if list(map(_decode, map(least, block), repeat(m))) != block:
+                break
+            previous, word_count = prefix + tails[-1], word_count + len(block)
         else:
             # distinct valid words on distinct orbits, so they cover all
             # orbits iff they are as many
@@ -104,8 +120,7 @@ def _certified(spec: GroupSpec, least, orbit_count: int) -> BridgeReport:
     m = spec.n
     first: dict[int, RGWord] = {}  # canonical image -> first word reaching it
     collisions = []
-    for letters in _words(m):
-        word = RGWord(letters)
+    for word in (RGWord(prefix + t) for prefix, tails in _blocks(m) for t in tails):
         rep = least(_word_index(word.letters, m))
         if rep in first:
             collisions.append((first[rep], word))

@@ -244,8 +244,11 @@ def cmd_words(args) -> int:
     check_printable(2, args.m)  # count_words(m) = r(2, m)
     count = str(words.count_words(args.m))
     payload = {"m": args.m, "count": count}
-    if args.list:  # the words stream as the walk yields them
-        listed = (bytes(w).translate(words._SPELLING).decode() for w in words._words(args.m))
+    if args.list:  # the words stream block by block, each tails table spelled once
+        spell, spelled = lambda letters: bytes(letters).translate(words._SPELLING).decode(), {}
+        listed = (word for prefix, tails in words._blocks(args.m)
+                  for word in map(spell(prefix).__add__, spelled.get(tails)
+                                  or spelled.setdefault(tails, [*map(spell, tails)])))
         _emit(args.format, ["word"], ([w] for w in listed), payload, text=listed,
               listing="words")
     else:

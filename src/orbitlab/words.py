@@ -9,6 +9,7 @@ somewhere earlier.
 from __future__ import annotations
 
 ALPHABET = (1, 2, 3, 4)
+_TAIL = 3  # the letters in each tails table of the word walk, or all m if fewer
 # each letter's ASCII digit, for bytes.translate: the one spelling of words;
 # word_from_string parses through its inverse
 _SPELLING = bytes.maketrans(bytes(ALPHABET), "".join(map(str, ALPHABET)).encode())
@@ -85,36 +86,43 @@ def word_from_string(text: str) -> RGWord:
     return RGWord(tuple(_LETTERS.get(ch, ch) for ch in text))
 
 
-def _words(m: int):
-    """Yield the valid words of length m as letter tuples, lexicographically.
+def _blocks(m: int):
+    """Yield the valid words of length m, lexicographically, in blocks
+    (prefix, tails): the words prefix + tail for each tail in tails.
 
     A depth-first walk over one shared letter list, on an explicit stack of
     (place, letter, running maximum) entries, so no recursion limit bounds
     m and the walk holds O(m) letters.  A prefix is extended only by the
-    letters the growth bound allows, so every word yielded is valid.
+    letters the growth bound allows, and stops min(_TAIL, m) letters short
+    of m, where tails is the prebuilt increasing table of the suffixes the
+    bound allows after its running maximum: so every word is valid.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     # after each running maximum: the letters the growth bound allows, in
-    # order, each with the running maximum it leaves; lasts holds them as
-    # the 1-tuples that end a word
+    # order, each with the running maximum it leaves; tails grows them into
+    # the allowed suffixes of the tail length, one table per running maximum
     nexts = {r: [(a, max(a, r)) for a in range(1, min(4, r + 1) + 1)] for r in ALPHABET}
-    lasts = {r: [(a,) for a, _ in allowed] for r, allowed in nexts.items()}
-    letters = [1] * (m + 1)  # the implicit leading 1 at place 0, then the word
+    end, tails = m - min(_TAIL, m), dict.fromkeys(ALPHABET, ((),))
+    for _ in range(m - end):
+        tails = {r: tuple((a, *t) for a, s in nexts[r] for t in tails[s]) for r in ALPHABET}
+    letters = [1] * (end + 1)  # the implicit leading 1 at place 0, then the prefix
     stack = [(0, 1, 1)]
     while stack:
         place, a, running = stack.pop()
         letters[place] = a  # letters[1:place] is already this entry's prefix
-        if place < m - 1:
+        if place < end:
             place += 1
             for a, r in reversed(nexts[running]):  # descending: 1 pops first
                 stack.append((place, a, r))
-        elif place == m - 1:  # the last letter: yield its words in order, unstacked
-            prefix = tuple(letters[1:m])
-            for last in lasts[running]:
-                yield prefix + last
-        else:  # m = 0: the empty word
-            yield ()
+        else:
+            yield tuple(letters[1:]), tails[running]
+
+
+def _words(m: int):
+    """Yield the valid words of length m as letter tuples, lexicographically."""
+    for prefix, tails in _blocks(m):
+        yield from map(prefix.__add__, tails)
 
 
 def enumerate_words(m: int) -> list[RGWord]:

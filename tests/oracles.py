@@ -1,6 +1,7 @@
 """Independent oracles that only the tests read: the object-level orbit
 closure and matrix action, the forward-difference recurrence, and the state
-builders, word speller and fresh-interpreter runner the test modules share.
+builders, word speller, walk regrouper and fresh-interpreter runner the
+test modules share.
 
 orbit_of closes a state under src's apply_s and apply_t alone, and
 group_image applies every matrix of SL(2, Z_p), so their agreement is the
@@ -11,6 +12,7 @@ import os
 import subprocess
 import sys
 from collections import deque
+from itertools import groupby
 from pathlib import Path
 
 from orbitlab.formulas import _require_prime
@@ -22,7 +24,7 @@ from orbitlab.residues import (
     enumerate_sl2,
     state_from_index,
 )
-from orbitlab.words import LETTER_BITS
+from orbitlab.words import _TAIL, LETTER_BITS
 
 
 def pair(g, k, spec):
@@ -34,6 +36,16 @@ def letters_of_rows(text: str) -> tuple[int, ...]:
     "gk gk ..." at p = 2: each row read back as its letter."""
     letter = {f"{g}{k}": a for a, (g, k) in LETTER_BITS.items()}
     return tuple(letter[row] for row in text.split(" "))
+
+
+def blocks_of(listed, m):
+    """The letter tuples listed regrouped as a words._blocks walk of length
+    m: each run of words sharing all but their last min(_TAIL, m) letters is
+    one (prefix, tails) block, so a test can feed a changed word list to
+    whatever walks the blocks."""
+    end = m - min(_TAIL, m)
+    return [(prefix, tuple(w[end:] for w in run))
+            for prefix, run in groupby(listed, key=lambda w: w[:end])]
 
 
 def all_states(spec):

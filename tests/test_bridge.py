@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from oracles import letters_of_rows, pair
+from oracles import blocks_of, letters_of_rows, pair
 from orbitlab import bridge, cli, orbits
 from orbitlab.bridge import encode_word, verify_bridge
 from orbitlab.orbits import (
@@ -17,6 +17,7 @@ from orbitlab.words import (
     ALPHABET,
     LETTER_BITS,
     RGWord,
+    _blocks,
     _growth_violation,
     _words,
     enumerate_words,
@@ -80,6 +81,30 @@ class TestEncodeWord:
             g, k = zip(*(LETTER_BITS[a] for a in letters))
             assert bridge._word_index(letters, m) == state_index(pair(g, k, spec)), letters
 
+    @pytest.mark.parametrize("relabel", [False, True], ids=["bits", "relabelled"])
+    @pytest.mark.parametrize("m", [*range(1, 9), 1000])
+    def test_block_base_xor_offset(self, monkeypatch, m, relabel):
+        # verify_bridge's block encoding: prefix + t has the index of
+        # prefix + 1^d xor t's offset in _tails_table, every word up to
+        # m = 8, then 4 seeded prefixes with all 64 tails; and so for an
+        # encoder that reads each letter through one table per column but
+        # gives the padding 1 a nonzero row (1 <-> 2, 3 <-> 4)
+        if relabel:
+            real = bridge._word_index
+            monkeypatch.setattr(bridge, "_word_index",
+                                lambda letters, m: real([((a - 1) ^ 1) + 1 for a in letters], m))
+        blocks = _blocks(m)
+        if m > 8:  # after 234 every letter may follow
+            rng, every = random.Random(m), list(_blocks(6))[-1][1]
+            assert len(every) == 4 ** 3
+            blocks = [((2, 3, 4, *(rng.choice(ALPHABET) for _ in range(m - 6))), every)
+                      for _ in range(4)]
+        index = bridge._word_index
+        for prefix, tails in blocks:
+            pad, offsets = bridge._tails_table(tails, m)
+            base = index(prefix + pad, m)
+            assert [base ^ o for o in offsets] == [index(prefix + t, m) for t in tails], prefix
+
     def test_injective_on_words_up_to_8(self):
         for m in range(1, 9):
             ws = enumerate_words(m)
@@ -129,6 +154,16 @@ class TestVerifyBridge:
     def test_domain(self):
         with pytest.raises(ValueError):
             verify_bridge(0)
+
+    def test_encoder_runs_once_per_block(self, monkeypatch):
+        # not once per word: 11,051 words at m = 8, in 187 blocks
+        real, calls = bridge._word_index, []
+        monkeypatch.setattr(bridge, "_word_index",
+                            lambda letters, m: calls.append(m) or real(letters, m))
+        report = verify_bridge(8)
+        assert report.is_injective_on_orbits and report.is_surjective_on_orbits
+        assert 0 < len(calls) < report.word_count / 20
+        assert len(list(_blocks(8))) == 187
 
     def test_dropped_word_is_certified_as_missed_orbit(self, monkeypatch):
         dropped = enumerate_words(4)[17]
@@ -198,6 +233,16 @@ class TestVerifyBridge:
         assert report.missed_orbits == [state_index(canonical_form(encode_word(words4[17])))]
         assert not (report.is_injective_on_orbits or report.is_surjective_on_orbits)
 
+    def test_duplicate_within_a_tails_table_is_certified(self, monkeypatch):
+        # as above, with the repeat and the drop in one block: 2112 twice and
+        # no 2113, so only the check that each tails table increases catches it
+        words4 = enumerate_words(4)
+        patch_walk(monkeypatch, lambda ws: ws[:17] + ws[16:17] + ws[18:])
+        report = verify_bridge(4)
+        assert (report.word_count, report.orbit_count) == (51, 51)
+        assert report.collisions == [(words4[16], words4[16])]
+        assert report.missed_orbits == [state_index(canonical_form(encode_word(words4[17])))]
+
     # the fast path trusts distinct letters to give distinct indices only
     # after checking the encoder: with 3 and 4 on one row, 1233 and 1234
     # share an index, and the certificates must report it
@@ -230,14 +275,15 @@ class TestVerifyBridge:
 
 
 def patch_walk(monkeypatch, change):
-    """Make verify_bridge walk change(the real walk's list of letters);
-    return the list of the m of each walk it starts."""
-    real, walks = bridge._words, []
+    """Make verify_bridge walk change(the real walk's list of letters), in
+    blocks as _blocks would group it; return the list of the m of each walk
+    it starts."""
+    walks = []
 
     def walk(m):
         walks.append(m)
-        return change(list(real(m)))
-    monkeypatch.setattr(bridge, "_words", walk)
+        return blocks_of(change(list(_words(m))), m)
+    monkeypatch.setattr(bridge, "_blocks", walk)
     return walks
 
 

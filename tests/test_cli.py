@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from oracles import python_head, python_peak, python_run
+from oracles import blocks_of, python_head, python_peak, python_run
 from orbitlab import bridge, cli, formulas, orbits, residues, words
 from orbitlab.budget import PRINT_DIGITS, BudgetExceeded, check_budget
 from orbitlab.orbits import CensusReport
@@ -479,10 +479,10 @@ class TestVerify:
     ], ids=["duplicate", "drop"])
     def test_bridge_failure_evidence(self, capsys, monkeypatch, change, evidence):
         # word 17 at m = 4 is 2113, whose orbit minimum has rows 01 00 00 10
-        real = cli.bridge._words
+        real = cli.bridge._blocks
         monkeypatch.setattr(
-            cli.bridge, "_words",
-            lambda m: change(list(real(m))) if m == 4 else real(m))
+            cli.bridge, "_blocks",
+            lambda m: blocks_of(change(list(words._words(m))), m) if m == 4 else real(m))
         code, out, err = run(capsys, "verify", "--m-max", "4")
         assert code == 1
         assert out.splitlines()[-1] == "4 PASS PASS FAIL FAIL FAIL 51"
@@ -693,7 +693,7 @@ class TestContract:
             raise AssertionError("an engine ran on an over-budget command")
         for module, name in [(orbits, "count_orbits_bfs"), (orbits, "count_orbits_canonical"),
                              (orbits, "count_orbits_burnside"), (orbits, "_echelon_minima"),
-                             (words, "_words"), (bridge, "verify_bridge")]:
+                             (words, "_blocks"), (bridge, "verify_bridge")]:
             monkeypatch.setattr(module, name, unreachable)
         states = "error: 262144 states exceed the budget of 10\n"
         refusals = {f"orbits --p 2 --n 9 --method {method}{listed} --budget 10": states

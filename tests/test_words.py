@@ -7,6 +7,7 @@ from orbitlab.formulas import r_formula
 from orbitlab.words import (
     ALPHABET,
     RGWord,
+    _blocks,
     _words,
     count_words,
     enumerate_words,
@@ -124,8 +125,24 @@ class TestEnumerate:
 
 
 class TestWalk:
-    """_words, the DFS that the listing and the bridge stream without
-    validating a word; it yields letters only."""
+    """_blocks, the DFS that the listing and the bridge stream without
+    validating a word, and _words, its flattening; they yield letters only."""
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_blocks_against_brute_force(self, m):
+        # each block's prefix is a valid word m - d letters long, d = min(3, m),
+        # in order, and its tails table the increasing suffixes it allows
+        blocks = list(_blocks(m))
+        d = min(3, m)
+        prefixes = [w for w in product(ALPHABET, repeat=m - d) if is_valid_word(w)]
+        assert [prefix for prefix, _ in blocks] == prefixes
+        for prefix, tails in blocks:  # product(...) is in order, so filtered, increasing
+            expected = tuple(t for t in product(ALPHABET, repeat=d) if is_valid_word(prefix + t))
+            assert tails == expected, prefix
+
+    def test_blocks_share_four_tails_tables(self):
+        # one table per running maximum, built once per walk
+        assert len({id(tails) for _, tails in _blocks(8)}) == 4
 
     def test_agrees_with_filter_up_to_8(self):
         for m in range(9):
