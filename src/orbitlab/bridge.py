@@ -70,7 +70,7 @@ def _decode(rep: int, m: int) -> int:
     bit: the growth rule.
     """
     g, k = rep >> m, rep & ((1 << m) - 1)
-    return ((g ^ k) << m) | g if g else k << m
+    return ((g ^ k) << m) | g
 
 
 def _tails_table(tails, m: int):

@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 from collections import Counter
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from . import bridge, formulas, orbits, words
 from .budget import BudgetExceeded, check_budget, check_printable
@@ -31,13 +31,20 @@ class _Rows:
     def __init__(self, p: int):
         self.p = p
 
-    def __getitem__(self, x: int) -> str:
+    def __getitem__(self, x):
+        if isinstance(x, slice):  # its strings, as from a list
+            return map(self.__getitem__, range(x.start, x.stop))
         g, k = divmod(x, self.p)
         return f"{g}:{k}"
 
 
 def state_formatter(spec: GroupSpec):
-    """Return fmt(i): the n rows of the state with packed index
+    """Return fmt(i), the one-state formatter of _formatters."""
+    return _formatters(spec)[0]
+
+
+def _formatters(spec: GroupSpec):
+    """Return (fmt, run).  fmt(i): the n rows of the state with packed index
     i = G * p^n + K as digit strings, row j the j-th base-p digits g_j then
     k_j of G and K (with a ":" between them when p > 10), the first row
     most significant, joined by spaces; "-" at n = 0.
@@ -50,6 +57,10 @@ def state_formatter(spec: GroupSpec):
     from _Rows.  Peeling c rows at a time off the n-row G and K divides
     numbers of O(n) digits n / c times, so a state of more than
     HALVING_CHUNKS chunks is cut by halves first, down to runs that short.
+
+    run(first, count) yields the strings of the count states from first, a
+    piece of consecutive indices that differ only in their last c rows at a
+    time: one fmt call for its upper rows, then one slice of body, in C.
     """
     p, n = spec.p, spec.n
     if p * p > TABLE_ROWS:
@@ -68,7 +79,8 @@ def state_formatter(spec: GroupSpec):
         tables.append([left + right
                        for gs in range(0, q * q, q) for row in appended
                        for left in last[gs:gs + q] for right in row])
-    body, t, h = tables[c - 1], *divmod(n, c)
+    t, h = divmod(n, c)
+    body = tables[c - 1] if t else ["-"]  # n = 0: the one state, "-", is its own chunk
     head = tables[h - 1] if h else None
     base, head_base, order = p ** c, p ** h, p ** n
 
@@ -97,7 +109,17 @@ def state_formatter(spec: GroupSpec):
         parts.reverse()
         return " ".join(parts) or "-"
 
-    return fmt
+    def piece(first: int, stop: int):
+        low = first // order % base * base + first % base  # first's last c rows, in body
+        text = fmt(first)
+        return map(text[:len(text) - len(body[low])].__add__, body[low:low + stop - first])
+
+    def run(first: int, count: int):
+        end = first + count
+        cuts = [first, *range(first - first % base + base, end, base), end]
+        return chain.from_iterable(map(piece, cuts, cuts[1:]))
+
+    return fmt, run
 
 
 def _emit(fmt: str, header: list[str], rows, payload, text=None, listing=None) -> None:
@@ -144,8 +166,10 @@ ROUTES = {
 
 
 def walk_listing(spec: GroupSpec):
-    """The echelon listing walked once, not held: length, size sum, distinct sizes."""
-    sizes = Counter(size for _, size in orbits._echelon_minima(spec))
+    """The echelon runs walked once, not held: length, size sum, distinct sizes."""
+    sizes = Counter()
+    for _, count, size in orbits._echelon_runs(spec):
+        sizes[size] += count
     return sizes.total(), sum(size * count for size, count in sizes.items()), sizes.keys()
 
 
@@ -229,10 +253,11 @@ def cmd_orbits(args) -> int:
         print(f"orbits: {fault}", file=sys.stderr)
         return 1
     header = ["representative", "size", "stabilizer_order"]
-    fmt = state_formatter(spec)
+    _, run = _formatters(spec)
     shown = {size: [str(size), str(formulas.exact_div(spec.sl2_order, size)) if args.n else "-"]
              for size in listing[2]}  # each orbit size: its two columns
-    rows = ([fmt(i), *shown[size]] for i, size in orbits._echelon_minima(spec))
+    rows = chain.from_iterable(zip(run(first, count), *map(repeat, shown[size]))
+                               for first, count, size in orbits._echelon_runs(spec))
     _emit(args.format, header, rows, payload, listing="orbits")
     return 0
 

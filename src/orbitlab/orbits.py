@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque, namedtuple
-from itertools import repeat
+from functools import lru_cache
+from itertools import chain, repeat
 
 from .formulas import exact_div
 from .residues import (
@@ -206,23 +207,29 @@ def _least(spec: GroupSpec):
 
 def _minimal(spec: GroupSpec):
     """Return minimal(g), the test on k that [g | k], index g * p^n + k, has
-    the shape of its orbit's minimum (see _least), decided once for g: at
-    g = 0, k is 0 or leads with 1; if g does not lead with 1, never; else,
-    p^t g's leading place value, k is nonzero before it and 0 at it."""
+    the shape of its orbit's minimum (see _least), decided once for g's
+    case: at g = 0, k is 0 or leads with 1; if g does not lead with 1,
+    never; else, p^t g's leading place value, k is nonzero before it and 0
+    at it.  The test is a lookup in a table of its value at every k, built
+    once per case; the g's of a case are consecutive, so one table is held
+    at a time, p^n entries."""
     n, p = spec.n, spec.p
     powers = [p ** t for t in range(n + 1)]
 
-    def zero(k: int) -> bool:  # k's leading entry is 1 iff p^t <= k < 2 p^t
-        return not k or k < 2 * powers[bisect_right(powers, k) - 1]
+    @lru_cache(maxsize=1)
+    def table(place: int):  # g's leading place value; 0 at g = 0, -1 for never
+        if place < 0:
+            test = lambda k: False
+        elif place:
+            step = place * p
+            test = lambda k: k >= step and not k // place % p
+        else:  # k's leading entry is 1 iff p^t <= k < 2 p^t
+            test = lambda k: not k or k < 2 * powers[bisect_right(powers, k) - 1]
+        return list(map(test, range(spec.group_order))).__getitem__
 
     def minimal(g: int):
-        if not g:
-            return zero
-        place = powers[bisect_right(powers, g) - 1]  # g's leading place value
-        if g >= 2 * place:  # g's leading entry is not 1
-            return lambda k: False
-        step = place * p
-        return lambda k: k >= step and not k // place % p
+        place = powers[bisect_right(powers, g) - 1] if g else 0
+        return table(-1 if g >= 2 * place > 0 else place)  # -1: g does not lead with 1
 
     return minimal
 
@@ -234,9 +241,9 @@ def canonical_form(s: PairState) -> PairState:
 
 
 def count_orbits_canonical(spec: GroupSpec) -> CensusReport:
-    """Count the states that are their orbit's minimum; O(1) extra memory.
-    The sweep runs over each half g and builds its test once, and every
-    half k inside it reaches that test: one call per state."""
+    """Count the states that are their orbit's minimum, in p^n entries of
+    extra memory (see _minimal).  The sweep takes each half g's test once,
+    and every half k inside it reaches that test: one lookup per state."""
     minimal, order = _minimal(spec), spec.group_order
     return CensusReport(sum(sum(map(minimal(g), range(order))) for g in range(order)))
 
@@ -262,28 +269,36 @@ def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
     return CensusReport(exact_div(total, spec.sl2_order))
 
 
-def _echelon_minima(spec: GroupSpec):
-    """Yield (rep, size) for every orbit, in index order, from the shape of
-    the minima (see _least): the zero state, then [0 | v] for
-    each line, then [g | k] for each plane and determinant class.  No state
-    is visited."""
-    yield 0, 1
+def _echelon_runs(spec: GroupSpec):
+    """Yield (first, count, size) for every run of consecutive orbit minima,
+    in index order, from the shape of the minima (see _least): the zero
+    state, then [0 | v] for the lines of each leading place, then [g | k]
+    for each plane and determinant class, one run per g and per k above g's
+    place.  No state is visited."""
+    yield 0, 1, 1
     n, p = spec.n, spec.p
     order = spec.group_order
     line, plane = p * p - 1, spec.sl2_order  # orbit sizes
     lead = [p ** t for t in range(n)]  # a leading entry 1 at place t: [p^t, 2 p^t)
     for place in lead:
-        for v in range(place, 2 * place):
-            yield v, line
+        yield place, place, line
     for place in lead:
         step = place * p  # k is nonzero above g's place and 0 at it
         for g in range(place, 2 * place):
             for high in range(g * order + step, (g + 1) * order, step):
-                for i in range(high, high + place):
-                    yield i, plane
+                yield high, place, plane
+
+
+def _echelon_minima(spec: GroupSpec):
+    """(rep, size) for every orbit, in index order: _echelon_runs flattened."""
+    return chain.from_iterable(zip(range(first, first + count), repeat(size))
+                               for first, count, size in _echelon_runs(spec))
 
 
 def orbit_summaries(spec: GroupSpec) -> list[OrbitSummary]:
-    """One OrbitSummary per orbit, sorted by representative index: the
-    echelon minima as records, in O(orbits) and with no state built."""
-    return [OrbitSummary(rep, size, spec) for rep, size in _echelon_minima(spec)]
+    """One OrbitSummary per orbit, sorted by representative index: the echelon
+    runs as records, made in C by tuple.__new__, with no state built."""
+    runs = list(_echelon_runs(spec))
+    reps = chain.from_iterable(range(first, first + count) for first, count, _ in runs)
+    sizes = chain.from_iterable(repeat(size, count) for _, count, size in runs)
+    return list(map(tuple.__new__, repeat(OrbitSummary), zip(reps, sizes, repeat(spec))))

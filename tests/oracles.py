@@ -1,7 +1,7 @@
 """Independent oracles that only the tests read: the object-level orbit
 closure and matrix action, the forward-difference recurrence, and the state
-builders, word speller, walk regrouper and fresh-interpreter runner the
-test modules share.
+builders, word speller, walk regroupers, parity grid and fresh-interpreter
+runner the test modules share.
 
 orbit_of closes a state under src's apply_s and apply_t alone, and
 group_image applies every matrix of SL(2, Z_p), so their agreement is the
@@ -46,6 +46,24 @@ def blocks_of(listed, m):
     end = m - min(_TAIL, m)
     return [(prefix, tuple(w[end:] for w in run))
             for prefix, run in groupby(listed, key=lambda w: w[:end])]
+
+
+def runs_of(listed):
+    """The (rep, size) pairs listed regrouped as an orbits._echelon_runs walk:
+    each stretch of consecutive reps of one size is one (first, count, size)
+    run, so a test can feed a changed listing to whatever walks the runs."""
+    runs = []
+    for rep, size in listed:
+        if runs and runs[-1][0] + runs[-1][1] == rep and runs[-1][2] == size:
+            runs[-1][1] += 1
+        else:
+            runs.append([rep, 1, size])
+    return [tuple(run) for run in runs]
+
+
+# the (p, n) on which the echelon listing is checked against the BFS minima
+PARITY_GRID = ([(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)]
+               + [(5, 2), (7, 2)])
 
 
 def all_states(spec):

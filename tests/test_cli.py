@@ -9,7 +9,7 @@ import shlex
 import pytest
 
 import cli_corpus
-from oracles import blocks_of, python_head, python_peak, python_run
+from oracles import PARITY_GRID, blocks_of, python_head, python_peak, python_run, runs_of
 from orbitlab import bridge, cli, formulas, orbits, residues, words
 from orbitlab.budget import PRINT_DIGITS, BudgetExceeded, check_budget
 from orbitlab.orbits import CensusReport
@@ -178,28 +178,47 @@ class TestOrbits:
         for i in indices:
             assert fmt(i) == format_state(i, spec), i
 
+    # the listing's rows a piece at a time: on every run of the listing, and
+    # on runs from anywhere that cross chunk boundaries; c is 6 at p = 2, so
+    # (2, 7) has a head row, the ":" shows from p = 11 on, and at p = 1021
+    # the rows come from _Rows
+    @pytest.mark.parametrize("p,n", [(2, 0), *PARITY_GRID, (2, 7), (3, 4), (5, 3), (11, 2),
+                                     (1021, 1), (1021, 2)])
+    def test_runs_match_the_one_row_path(self, p, n):
+        spec = GroupSpec(p, n)
+        fmt, run = cli._formatters(spec)
+        for first, count, _ in orbits._echelon_runs(spec):
+            assert list(run(first, count)) == [*map(fmt, range(first, first + count))], first
+        c = max(c for c in range(1, max(n, 1) + 1) if c == 1 or p ** (2 * c) <= cli.TABLE_ROWS)
+        base, rng = p ** c, random.Random(p * n)
+        for _ in range(40 if n else 0):  # each from before a chunk boundary to past it
+            edge = base * rng.randrange(1, spec.state_count // base)
+            first = edge - rng.randrange(1, base + 1)
+            count = min(edge - first + rng.randrange(1, 2 * base), spec.state_count - first)
+            assert list(run(first, count)) == [*map(fmt, range(first, first + count))], first
+
     def test_list_count_mismatch_fails(self, monkeypatch):
         # the listing is no census of its own: a short one must not pass
-        real = orbits._echelon_minima
-        monkeypatch.setattr(orbits, "_echelon_minima", lambda spec: list(real(spec))[:-1])
+        minima = list(orbits._echelon_minima(GroupSpec(2, 2)))
+        monkeypatch.setattr(orbits, "_echelon_runs", lambda spec: runs_of(minima[:-1]))
         code, out, err = run("orbits", "--p", "2", "--n", "2", "--list", "--method", "canonical")
         assert (code, out) == (1, "")
         assert err == "orbits: canonical counts 5 orbits, the listing has 4\n"
 
     def test_list_sizes_must_cover_the_states(self, monkeypatch):
         # as many orbits as the count, but one with a wrong size
-        real = orbits._echelon_minima
-        monkeypatch.setattr(orbits, "_echelon_minima",
-                            lambda spec: [*list(real(spec))[:-1], (9, 3)])
+        minima = list(orbits._echelon_minima(GroupSpec(2, 2)))
+        monkeypatch.setattr(orbits, "_echelon_runs",
+                            lambda spec: runs_of([*minima[:-1], (9, 3)]))
         code, out, err = run("orbits", "--p", "2", "--n", "2", "--list")
         assert (code, out) == (1, "")
         assert err == "orbits: the listing's sizes sum to 13, not to the 16 states\n"
 
     def test_list_sizes_must_divide_the_group(self, monkeypatch):
         # as many orbits, covering the 16 states, but sizes 4 and 5 do not divide 6
-        real = orbits._echelon_minima
-        monkeypatch.setattr(orbits, "_echelon_minima", lambda spec: [
-            *(minima := list(real(spec)))[:3], (minima[3][0], 4), (minima[4][0], 5)])
+        minima = list(orbits._echelon_minima(GroupSpec(2, 2)))
+        monkeypatch.setattr(orbits, "_echelon_runs", lambda spec: runs_of(
+            [*minima[:3], (minima[3][0], 4), (minima[4][0], 5)]))
         code, out, err = run("orbits", "--p", "2", "--n", "2", "--list")
         assert (code, out) == (1, "")
         assert err == "orbits: the listing has an orbit of size 4, which does not divide 6\n"
@@ -355,9 +374,9 @@ class TestVerify:
     def test_listing_failure_evidence(self, monkeypatch, m, change, row, evidence):
         # verify checks the orbit listing with the routes: a listing that is
         # not a census fails the methods column, and the evidence counts it
-        real = orbits._echelon_minima
-        monkeypatch.setattr(orbits, "_echelon_minima",
-                            lambda spec: change(list(real(spec))) if spec.n == m else real(spec))
+        real, minima = orbits._echelon_runs, list(orbits._echelon_minima(GroupSpec(2, m)))
+        monkeypatch.setattr(orbits, "_echelon_runs",
+                            lambda spec: runs_of(change(minima)) if spec.n == m else real(spec))
         code, out, err = run("verify", "--m-max", str(m))
         assert code == 1
         assert out.splitlines()[-1] == row and out.count("FAIL") == 2  # only at m
@@ -498,7 +517,7 @@ class TestContract:
         def unreachable(*args):
             raise AssertionError("an engine ran on an over-budget command")
         for module, name in [(orbits, "count_orbits_bfs"), (orbits, "count_orbits_canonical"),
-                             (orbits, "count_orbits_burnside"), (orbits, "_echelon_minima"),
+                             (orbits, "count_orbits_burnside"), (orbits, "_echelon_runs"),
                              (words, "_blocks"), (bridge, "verify_bridge")]:
             monkeypatch.setattr(module, name, unreachable)
         states = "error: 262144 states exceed the budget of 10\n"

@@ -1,11 +1,12 @@
 import pytest
 
-from oracles import all_states, apply_mat, group_image, orbit_of, pair
+from oracles import PARITY_GRID, all_states, apply_mat, group_image, orbit_of, pair
 from orbitlab import orbits
 from orbitlab.formulas import r_formula
 from orbitlab.orbits import (
     _bfs_orbits,
     _echelon_minima,
+    _echelon_runs,
     _least,
     _minimal,
     _row_moves,
@@ -81,9 +82,6 @@ def bfs_minima(spec):
         found.append((min(map(state_index, orbit)), size))
     return sorted(found)
 
-
-PARITY_GRID = ([(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)]
-               + [(5, 2), (7, 2)])
 
 Z2 = GroupSpec.uniform(2, 1)
 Z2_2 = GroupSpec.uniform(2, 2)
@@ -266,6 +264,15 @@ class TestCanonicalCensus:
         assert count_orbits_canonical(spec).orbit_count == r_formula(p, n)
         assert len(calls) == p ** (2 * n)
 
+    def test_reads_no_listing(self, monkeypatch):
+        # the census tests every state; the echelon runs are the answer it checks
+        def unlisted(spec):
+            raise AssertionError("the canonical census read the echelon runs")
+        monkeypatch.setattr(orbits, "_echelon_runs", unlisted)
+        for p, n in [(2, 0), *PARITY_GRID]:
+            spec = GroupSpec.uniform(p, n)
+            assert count_orbits_canonical(spec).orbit_count == r_formula(p, n)
+
     @pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 3), (7, 2), (13, 2)])
     def test_minimal_is_the_row_reduced_minimum(self, p, n):
         spec = GroupSpec.uniform(p, n)
@@ -346,6 +353,16 @@ class TestOrbitSummaries:
             for s in orbit_summaries(GroupSpec.uniform(p, n)):
                 assert group_order % s.size == 0
                 assert s.size * s.stabilizer_order == group_order
+
+    @pytest.mark.parametrize("p,n", [(2, 0), *PARITY_GRID])
+    def test_runs_flatten_to_the_bfs_minima(self, p, n):
+        spec = GroupSpec.uniform(p, n)
+        runs = list(_echelon_runs(spec))
+        flat = [(i, size) for first, count, size in runs for i in range(first, first + count)]
+        assert flat == bfs_minima(spec)
+        # each run is nonempty and ends before the next begins
+        assert all(count > 0 for _, count, _ in runs)
+        assert all(a + count <= b for (a, count, _), (b, _, _) in zip(runs, runs[1:]))
 
     @pytest.mark.parametrize("p,n_max", TestMethodAgreement.GRID)
     def test_matches_the_bfs_census(self, p, n_max):
