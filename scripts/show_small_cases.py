@@ -11,10 +11,9 @@ import sys
 from orbitlab.bridge import _word_index
 from orbitlab.budget import check_budget
 from orbitlab.cli import main, state_formatter
-from orbitlab.formulas import exact_div
-from orbitlab.orbits import _echelon_minima, _least
+from orbitlab.orbits import _least, orbit_summaries
 from orbitlab.residues import GroupSpec
-from orbitlab.words import _SPELLING, _words, count_words
+from orbitlab.words import _words, count_words, spell
 
 
 def show_orbits(n: int) -> None:
@@ -22,9 +21,9 @@ def show_orbits(n: int) -> None:
     fmt = state_formatter(spec)
     least = _least(spec)
     print(f"orbit classes over Z_2^{n} ({spec.state_count} states):")
-    for idx, (rep, size) in enumerate(_echelon_minima(spec), 1):
-        listing = "  ~  ".join(fmt(i) for i in range(spec.state_count) if least(i) == rep)
-        print(f"  ({idx}) size {size}, stabilizer {exact_div(spec.sl2_order, size)}: {listing}")
+    for idx, orbit in enumerate(orbit_summaries(spec), 1):
+        listing = "  ~  ".join(fmt(i) for i in range(spec.state_count) if least(i) == orbit.index)
+        print(f"  ({idx}) size {orbit.size}, stabilizer {orbit.stabilizer_order}: {listing}")
     print()
 
 
@@ -34,7 +33,7 @@ def show_words(m: int) -> None:
     fmt = state_formatter(spec)
     least = _least(spec)
     for letters in _words(m):  # streamed: no word list is held
-        word, i = bytes(letters).translate(_SPELLING).decode(), _word_index(letters, m)
+        word, i = spell(letters), _word_index(letters, m)
         print(f"  {word}  ->  [{fmt(i)}]  class [{fmt(least(i))}]")
     print()
 

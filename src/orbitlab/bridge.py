@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import repeat
 
-from .orbits import _echelon_minima, _least, count_orbits_burnside
+from .orbits import _echelon_runs, _least, count_orbits_burnside
 from .residues import GroupSpec, PairState, state_from_index
 from .words import ALPHABET, LETTER_BITS, RGWord, _blocks
 
@@ -121,16 +121,17 @@ def _certified(spec: GroupSpec, least, orbit_count: int) -> BridgeReport:
     first: dict[int, RGWord] = {}  # canonical image -> first word reaching it
     collisions = []
     for word in (RGWord(prefix + t) for prefix, tails in _blocks(m) for t in tails):
-        rep = least(_word_index(word.letters, m))
+        rep = least(_word_index(word, m))
         if rep in first:
             collisions.append((first[rep], word))
         else:
             first[rep] = word
-    collisions.sort(key=lambda pair: least(_word_index(pair[0].letters, m)))
+    collisions.sort(key=lambda pair: least(_word_index(pair[0], m)))
     # a canonical image is always its orbit's minimal member, so distinct
     # images are distinct orbits, and they cover all orbits iff they are as many
     surjective = len(first) == orbit_count
-    missed = [] if surjective else [i for i, _ in _echelon_minima(spec) if i not in first]
+    missed = [] if surjective else [i for start, count, _ in _echelon_runs(spec)
+                                    for i in range(start, start + count) if i not in first]
 
     return BridgeReport(
         m=m,

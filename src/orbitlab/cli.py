@@ -22,7 +22,6 @@ from .residues import GroupSpec
 
 
 TABLE_ROWS = 4096  # the most strings one formatter's table holds
-HALVING_CHUNKS = 16  # a formatter splits longer runs of table chunks in halves
 
 
 class _Rows:
@@ -50,13 +49,14 @@ def _formatters(spec: GroupSpec):
     most significant, joined by spaces; "-" at n = 0.
 
     fmt looks up c rows at a time in a table of their p^(2c) joined strings,
-    c as large as keeps it at TABLE_ROWS entries (and at most n), and the
-    leading n mod c rows in a head table.  Each table is the last one with
-    one more row appended, so building them costs about TABLE_ROWS
-    concatenations.  When p^2 is over TABLE_ROWS, c is 1 and the rows come
-    from _Rows.  Peeling c rows at a time off the n-row G and K divides
-    numbers of O(n) digits n / c times, so a state of more than
-    HALVING_CHUNKS chunks is cut by halves first, down to runs that short.
+    c as large as keeps it at TABLE_ROWS entries (and at most n).  Each
+    table is the last one with one more row appended, so building them costs
+    about TABLE_ROWS concatenations.  When p^2 is over TABLE_ROWS, c is 1
+    and the rows come from _Rows.  A state of more than c rows is cut in
+    two, its low part about half its whole chunks, and each part is cut
+    again: so numbers of O(n) digits are divided O(log(n / c)) deep, and
+    only the top piece can be short of c rows, read from the table of its
+    own number of rows.
 
     run(first, count) yields the strings of the count states from first, a
     piece of consecutive indices that differ only in their last c rows at a
@@ -79,34 +79,24 @@ def _formatters(spec: GroupSpec):
         tables.append([left + right
                        for gs in range(0, q * q, q) for row in appended
                        for left in last[gs:gs + q] for right in row])
-    t, h = divmod(n, c)
-    body = tables[c - 1] if t else ["-"]  # n = 0: the one state, "-", is its own chunk
-    head = tables[h - 1] if h else None
-    base, head_base, order = p ** c, p ** h, p ** n
+    body = tables[c - 1] if n else ["-"]  # n = 0: the one state, "-", is its own chunk
+    base, order = p ** c, p ** n
 
-    def cut(g: int, k: int, count: int, parts: list) -> tuple[int, int]:
-        # append the strings of the low count chunks of g and k, the last
-        # first, and return what is left above them
-        if count > HALVING_CHUNKS:
-            half = count // 2
-            scale = base ** half
+    def cut(g: int, k: int, count: int, parts: list) -> None:
+        # append the strings of the count rows of g and k, the first row first
+        if count > c:  # the high part first, then the low whole chunks
+            low = count // (2 * c) * c or c
+            scale = p ** low
             g, g_low = divmod(g, scale)
             k, k_low = divmod(k, scale)
-            cut(g_low, k_low, half, parts)
-            return cut(g, k, count - half, parts)
-        for _ in range(count):
-            g, gc = divmod(g, base)
-            k, kc = divmod(k, base)
-            parts.append(body[gc * base + kc])
-        return g, k
+            cut(g, k, count - low, parts)
+            cut(g_low, k_low, low, parts)
+        elif count:
+            parts.append(tables[count - 1][g * p ** count + k])
 
     def fmt(i: int) -> str:
-        g, k = divmod(i, order)
         parts = []
-        g, k = cut(g, k, t, parts)
-        if h:
-            parts.append(head[g * head_base + k])
-        parts.reverse()
+        cut(*divmod(i, order), n, parts)
         return " ".join(parts) or "-"
 
     def piece(first: int, stop: int):
@@ -270,7 +260,7 @@ def cmd_words(args) -> int:
     count = str(words.count_words(args.m))
     payload = {"m": args.m, "count": count}
     if args.list:  # the words stream block by block, each tails table spelled once
-        spell, spelled = lambda letters: bytes(letters).translate(words._SPELLING).decode(), {}
+        spell, spelled = words.spell, {}
         listed = (word for prefix, tails in words._blocks(args.m)
                   for word in map(spell(prefix).__add__, spelled.get(tails)
                                   or spelled.setdefault(tails, [*map(spell, tails)])))
@@ -284,7 +274,7 @@ def cmd_words(args) -> int:
 def cmd_encode(args) -> int:
     word = words.word_from_string(args.word)  # so str(word) is args.word
     m = len(word)
-    i = bridge._word_index(word.letters, m)  # refuses the empty word
+    i = bridge._word_index(word, m)  # refuses the empty word
     spec = GroupSpec(2, m)
     least = orbits._least(spec)
     fmt = state_formatter(spec)

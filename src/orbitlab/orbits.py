@@ -289,12 +289,6 @@ def _echelon_runs(spec: GroupSpec):
                 yield high, place, plane
 
 
-def _echelon_minima(spec: GroupSpec):
-    """(rep, size) for every orbit, in index order: _echelon_runs flattened."""
-    return chain.from_iterable(zip(range(first, first + count), repeat(size))
-                               for first, count, size in _echelon_runs(spec))
-
-
 def orbit_summaries(spec: GroupSpec) -> list[OrbitSummary]:
     """One OrbitSummary per orbit, sorted by representative index: the echelon
     runs as records, made in C by tuple.__new__, with no state built."""

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 ALPHABET = (1, 2, 3, 4)
 _TAIL = 3  # the letters in each tails table of the word walk, or all m if fewer
-# each letter's ASCII digit, for bytes.translate: the one spelling of words;
-# word_from_string parses through its inverse
+# each letter's ASCII digit, for bytes.translate: the one spelling of words
+# (see spell); word_from_string parses through its inverse
 _SPELLING = bytes.maketrans(bytes(ALPHABET), "".join(map(str, ALPHABET)).encode())
 _LETTERS = {chr(_SPELLING[a]): a for a in ALPHABET}
 
@@ -44,46 +44,40 @@ def is_valid_word(letters) -> bool:
     return _growth_violation(letters) is None
 
 
-class RGWord:
-    """A valid word, immutable; a class, not a tuple, as len() counts letters."""
+def spell(letters) -> str:
+    """The digit string of a word's letters."""
+    return bytes(letters).translate(_SPELLING).decode()
 
-    __slots__ = ("letters",)
 
-    def __init__(self, letters: tuple[int, ...]) -> None:
-        letters = tuple(letters)
-        violation = _growth_violation(letters)
+class RGWord(tuple):
+    """A valid word: the tuple of its letters, checked when it is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, letters: tuple[int, ...]):
+        word = super().__new__(cls, letters)
+        violation = _growth_violation(word)
         if violation is not None:
             raise ValueError(violation)
-        object.__setattr__(self, "letters", letters)
+        return word
 
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    @property
+    def letters(self) -> tuple[int, ...]:
+        return self
 
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle through the checking constructor
-        return RGWord, (self.letters,)
-
-    def __eq__(self, other):
-        return self.letters == other.letters if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
+    def __reduce__(self):  # copy and pickle through the check, not tuple.__new__
+        return RGWord, (tuple(self),)
 
     def __repr__(self) -> str:
-        return f"RGWord(letters={self.letters!r})"
+        return f"RGWord(letters={tuple(self)!r})"
 
-    def __str__(self) -> str:
-        return bytes(self.letters).translate(_SPELLING).decode()
-
-    def __len__(self) -> int:
-        return len(self.letters)
+    __str__ = spell
 
 
 def word_from_string(text: str) -> RGWord:
     """Parse a digit string; the error names the first violated constraint."""
     # a character outside 1..4 stays a string so the error can quote it
-    return RGWord(tuple(_LETTERS.get(ch, ch) for ch in text))
+    return RGWord(map(_LETTERS.get, text, text))
 
 
 def _blocks(m: int):

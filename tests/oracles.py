@@ -1,7 +1,7 @@
 """Independent oracles that only the tests read: the object-level orbit
 closure and matrix action, the forward-difference recurrence, and the state
-builders, word speller, walk regroupers, parity grid and fresh-interpreter
-runner the test modules share.
+builders, word speller, walk regroupers and flattener, parity grid and
+fresh-interpreter runner the test modules share.
 
 orbit_of closes a state under src's apply_s and apply_t alone, and
 group_image applies every matrix of SL(2, Z_p), so their agreement is the
@@ -46,6 +46,12 @@ def blocks_of(listed, m):
     end = m - min(_TAIL, m)
     return [(prefix, tuple(w[end:] for w in run))
             for prefix, run in groupby(listed, key=lambda w: w[:end])]
+
+
+def minima_of(runs):
+    """The (rep, size) pairs of an orbits._echelon_runs walk, one per orbit:
+    the runs flattened, as runs_of regroups them."""
+    return [(rep, size) for first, count, size in runs for rep in range(first, first + count)]
 
 
 def runs_of(listed):

@@ -3,11 +3,11 @@ from itertools import product
 
 import pytest
 
-from oracles import blocks_of, letters_of_rows, pair
+from oracles import blocks_of, letters_of_rows, minima_of, pair
 from orbitlab import bridge, cli, orbits
 from orbitlab.bridge import encode_word, verify_bridge
 from orbitlab.orbits import (
-    _echelon_minima,
+    _echelon_runs,
     _least,
     canonical_form,
     orbit_summaries,
@@ -320,7 +320,7 @@ class TestRoundTrip:
         spec = GroupSpec.uniform(2, m)
         least = _least(spec)
         decoded = []
-        for rep, _ in _echelon_minima(spec):
+        for rep, _ in minima_of(_echelon_runs(spec)):
             i = bridge._decode(rep, m)
             assert least(i) == rep, rep
             decoded.append(i)

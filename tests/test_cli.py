@@ -9,7 +9,15 @@ import shlex
 import pytest
 
 import cli_corpus
-from oracles import PARITY_GRID, blocks_of, python_head, python_peak, python_run, runs_of
+from oracles import (
+    PARITY_GRID,
+    blocks_of,
+    minima_of,
+    python_head,
+    python_peak,
+    python_run,
+    runs_of,
+)
 from orbitlab import bridge, cli, formulas, orbits, residues, words
 from orbitlab.budget import PRINT_DIGITS, BudgetExceeded, check_budget
 from orbitlab.orbits import CensusReport
@@ -159,19 +167,20 @@ class TestOrbits:
             expected = " ".join(f"{g}{sep}{k}" for g, k in rows) if n else "-"
             assert format_state(i, spec) == expected, i
 
-    # c rows per lookup: c = 6 at p = 2, 3 at p = 3, 2 at p = 5 and 1 from
-    # p = 11 on, so n mod c is 0 at (2, 0), (2, 6), (11, n), (13, 2), (67, 1)
-    # and not elsewhere; at p = 67 p^2 is too large for a table.  From
-    # (2, 1000) on a state has more than HALVING_CHUNKS chunks, so fmt cuts
-    # it by halves first; those are checked on seeded random states.
+    # c rows per lookup: the least of n and 6 at p = 2, 3 at p = 3, 2 at
+    # p = 5 and 1 from p = 11 on, where p = 67 has p^2 too large for a table.
+    # A longer state is cut in parts, and only the top one can be short of
+    # c rows: (2, 12) is two whole chunks, (2, 7), (2, 13), (3, 4) and (5, 3)
+    # have a one-row top piece and (2, 1000) one of four rows.  From (2, 12)
+    # on the states are too many, and are checked on seeded random samples.
     @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 3), (2, 6), (2, 7), (3, 2), (3, 4),
-                                     (5, 3), (11, 1), (11, 2), (13, 2), (67, 1),
-                                     (2, 1000), (3, 400), (67, 50)])
+                                     (5, 3), (11, 1), (11, 2), (13, 2), (67, 1), (2, 12),
+                                     (2, 13), (2, 1000), (3, 400), (67, 50)])
     def test_state_formatter_matches_the_oracle(self, p, n):
         spec = GroupSpec(p, n)
         fmt = cli.state_formatter(spec)
         indices = range(spec.state_count)
-        if n >= 50:
+        if n >= 12:
             rng = random.Random(n)
             indices = [0, 1, spec.group_order - 1, spec.state_count - 1,
                        *(rng.randrange(spec.state_count) for _ in range(20))]
@@ -199,7 +208,7 @@ class TestOrbits:
 
     def test_list_count_mismatch_fails(self, monkeypatch):
         # the listing is no census of its own: a short one must not pass
-        minima = list(orbits._echelon_minima(GroupSpec(2, 2)))
+        minima = minima_of(orbits._echelon_runs(GroupSpec(2, 2)))
         monkeypatch.setattr(orbits, "_echelon_runs", lambda spec: runs_of(minima[:-1]))
         code, out, err = run("orbits", "--p", "2", "--n", "2", "--list", "--method", "canonical")
         assert (code, out) == (1, "")
@@ -207,7 +216,7 @@ class TestOrbits:
 
     def test_list_sizes_must_cover_the_states(self, monkeypatch):
         # as many orbits as the count, but one with a wrong size
-        minima = list(orbits._echelon_minima(GroupSpec(2, 2)))
+        minima = minima_of(orbits._echelon_runs(GroupSpec(2, 2)))
         monkeypatch.setattr(orbits, "_echelon_runs",
                             lambda spec: runs_of([*minima[:-1], (9, 3)]))
         code, out, err = run("orbits", "--p", "2", "--n", "2", "--list")
@@ -216,7 +225,7 @@ class TestOrbits:
 
     def test_list_sizes_must_divide_the_group(self, monkeypatch):
         # as many orbits, covering the 16 states, but sizes 4 and 5 do not divide 6
-        minima = list(orbits._echelon_minima(GroupSpec(2, 2)))
+        minima = minima_of(orbits._echelon_runs(GroupSpec(2, 2)))
         monkeypatch.setattr(orbits, "_echelon_runs", lambda spec: runs_of(
             [*minima[:3], (minima[3][0], 4), (minima[4][0], 5)]))
         code, out, err = run("orbits", "--p", "2", "--n", "2", "--list")
@@ -374,7 +383,8 @@ class TestVerify:
     def test_listing_failure_evidence(self, monkeypatch, m, change, row, evidence):
         # verify checks the orbit listing with the routes: a listing that is
         # not a census fails the methods column, and the evidence counts it
-        real, minima = orbits._echelon_runs, list(orbits._echelon_minima(GroupSpec(2, m)))
+        real = orbits._echelon_runs
+        minima = minima_of(real(GroupSpec(2, m)))
         monkeypatch.setattr(orbits, "_echelon_runs",
                             lambda spec: runs_of(change(minima)) if spec.n == m else real(spec))
         code, out, err = run("verify", "--m-max", str(m))

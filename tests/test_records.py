@@ -1,9 +1,9 @@
 """The package's seven record classes: immutable, equal and hashed by their
 fields, and each with the repr and pickle round trip of a frozen record.
 
-Six are namedtuples and RGWord is a class of one slot, so a cold CLI run
-loads no dataclasses module; these tests hold them to the contract of the
-frozen dataclasses they replaced.
+Six are namedtuples and RGWord is a tuple of its letters with a read-only
+letters property, so a cold CLI run loads no dataclasses module; these
+tests hold them to the contract of the frozen dataclasses they replaced.
 """
 
 import copy

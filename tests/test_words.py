@@ -1,8 +1,11 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
 
 from oracles import python_peak
+from orbitlab import words
 from orbitlab.formulas import r_formula
 from orbitlab.words import (
     ALPHABET,
@@ -68,6 +71,25 @@ class TestRGWord:
     def test_str(self):
         assert str(RGWord((2, 3, 4))) == "234"
         assert len(RGWord((2, 3, 4))) == 3
+
+    def test_a_word_is_the_tuple_of_its_letters(self):
+        word = RGWord((1, 2, 3))
+        assert word == (1, 2, 3) and hash(word) == hash((1, 2, 3))
+        assert list(word) == [1, 2, 3] and word.letters is word
+
+    def test_copies_are_checked_once(self, monkeypatch):
+        # every copy is rebuilt through RGWord, and so checked, once: pickle
+        # protocols 0 and 1 would skip the check through tuple.__new__
+        calls = []
+        monkeypatch.setattr(words, "_growth_violation",
+                            lambda letters: calls.append(letters) or None)
+        word = RGWord((1, 2, 3))
+        clones = [copy.copy, copy.deepcopy,
+                  *(lambda w, protocol=protocol: pickle.loads(pickle.dumps(w, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+        for clone in clones:
+            calls.clear()
+            assert clone(word) == word and calls == [(1, 2, 3)], clone
 
     @pytest.mark.parametrize("letters,message", [
         ((1, 3, 3), "letter 3 at position 2 breaks the growth bound: "
