@@ -23,9 +23,7 @@ into a PairState only when a caller asks for one.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque, namedtuple
-from functools import lru_cache
 from itertools import chain, repeat
 
 from .formulas import exact_div
@@ -206,32 +204,23 @@ def _least(spec: GroupSpec):
 
 
 def _minimal(spec: GroupSpec):
-    """Return minimal(g), the test on k that [g | k], index g * p^n + k, has
-    the shape of its orbit's minimum (see _least), decided once for g's
-    case: at g = 0, k is 0 or leads with 1; if g does not lead with 1,
-    never; else, p^t g's leading place value, k is nonzero before it and 0
-    at it.  The test is a lookup in a table of its value at every k, built
-    once per case; the g's of a case are consecutive, so one table is held
-    at a time, p^n entries."""
-    n, p = spec.n, spec.p
-    powers = [p ** t for t in range(n + 1)]
-
-    @lru_cache(maxsize=1)
-    def table(place: int):  # g's leading place value; 0 at g = 0, -1 for never
-        if place < 0:
-            test = lambda k: False
-        elif place:
-            step = place * p
-            test = lambda k: k >= step and not k // place % p
-        else:  # k's leading entry is 1 iff p^t <= k < 2 p^t
-            test = lambda k: not k or k < 2 * powers[bisect_right(powers, k) - 1]
-        return list(map(test, range(spec.group_order))).__getitem__
-
-    def minimal(g: int):
-        place = powers[bisect_right(powers, g) - 1] if g else 0
-        return table(-1 if g >= 2 * place > 0 else place)  # -1: g does not lead with 1
-
-    return minimal
+    """Yield (gs, test) for each case of g, in g order: test(k) says whether
+    [g | k], index g * p^n + k, has the shape of its orbit's minimum (see
+    _least), for every g in the range gs.  At g = 0, k is 0 or leads with 1;
+    for the g's that lead with 1 at place value p^t, k is nonzero before it
+    and 0 at it; for those that lead with more than 1 (only at p > 2),
+    never.  Each test is a lookup in a table of its value at every k, built
+    from the test as its case comes, so one table is held at a time, p^n
+    entries."""
+    p, ks = spec.p, range(spec.group_order)
+    lead = [p ** t for t in range(spec.n)]
+    tabulate = lambda test: list(map(test, ks)).__getitem__
+    yield range(1), tabulate(lambda k: not k or any(k // place == 1 for place in lead))
+    for place in lead:
+        step = place * p
+        yield range(place, 2 * place), tabulate(lambda k: k >= step and not k // place % p)
+        if p > 2:
+            yield range(2 * place, step), tabulate(lambda k: False)
 
 
 def canonical_form(s: PairState) -> PairState:
@@ -242,10 +231,11 @@ def canonical_form(s: PairState) -> PairState:
 
 def count_orbits_canonical(spec: GroupSpec) -> CensusReport:
     """Count the states that are their orbit's minimum, in p^n entries of
-    extra memory (see _minimal).  The sweep takes each half g's test once,
-    and every half k inside it reaches that test: one lookup per state."""
-    minimal, order = _minimal(spec), spec.group_order
-    return CensusReport(sum(sum(map(minimal(g), range(order))) for g in range(order)))
+    extra memory (see _minimal).  The sweep walks g's cases in order, and
+    every half k under each g of a case reaches its test: one lookup per
+    state."""
+    ks = range(spec.group_order)
+    return CensusReport(sum(sum(map(test, ks)) for gs, test in _minimal(spec) for _ in gs))
 
 
 def count_orbits_burnside(spec: GroupSpec) -> CensusReport:

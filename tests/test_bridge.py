@@ -37,15 +37,6 @@ class TestEncodeLetter:
 
 
 class TestEncodeWord:
-    def test_word_11_is_zero_matrix(self):
-        assert encode_word(RGWord((1, 1))).rows() == [(0, 0), (0, 0)]
-
-    def test_word_12(self):
-        assert encode_word(RGWord((1, 2))).rows() == [(0, 0), (1, 0)]
-
-    def test_word_234(self):
-        assert encode_word(RGWord((2, 3, 4))).rows() == [(1, 0), (1, 1), (0, 1)]
-
     def test_all_five_length2_assignments(self):
         expected = {
             "11": [(0, 0), (0, 0)],
@@ -190,9 +181,7 @@ class TestVerifyBridge:
         # the certificates are read off the orbit minima, not found by
         # testing every state for the shape of a minimum
         def unsweepable(spec):
-            def minimal(g):
-                raise AssertionError("verify_bridge swept the states")
-            return minimal
+            raise AssertionError("verify_bridge swept the states")
         monkeypatch.setattr(orbits, "_minimal", unsweepable)
         dropped = enumerate_words(5)[40]
         patch_walk(monkeypatch, lambda ws: [w for w in ws if w != dropped.letters])

@@ -5,6 +5,7 @@ import math
 import os
 import random
 import shlex
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,9 @@ from orbitlab import bridge, cli, formulas, orbits, residues, words
 from orbitlab.budget import PRINT_DIGITS, BudgetExceeded, check_budget
 from orbitlab.orbits import CensusReport
 from orbitlab.residues import GroupSpec, state_from_index
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -70,76 +74,6 @@ class TestOrbits:
         report = bridge.verify_bridge(4)
         assert report.is_injective_on_orbits and report.is_surjective_on_orbits
         assert sweeps == []
-
-    def test_canonical_engine_memory(self):
-        # row reduction holds O(n) values per state and no per-matrix table
-        code, out, peak = run_measured("orbits", "--p", "31", "--n", "1",
-                                       "--method", "canonical")
-        assert (code, out) == (0, "2\n")
-        assert peak < 128 * 1024
-
-    def test_bfs_memory_at_n1(self):
-        # the one row splits between its digits into p-entry tables: a
-        # p^2-entry one would be as long as the state count and lift the
-        # peak past 50 MiB
-        code, out, peak = run_measured("orbits", "--p", "1021", "--n", "1",
-                                       "--method", "bfs")
-        assert (code, out) == (0, "2\n")
-        assert peak < 32 * 1024
-
-    def test_bfs_memory_at_n0(self):
-        # one state and no row: move tables built over all p^2 row digits
-        # anyway took 7.9 s and peaked at 705 MiB
-        code, out, peak = run_measured("orbits", "--p", "3001", "--n", "0",
-                                       "--method", "bfs")
-        assert (code, out) == (0, "1\n")
-        assert peak < 32 * 1024
-
-    def test_bfs_memory_at_n2(self):
-        # orbits of 29,760 states beside a 923,521-byte visited map: the
-        # sweep's peak stays near the interpreter's own, about 16 MiB
-        code, out, peak = run_measured("orbits", "--p", "31", "--n", "2",
-                                       "--method", "bfs")
-        assert (code, out) == (0, "63\n")
-        assert peak < 32 * 1024
-
-    def test_bfs_memory_at_n11(self):
-        # 700,075 orbits, most of them yielded in bulk above free head
-        # orbits, beside a 4 MiB visited map: held as a list of pairs they
-        # would lift the peak past 80 MiB
-        code, out, peak = run_measured("orbits", "--p", "2", "--n", "11",
-                                       "--method", "bfs")
-        assert (code, out) == (0, "700075\n")
-        assert peak < 32 * 1024
-
-    def test_canonical_large_prime_finishes(self):
-        # 1,018,081 states, each decided by row reduction, not by 1e9 matrices
-        result = python_run("-m", "orbitlab", "orbits", "--p", "1009", "--n", "1",
-                            "--method", "canonical", timeout=10)
-        assert (result.returncode, result.stdout) == (0, "2\n")
-
-    def test_burnside_large_prime_finishes(self):
-        # O(p^2) diagonals: about a million steps here
-        result = python_run("-m", "orbitlab", "orbits", "--p", "1009", "--n", "1",
-                            "--method", "burnside", timeout=10)
-        assert (result.returncode, result.stdout) == (0, "2\n")
-
-    @pytest.mark.parametrize("n", ["0", "1"])
-    def test_burnside_diagonals_are_budgeted(self, n):
-        # 100003^2 diagonals would take about an hour; refused at once
-        result = python_run("-m", "orbitlab", "orbits", "--p", "100003", "--n", n,
-                            "--method", "burnside", timeout=10)
-        assert (result.returncode, result.stdout) == (3, "")
-        assert "268435456" in result.stderr
-        assert "diagonals" in result.stderr and "states" not in result.stderr
-
-    def test_list_large_prime_finishes(self):
-        # two orbits at n = 1: the listing must not build all p vectors
-        result = python_run(*("-m orbitlab orbits --p 1000000007 --n 1 --list --method formula "
-                              "--budget 10000000000000000000").split(), timeout=10)
-        assert result.returncode == 0
-        assert [line.split()[1:] for line in result.stdout.splitlines()] == [
-            ["1", "1000000021000000146000000336"], ["1000000014000000048", "1000000007"]]
 
     def test_list_builds_no_state(self, monkeypatch):
         # every row is read off a packed index: neither the summaries nor the
@@ -254,15 +188,6 @@ class TestOrbits:
             assert list(csv.reader(io.StringIO(out))) == [
                 ["representative", "size", "stabilizer_order"], *listing_rows(p, n)], (p, n)
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_list_streams(self, fmt):
-        # rows stream from the summaries as they are made: the peak holds
-        # no summaries list and no copy of the text
-        code, out, peak = run_measured("orbits", "--p", "2", "--n", "10", "--list",
-                                       "--method", "formula", "--format", fmt)
-        assert code == 0 and len(out.splitlines()) == 175275 + (fmt == "csv")
-        assert peak < 64 * 1024
-
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_list_memory_is_flat(self, fmt):
         # 245 times the orbits of n = 6 (175,275 against 715), the same peak
@@ -283,37 +208,8 @@ class TestOrbits:
             assert code == 0 and out.read() == b"]\n}\n"
         assert peak < 32 * 1024
 
-    def test_list_closed_pipe_ends_quietly(self):
-        # as in `orbitlab orbits --p 2 --n 9 --list | head -1`
-        first, code, err = python_head("-m", "orbitlab", "orbits", "--p", "2", "--n", "9",
-                                       "--list", "--method", "formula", timeout=30)
-        assert first == "00 00 00 00 00 00 00 00 00 1 6\n"
-        assert (code, err) == (0, "")
-
-    def test_json_list_closed_pipe_ends_quietly(self):
-        # json goes out in chunks too, so the reader may be gone mid-document
-        first, code, err = python_head("-m", "orbitlab", "orbits", "--p", "2", "--n", "9",
-                                       "--list", "--format", "json", timeout=30)
-        assert first == "{\n"
-        assert (code, err) == (0, "")
-
 
 class TestWords:
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_list_streams(self, fmt):
-        # the words go out as the walk yields them: no word list is held
-        code, out, peak = run_measured("words", "--m", "10", "--list", "--format", fmt)
-        assert code == 0 and len(out.splitlines()) == 175275 + (fmt == "csv")
-        assert peak < 32 * 1024
-
-    def test_list_long_words_closed_pipe(self):
-        # as in `orbitlab words --m 1100 --list --budget <4^1100> | head -1`,
-        # far deeper than Python's recursion limit
-        first, code, err = python_head("-m", "orbitlab", "words", "--m", "1100", "--list",
-                                       "--budget", str(4 ** 1100), timeout=30)
-        assert first == "1" * 1100 + "\n"
-        assert (code, err) == (0, "")
-
     def test_listing_parser_and_word_spell_alike(self):
         # the listing, RGWord and word_from_string read one spelling table
         for m in range(8):
@@ -392,17 +288,6 @@ class TestVerify:
         assert out.splitlines()[-1] == row and out.count("FAIL") == 2  # only at m
         assert err == f"verify: m={m} FAIL {evidence}\n"
 
-    def test_bridge_memory_is_bounded(self):
-        # the bridge streams its words and holds no word list or image map:
-        # at m = 10 that list and map alone lifted the peak past 70 MiB, and
-        # one record per listed orbit to 41 MiB; both walked, it is 16 MiB
-        code, out, peak = run_measured("verify", "--m-max", "10")
-        assert (code, out) == (0, "".join(
-            ["m methods formula words bridge result r\n"]
-            + [f"{m} PASS PASS PASS PASS PASS {r}\n" for m, r in enumerate(
-                [2, 5, 15, 51, 187, 715, 2795, 11051, 43947, 175275], 1)]))
-        assert peak < 24 * 1024
-
     @pytest.mark.parametrize("p,m_max", [(3, 5), (5, 3), (7, 2), (11, 2), (13, 2)])
     def test_every_prime_passes(self, p, m_max):
         # off p = 2 there are no words and no bridge: those columns read "-"
@@ -425,14 +310,6 @@ class TestVerify:
         ran = True if bridged else None
         assert verdict == {"methods": True, "formula": True, "words": ran, "bridge": ran}
 
-    def test_closed_pipe_ends_quietly(self):
-        # as in `verify --p 3 --m-max 5 | head -1`; unbuffered, so rows are
-        # still written after the close
-        first, code, err = python_head("-m", "orbitlab", "verify", "--p", "3", "--m-max", "5",
-                                       timeout=60, env={"PYTHONUNBUFFERED": "1"})
-        assert first == "m methods formula words bridge result r\n"
-        assert (code, err) == (0, "")
-
     def test_mismatch_evidence_off_p2(self, monkeypatch):
         # one route wrong at one cell: its evidence goes to stderr, without
         # the word keys, and only that row fails
@@ -447,30 +324,6 @@ class TestVerify:
                        "listed=7 covered=81\n")
 
 
-class TestSequence:
-    def test_large_prime_finishes(self):
-        # 2^61 - 1: trial division would need ~1.5e9 steps per primality test
-        result = python_run("-m", "orbitlab", "sequence", "--p", "2305843009213693951",
-                            "--n-max", "1", timeout=10)
-        assert (result.returncode, result.stdout) == (0, "0 1\n1 2\n")
-
-
-# inputs whose state count or printed count is far too large: argv -> exit code
-HUGE = {
-    "orbits --p 3 --n 100000000 --method bfs": 3,
-    "orbits --p 3 --n 100000000 --method canonical": 3,
-    "orbits --p 3 --n 100000000 --list": 3,
-    "orbits --p 1000003 --n 10000000": 3,
-    "verify --m-max 20000": 3,
-    "words --m 50000 --list": 3,
-    "orbits --p 3 --n 7000 --list": 3,  # 3^14000 is computed, and too long to print
-    "words --m 100000000": 2,
-    "orbits --p 2 --n 1000000000 --method formula": 2,
-    "orbits --p 2 --n 100000000 --method burnside": 2,
-    "sequence --p 2 --n-max 20000": 2,
-}
-
-
 class TestContract:
     @pytest.mark.parametrize("argv", [
         "encode 234 --budget 5",
@@ -480,19 +333,6 @@ class TestContract:
         code, out, err = run(*argv.split())
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --budget 5" in err
-
-    @pytest.mark.parametrize("argv", [
-        "orbits --p 1009 --n 20000 --method burnside",
-        "orbits --p 2 --n 1000000 --method formula",
-        "sequence --p 2 --n-max 20000",
-        "words --m 50000",
-    ])
-    def test_count_too_long_to_print_fails_fast(self, argv):
-        # refused before the count is computed, which would take seconds to hours
-        result = python_run("-m", "orbitlab", *argv.split(), timeout=10)
-        assert (result.returncode, result.stdout) == (2, "")
-        assert "the count has" in result.stderr
-        assert f"more than the {PRINT_DIGITS}" in result.stderr
 
     def test_digit_limit_is_exact(self):
         # count_words(m) crosses the limit inside this window; nothing that
@@ -559,25 +399,6 @@ class TestContract:
         assert run(*argv, "24") == (
             3, "", "error: 25 diagonals exceed the budget of 24\n")
 
-    @pytest.mark.parametrize("argv,code,digits", [
-        pytest.param(argv, code, digits, id=argv if digits is None
-                     else f"{argv} PYTHONINTMAXSTRDIGITS={digits}")
-        for argv, code in HUGE.items() for digits in (None, "0", "640", "100000")])
-    def test_huge_state_counts_are_refused_fast(self, argv, code, digits):
-        # exit 3 is refused from a lower bound on the state count, exit 2 from
-        # one on the printed count: neither is computed, and neither refusal
-        # depends on the interpreter's digit setting (None: not set)
-        result = python_run("-m", "orbitlab", *argv.split(), timeout=10,
-                            env={"PYTHONINTMAXSTRDIGITS": digits})
-        assert (result.returncode, result.stdout) == (code, "")
-        if code == 3:
-            bound = (result.stderr.removeprefix("error: at least 2^")
-                     .removesuffix(" states exceed the budget of 268435456\n"))
-            assert bound.isdigit(), result.stderr
-        else:
-            assert result.stderr.startswith("error: the count has ")
-            assert result.stderr.endswith(f" more than the {PRINT_DIGITS} that orbitlab prints\n")
-
     @pytest.mark.parametrize("base,exponent,budget,shown", [
         (100003, 2, None, "10000600009"),  # printed in full
         (2, 60, 10, "1152921504606846976"),
@@ -630,6 +451,146 @@ class TestContract:
         assert "orbitlab.cli" in imported.split()
         assert heavy & set(imported.split()) == set()
         assert {"json", "csv"} & set(after.split()) == set()
+
+
+# Fresh-process contracts, one table each.  A row is an argv: one that starts
+# with a script's path runs that script, any other runs `python -m orbitlab`.
+
+# argv -> stdout: the run exits 0 with empty stderr within 10 s
+FINISHES = {
+    # 1,018,081 states, each decided by row reduction, not by 1e9 matrices
+    "orbits --p 1009 --n 1 --method canonical": "2\n",
+    "orbits --p 1009 --n 1 --method burnside": "2\n",  # O(p^2): about a million diagonals
+    # two orbits at n = 1: the listing must not build all p vectors
+    "orbits --p 1000000007 --n 1 --list --method formula --budget 10000000000000000000":
+        "0:0 1 1000000021000000146000000336\n0:1 1000000014000000048 1000000007\n",
+    # 2^61 - 1: trial division would need ~1.5e9 steps per primality test
+    "sequence --p 2305843009213693951 --n-max 1": "0 1\n1 2\n",
+}
+
+over_budget = "error: at least 2^{} states exceed the budget of 268435456\n".format
+too_long = "error: the count has {} digits, more than the 4300 that orbitlab prints\n".format
+diagonals = "error: 10000600009 diagonals exceed the budget of 268435456\n"
+
+# inputs whose state count or printed count is far too large: argv -> exit
+# code and stderr, with nothing on stdout, within 10 s
+REFUSED = {
+    "orbits --p 3 --n 100000000 --method bfs": (3, over_budget(200000000)),
+    "orbits --p 3 --n 100000000 --method canonical": (3, over_budget(200000000)),
+    "orbits --p 3 --n 100000000 --list": (3, over_budget(200000000)),
+    "orbits --p 1000003 --n 10000000": (3, over_budget(380000000)),
+    "verify --m-max 20000": (3, over_budget(40000)),
+    "words --m 50000 --list": (3, over_budget(100000)),
+    # 3^14000 is computed, and too long to print
+    "orbits --p 3 --n 7000 --list": (3, over_budget(22189)),
+    # 100003^2 diagonals would take about an hour; refused at once
+    "orbits --p 100003 --n 0 --method burnside": (3, diagonals),
+    "orbits --p 100003 --n 1 --method burnside": (3, diagonals),
+    # 4^15 states' worth of words, charged once before the first row:
+    # sweeping the rows below the refused one would take minutes and
+    # hundreds of MiB
+    "scripts/show_small_cases.py --m-max 15":
+        (3, "error: 1073741824 states exceed the budget of 268435456\n"),
+    "scripts/show_small_cases.py --m-max -1": (2, "error: m-max must be >= 0, got -1\n"),
+    "words --m 100000000": (2, too_long(60205999)),
+    "orbits --p 2 --n 1000000000 --method formula": (2, too_long(602059991)),
+    "orbits --p 2 --n 100000000 --method burnside": (2, too_long(60205999)),
+    "sequence --p 2 --n-max 20000": (2, too_long(12041)),
+    # refused before the count is computed, which would take seconds to hours
+    "orbits --p 1009 --n 20000 --method burnside": (2, too_long(120147)),
+    "orbits --p 2 --n 1000000 --method formula": (2, too_long(602060)),
+    "words --m 50000": (2, too_long(30103)),
+}
+
+# argv -> stdout, or its number of lines, and the cap on the run's VmHWM in
+# MiB: cli.main in a fresh interpreter, exit 0 and nothing on stderr
+PEAKS = {
+    # row reduction holds O(n) values per state and no per-matrix table
+    "orbits --p 31 --n 1 --method canonical": ("2\n", 128),
+    # the one row splits between its digits into p-entry tables: a
+    # p^2-entry one would be as long as the state count and lift the
+    # peak past 50 MiB
+    "orbits --p 1021 --n 1 --method bfs": ("2\n", 32),
+    # one state and no row: move tables built over all p^2 row digits
+    # anyway took 7.9 s and peaked at 705 MiB
+    "orbits --p 3001 --n 0 --method bfs": ("1\n", 32),
+    # orbits of 29,760 states beside a 923,521-byte visited map: the
+    # sweep's peak stays near the interpreter's own, about 16 MiB
+    "orbits --p 31 --n 2 --method bfs": ("63\n", 32),
+    # 700,075 orbits, most of them yielded in bulk above free head
+    # orbits, beside a 4 MiB visited map: held as a list of pairs they
+    # would lift the peak past 80 MiB
+    "orbits --p 2 --n 11 --method bfs": ("700075\n", 32),
+    # rows stream from the echelon runs as they are made: the peak holds
+    # no summaries list and no copy of the text
+    "orbits --p 2 --n 10 --list --method formula --format text": (175275, 64),
+    "orbits --p 2 --n 10 --list --method formula --format csv": (175276, 64),
+    # the words go out as the walk yields them: no word list is held
+    "words --m 10 --list --format text": (175275, 32),
+    "words --m 10 --list --format csv": (175276, 32),
+    # the bridge streams its words and holds no word list or image map:
+    # at m = 10 that list and map alone lifted the peak past 70 MiB, and
+    # one record per listed orbit to 41 MiB; both walked, it is 16 MiB
+    "verify --m-max 10": ("m methods formula words bridge result r\n" + "".join(
+        f"{m} PASS PASS PASS PASS PASS {r}\n" for m, r in enumerate(
+            [2, 5, 15, 51, 187, 715, 2795, 11051, 43947, 175275], 1)), 24),
+}
+
+# argv -> first line and env: as in `argv | head -1`, the run exits 0 with
+# empty stderr within 30 s.  Unbuffered, rows are still written after the close
+UNBUFFERED = {"PYTHONUNBUFFERED": "1"}
+PIPES = {
+    "orbits --p 2 --n 9 --list --method formula": ("00 00 00 00 00 00 00 00 00 1 6\n", None),
+    # json goes out in chunks too, so the reader may be gone mid-document
+    "orbits --p 2 --n 9 --list --format json": ("{\n", None),
+    # far deeper than Python's recursion limit
+    f"words --m 1100 --list --budget {4 ** 1100}": ("1" * 1100 + "\n", None),
+    "verify --p 3 --m-max 5": ("m methods formula words bridge result r\n", UNBUFFERED),
+    # more than a pipe buffer of rows
+    "scripts/show_small_cases.py --m-max 8":
+        ("orbit classes over Z_2^1 (4 states):\n", UNBUFFERED),
+}
+
+
+def python_args(argv):
+    """The interpreter's arguments for a row's argv."""
+    args = argv.split()
+    if args[0].endswith(".py"):
+        return [str(ROOT / args[0]), *args[1:]]
+    return ["-m", "orbitlab", *args]
+
+
+@pytest.mark.parametrize("argv", FINISHES)
+def test_finishes(argv):
+    result = python_run(*python_args(argv), timeout=10)
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", FINISHES[argv])
+
+
+@pytest.mark.parametrize("argv,digits", [
+    pytest.param(argv, digits, id=argv if digits is None
+                 else f"{argv} PYTHONINTMAXSTRDIGITS={digits}")
+    for argv in REFUSED for digits in (None, "0", "640", "100000")])
+def test_refused_fast(argv, digits):
+    # exit 3 is refused from a lower bound on the state count, exit 2 from
+    # one on the printed count: neither is computed, and neither refusal
+    # depends on the interpreter's digit setting (None: not set)
+    code, err = REFUSED[argv]
+    result = python_run(*python_args(argv), timeout=10, env={"PYTHONINTMAXSTRDIGITS": digits})
+    assert (result.returncode, result.stdout, result.stderr) == (code, "", err)
+
+
+@pytest.mark.parametrize("argv", PEAKS)
+def test_peak(argv):
+    want, cap = PEAKS[argv]
+    code, out, peak = run_measured(*argv.split())
+    assert (code, out if isinstance(want, str) else len(out.splitlines())) == (0, want)
+    assert peak < cap * 1024
+
+
+@pytest.mark.parametrize("argv", PIPES)
+def test_closed_pipe_ends_quietly(argv):
+    first, env = PIPES[argv]
+    assert python_head(*python_args(argv), timeout=30, env=env) == (first, 0, "")
 
 
 def test_cli_corpus():

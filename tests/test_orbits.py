@@ -218,11 +218,12 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("p,n", PARITY_GRID)
     def test_engine_matches_the_matrix_minimum(self, p, n):
         spec = GroupSpec.uniform(p, n)
-        least, minimal = _least(spec), _minimal(spec)
+        least = _least(spec)
+        minimal = {g: test for gs, test in _minimal(spec) for g in gs}
         for i, low in brute_minima(spec).items():
             assert least(i) == low, state_from_index(i, spec)
             g, k = divmod(i, spec.group_order)
-            assert bool(minimal(g)(k)) == (least(i) == i), state_from_index(i, spec)
+            assert bool(minimal[g](k)) == (least(i) == i), state_from_index(i, spec)
 
     def test_rejects_non_uniform(self):
         # a composite modulus is refused when the spec is built
@@ -252,12 +253,8 @@ class TestCanonicalCensus:
         real = orbits._minimal
 
         def counted(spec):
-            minimal = real(spec)
-
-            def wrapped(g):
-                test = minimal(g)
-                return lambda k: calls.append(k) or test(k)
-            return wrapped
+            for gs, test in real(spec):
+                yield gs, lambda k, test=test: calls.append(k) or test(k)
         monkeypatch.setattr(orbits, "_minimal", counted)
         spec = GroupSpec.uniform(p, n)
         assert count_orbits_canonical(spec).orbit_count == r_formula(p, n)
@@ -275,9 +272,10 @@ class TestCanonicalCensus:
     @pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 3), (7, 2), (13, 2)])
     def test_minimal_is_the_row_reduced_minimum(self, p, n):
         spec = GroupSpec.uniform(p, n)
-        least, minimal, order = _least(spec), _minimal(spec), spec.group_order
-        for g in range(order):
-            test = minimal(g)
+        least, order = _least(spec), spec.group_order
+        cases = [(g, test) for gs, test in _minimal(spec) for g in gs]
+        assert [g for g, _ in cases] == list(range(order))  # every g once, in order
+        for g, test in cases:
             for k in range(order):
                 i = g * order + k
                 assert bool(test(k)) == (least(i) == i), (g, k)
