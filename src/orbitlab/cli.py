@@ -155,67 +155,72 @@ ROUTES = {
 }
 
 
-def walk_listing(spec: GroupSpec):
-    """The echelon runs walked once, not held: length, size sum, distinct sizes."""
+def walk_listing(spec: GroupSpec) -> dict:
+    """The echelon runs walked once, not held: their orbits `listed`, the sum
+    `covered` of their sizes and their distinct `sizes`, increasing."""
     sizes = Counter()
     for _, count, size in orbits._echelon_runs(spec):
         sizes[size] += count
-    return sizes.total(), sum(size * count for size, count in sizes.items()), sizes.keys()
+    return {"listed": sizes.total(), "covered": sum(size * count for size, count in sizes.items()),
+            "sizes": tuple(sorted(sizes))}
 
 
-def listing_fault(spec: GroupSpec, counts: dict, listing) -> str | None:
+def listing_fault(spec: GroupSpec, counts: dict, listing: dict) -> str | None:
     """Why walk_listing's totals are no census, or None: its length against each
     method's count, its size sum against p^(2n), each size against p(p^2 - 1)."""
-    listed, covered, sizes = listing
-    group = spec.sl2_order
+    listed, covered, group = listing["listed"], listing["covered"], spec.sl2_order
     for method, count in counts.items():
         if count != listed:
             return f"{method} counts {count} orbits, the listing has {listed}"
     if covered != spec.state_count:
         return f"the listing's sizes sum to {covered}, not to the {spec.state_count} states"
-    for size in sizes:
+    for size in listing["sizes"]:
         if group % size:
             return f"the listing has an orbit of size {size}, which does not divide {group}"
     return None
 
 
-def check_cell(spec: GroupSpec) -> dict:
-    """Run each check of one cell once: the ROUTES, the listing and, at
-    p = 2, n >= 1, product, words and bridge; return their values by name."""
-    values = {name: count(spec) for name, (_, count) in ROUTES.items()}
-    values["listing"] = walk_listing(spec)
-    if spec.p == 2 and spec.n >= 1:
-        values.update(product=formulas.r_p2_product(spec.n),
-                      words=words.count_words(spec.n),
-                      bridge=bridge.verify_bridge(spec.n))
-    return values
+def _bridge_values(spec: GroupSpec) -> dict:
+    """The bridge's word count and its first certificate of each kind."""
+    report = bridge.verify_bridge(spec.n)
+    collisions, missed = report.collisions, report.missed_orbits
+    return {"bridge_words": report.word_count, "collisions": len(collisions),
+            "first_collision": "/".join(map(str, collisions[0])) if collisions else "-",
+            "missed": len(missed),
+            "first_missed": state_formatter(spec)(missed[0]).replace(" ", ",") if missed else "-"}
 
 
-def judge(spec: GroupSpec, values: dict):
-    """Return (verdict, evidence) for check_cell's values: whether each
-    column passes (None for words and bridge with no bridge report: not
-    run), and, unless one fails, every count, the listing's totals and the
-    bridge's first certificate of each kind, as key=value pairs."""
-    bfs, r, report = values["bfs"], values["formula"], values.get("bridge")
-    verdict = {
-        "methods": listing_fault(spec, {m: values[m] for m in ROUTES if m != "formula"},
-                                 values["listing"]) is None,
-        "formula": bfs == r == values.get("product", r),
-        "words": None if report is None else values["words"] == r == report.word_count,
-        "bridge": None if report is None else (report.is_injective_on_orbits
-                                                and report.is_surjective_on_orbits),
-    }
-    if False not in verdict.values():
-        return verdict, None
-    evidence = " ".join(f"{name}={values[name]}" for name in ROUTES)
-    if report is not None:
-        pair = "/".join(map(str, report.collisions[0])) if report.collisions else "-"
-        miss = (state_formatter(spec)(report.missed_orbits[0]).replace(" ", ",")
-                if report.missed_orbits else "-")
-        evidence += (f" words={values['words']} bridge_words={report.word_count} "
-                     f"collisions={len(report.collisions)} first_collision={pair} "
-                     f"missed={len(report.missed_orbits)} first_missed={miss}")
-    return verdict, f"{evidence} listed={values['listing'][0]} covered={values['listing'][1]}"
+# verify's checks in column order, name -> (run, verdict), each looking up its
+# engines at call time: run(spec) gives the column's values by evidence key, or
+# None where it does not apply; verdict(spec, values) reads the cell's values.
+COLUMNS = {
+    "methods": (lambda spec: {**{name: count(spec) for name, (_, count) in ROUTES.items()
+                                 if name != "formula"}, **walk_listing(spec)},
+                lambda spec, v: listing_fault(
+                    spec, {name: v[name] for name in ROUTES if name != "formula"}, v) is None),
+    "formula": (lambda spec: {"formula": formulas.r_formula(spec.p, spec.n),
+                              **({"product": formulas.r_p2_product(spec.n)}
+                                 if spec.p == 2 and spec.n else {})},
+                lambda spec, v: v["bfs"] == v["formula"] == v.get("product", v["formula"])),
+    "words": (lambda spec: {"words": words.count_words(spec.n)}
+              if spec.p == 2 and spec.n else None,
+              lambda spec, v: v["words"] == v["formula"] == v["bridge_words"]),
+    "bridge": (lambda spec: _bridge_values(spec) if spec.p == 2 and spec.n else None,
+               # one word per orbit: no two share one, and as many as Burnside counts
+               lambda spec, v: v["collisions"] == 0 and v["bridge_words"] == v["burnside"]),
+}
+
+
+def check_cell(spec: GroupSpec):
+    """Run each COLUMNS row once on one cell: its verdicts by column, None where the run
+    gave None; its key=value evidence, None unless one fails, the listing's totals last; r."""
+    ran = [(name, run(spec), verdict) for name, (run, verdict) in COLUMNS.items()]
+    values = {key: value for _, got, _ in ran if got for key, value in got.items()}
+    verdicts = {name: None if got is None else verdict(spec, values) for name, got, verdict in ran}
+    values |= {key: values.pop(key) for key in ("listed", "covered", "sizes")}
+    evidence = " ".join(f"{key}={','.join(map(str, value)) if type(value) is tuple else value}"
+                        for key, value in values.items())
+    return verdicts, evidence if False in verdicts.values() else None, values["formula"]
 
 
 def cmd_orbits(args) -> int:
@@ -245,7 +250,7 @@ def cmd_orbits(args) -> int:
     header = ["representative", "size", "stabilizer_order"]
     _, run = _formatters(spec)
     shown = {size: [str(size), str(formulas.exact_div(spec.sl2_order, size)) if args.n else "-"]
-             for size in listing[2]}  # each orbit size: its two columns
+             for size in listing["sizes"]}  # each orbit size: its two columns
     rows = chain.from_iterable(zip(run(first, count), *map(repeat, shown[size]))
                                for first, count, size in orbits._echelon_runs(spec))
     _emit(args.format, header, rows, payload, listing="orbits")
@@ -291,18 +296,13 @@ def cmd_verify(args) -> int:
         raise ValueError(f"m-max must be >= 1, got {args.m_max}")
     GroupSpec(args.p, 0)  # a composite or unit p exits 2 before the budget
     check_budget(args.p, 2 * args.m_max, args.budget)  # the largest m has the most states
-    rows = []
+    header, rows = ["m", *COLUMNS, "result", "r"], []
     for m in range(1, args.m_max + 1):
-        spec = GroupSpec(args.p, m)
-        values = check_cell(spec)
-        verdict, evidence = judge(spec, values)
+        verdicts, evidence, r = check_cell(GroupSpec(args.p, m))
         if evidence:
             print(f"verify: m={m} FAIL {evidence}", file=sys.stderr)
-        flags = [*verdict.values(), not evidence]
-        rows.append([str(m), *("-" if ok is None else "PASS" if ok else "FAIL" for ok in flags),
-                     str(values["formula"])])
-
-    header = ["m", *verdict, "result", "r"]
+        rows.append([str(m), *("-" if ok is None else "PASS" if ok else "FAIL"
+                               for ok in (*verdicts.values(), not evidence)), str(r)])
     _emit(args.format, header, rows, [dict(zip(header, row)) for row in rows],
           text=[" ".join(row) for row in [header, *rows]])
     return 1 if any(row[-2] == "FAIL" for row in rows) else 0  # the result column

@@ -239,20 +239,43 @@ class TestEncode:
 
 class TestVerify:
     def test_failure_exit_code(self, monkeypatch):
-        # simulate a broken count to exercise the failure path
+        # simulate a broken count to exercise the failure path: only the
+        # words column fails, and each m's evidence names the count
         monkeypatch.setattr(cli.words, "count_words", lambda m: 0)
         code, out, err = run("verify", "--m-max", "2")
         assert code == 1
-        assert "FAIL" in out
-        assert "words=0" in err
+        assert out == ("m methods formula words bridge result r\n"
+                       "1 PASS PASS FAIL PASS FAIL 2\n2 PASS PASS FAIL PASS FAIL 5\n")
+        assert err == (
+            "verify: m=1 FAIL bfs=2 canonical=2 burnside=2 formula=2 product=2 words=0 "
+            "bridge_words=2 collisions=0 first_collision=- missed=0 first_missed=- "
+            "listed=2 covered=4 sizes=1,3\n"
+            "verify: m=2 FAIL bfs=5 canonical=5 burnside=5 formula=5 product=5 words=0 "
+            "bridge_words=5 collisions=0 first_collision=- missed=0 first_missed=- "
+            "listed=5 covered=16 sizes=1,3,6\n")
+
+    def test_product_failure_evidence(self, monkeypatch):
+        # the product form off by one at m = 3: the formula column fails, and
+        # the evidence names the value that differs
+        real = formulas.r_p2_product
+        monkeypatch.setattr(formulas, "r_p2_product", lambda n: real(n) + (n == 3))
+        code, out, err = run("verify", "--m-max", "4")
+        assert code == 1
+        assert out.splitlines()[1:] == ["1 PASS PASS PASS PASS PASS 2",
+                                        "2 PASS PASS PASS PASS PASS 5",
+                                        "3 PASS FAIL PASS PASS FAIL 15",
+                                        "4 PASS PASS PASS PASS PASS 51"]
+        assert err == ("verify: m=3 FAIL bfs=15 canonical=15 burnside=15 formula=15 "
+                       "product=16 words=15 bridge_words=15 collisions=0 first_collision=- "
+                       "missed=0 first_missed=- listed=15 covered=64 sizes=1,3,6\n")
 
     @pytest.mark.parametrize("change,evidence", [
         (lambda ws: ws + ws[17:18],
          "bridge_words=52 collisions=1 first_collision=2113/2113 "
-         "missed=0 first_missed=- listed=51 covered=256"),
+         "missed=0 first_missed=- listed=51 covered=256 sizes=1,3,6"),
         (lambda ws: ws[:17] + ws[18:],
          "bridge_words=50 collisions=0 first_collision=- "
-         "missed=1 first_missed=01,00,00,10 listed=51 covered=256"),
+         "missed=1 first_missed=01,00,00,10 listed=51 covered=256 sizes=1,3,6"),
     ], ids=["duplicate", "drop"])
     def test_bridge_failure_evidence(self, monkeypatch, change, evidence):
         # word 17 at m = 4 is 2113, whose orbit minimum has rows 01 00 00 10
@@ -264,17 +287,19 @@ class TestVerify:
         assert code == 1
         assert out.splitlines()[-1] == "4 PASS PASS FAIL FAIL FAIL 51"
         assert err == ("verify: m=4 FAIL bfs=51 canonical=51 burnside=51 formula=51 "
-                       f"words=51 {evidence}\n")
+                       f"product=51 words=51 {evidence}\n")
 
     @pytest.mark.parametrize("m,change,row,evidence", [
         (4, lambda minima: minima[:-1], "4 FAIL PASS PASS PASS FAIL 51",
-         "bfs=51 canonical=51 burnside=51 formula=51 words=51 bridge_words=51 "
-         "collisions=0 first_collision=- missed=0 first_missed=- listed=50 covered=250"),
+         "bfs=51 canonical=51 burnside=51 formula=51 product=51 words=51 bridge_words=51 "
+         "collisions=0 first_collision=- missed=0 first_missed=- listed=50 covered=250 "
+         "sizes=1,3,6"),
         # as many orbits, covering the 16 states, but sizes 4 and 5 do not divide 6
         (2, lambda minima: minima[:3] + [(minima[3][0], 4), (minima[4][0], 5)],
          "2 FAIL PASS PASS PASS FAIL 5",
-         "bfs=5 canonical=5 burnside=5 formula=5 words=5 bridge_words=5 "
-         "collisions=0 first_collision=- missed=0 first_missed=- listed=5 covered=16"),
+         "bfs=5 canonical=5 burnside=5 formula=5 product=5 words=5 bridge_words=5 "
+         "collisions=0 first_collision=- missed=0 first_missed=- listed=5 covered=16 "
+         "sizes=1,3,4,5"),
     ], ids=["drop", "sizes"])
     def test_listing_failure_evidence(self, monkeypatch, m, change, row, evidence):
         # verify checks the orbit listing with the routes: a listing that is
@@ -301,14 +326,10 @@ class TestVerify:
     def test_cells_without_a_bridge_pass_with_none(self, p, n):
         # verify starts at m = 1; the n = 0 cells pass all the same, and the
         # words and bridge verdicts are None wherever no bridge ran
-        spec = GroupSpec(p, n)
-        values = cli.check_cell(spec)
-        verdict, evidence = cli.judge(spec, values)
-        assert evidence is None and values["formula"] == formulas.r_formula(p, n)
-        bridged = "bridge" in values
-        assert bridged == (p == 2 and n >= 1)
-        ran = True if bridged else None
-        assert verdict == {"methods": True, "formula": True, "words": ran, "bridge": ran}
+        verdicts, evidence, r = cli.check_cell(GroupSpec(p, n))
+        assert evidence is None and r == formulas.r_formula(p, n)
+        ran = True if p == 2 and n >= 1 else None
+        assert verdicts == {"methods": True, "formula": True, "words": ran, "bridge": ran}
 
     def test_mismatch_evidence_off_p2(self, monkeypatch):
         # one route wrong at one cell: its evidence goes to stderr, without
@@ -321,7 +342,29 @@ class TestVerify:
         assert out.splitlines()[1:] == ["1 PASS PASS - - PASS 2", "2 FAIL PASS - - FAIL 7",
                                         "3 PASS PASS - - PASS 40"]
         assert err == ("verify: m=2 FAIL bfs=7 canonical=8 burnside=7 formula=7 "
-                       "listed=7 covered=81\n")
+                       "listed=7 covered=81 sizes=1,8,24\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_a_column_is_one_row(self, monkeypatch, fmt):
+        # a fifth check is one COLUMNS entry and no other edit: it does not
+        # apply at m = 1, passes at m = 2 and fails at m = 3
+        monkeypatch.setitem(cli.COLUMNS, "extra", (
+            lambda spec: None if spec.n == 1 else {"extra": spec.n},
+            lambda spec, values: values["extra"] != 3))
+        code, out, err = run("verify", "--m-max", "3", "--format", fmt)
+        header = ["m", "methods", "formula", "words", "bridge", "extra", "result", "r"]
+        rows = [["1", "PASS", "PASS", "PASS", "PASS", "-", "PASS", "2"],
+                ["2", "PASS", "PASS", "PASS", "PASS", "PASS", "PASS", "5"],
+                ["3", "PASS", "PASS", "PASS", "PASS", "FAIL", "FAIL", "15"]]
+        assert code == 1
+        assert out == {
+            "text": "".join(" ".join(row) + "\n" for row in [header, *rows]),
+            "csv": "".join(",".join(row) + "\n" for row in [header, *rows]),
+            "json": json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n",
+        }[fmt]
+        assert err == ("verify: m=3 FAIL bfs=15 canonical=15 burnside=15 formula=15 "
+                       "product=15 words=15 bridge_words=15 collisions=0 first_collision=- "
+                       "missed=0 first_missed=- extra=3 listed=15 covered=64 sizes=1,3,6\n")
 
 
 class TestContract:
