@@ -5,27 +5,30 @@ Each letter becomes one row of an m x 2 bit matrix (words.LETTER_BITS:
 word's letters to its packed index.  verify_bridge machine-checks that
 composing with the canonical form, (min, middle) of the bit rows
 {g, k, g ^ k}, hits every orbit exactly once: bijectivity is checked, never
-assumed.  It streams the word walk once, in blocks that share a prefix:
-one encoder call per block, xor the offsets of its tails table, gives each
-word's index i (see _tails_table), and i goes on a round trip, word ->
-orbit -> word: decode(least(i)) must give i back.  So no two words share
-an orbit, given that the walked words are distinct (their letters
-increase, in each tails table and from block to block), that distinct
-words have distinct indices (the four letters have distinct rows, checked
-once), and that they are in the language, which the round trip implies
-(see _decode).  Surjectivity is then pigeonhole against the independent
-Burnside count (four diagonals at p = 2).  On success nothing is
-collected.  Only when a check fails does a second pass keep the first word
-per canonical image, for the collision certificates, and walk the orbit
-minima in echelon form for the missed orbits.
+assumed.  It streams the word walk once, in blocks that share a prefix.
+Each word of a block is a lane of two integers, its index's g half and k
+half: one encoder call per block, times a row of ones and xor the packed
+offsets of its tails table, gives every lane (see _tails_table).  Every
+word then goes on a round trip, word -> orbit -> word, all lanes at once:
+the lane kernel orbits._least_lanes, which is the canonical form that
+encode and canonical_form run on one lane, then _decode, must give the
+block back.  So no two words share an orbit, given that the walked words
+are distinct (their letters increase, in each tails table and from block
+to block), that distinct words have distinct indices (the four letters
+have distinct rows, checked once), and that they are in the language,
+which the round trip implies (see _decode).  Surjectivity is then
+pigeonhole against the independent Burnside count (four diagonals at
+p = 2).  On success nothing is collected.  Only when a check fails does a
+second pass keep the first word per canonical image, for the collision
+certificates, and walk the orbit minima in echelon form for the missed
+orbits.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import repeat
 
-from .orbits import _echelon_runs, _least, count_orbits_burnside
+from .orbits import _echelon_runs, _least, _least_lanes, count_orbits_burnside
 from .residues import GroupSpec, PairState, state_from_index
 from .words import ALPHABET, LETTER_BITS, RGWord, _blocks
 
@@ -59,28 +62,39 @@ def _word_index(letters, m: int) -> int:
     return int(letters.translate(_G_DIGITS) + letters.translate(_K_DIGITS), 2)
 
 
-def _decode(rep: int, m: int) -> int:
-    """The packed index of the word of the orbit whose minimum is rep:
-    [0 | v] -> [v | 0], and [g | k] -> [g ^ k | g] for g != 0.
+def _decode(lo: int, mid: int) -> tuple[int, int]:
+    """The word of each orbit whose minimum is [lo | mid], lane by lane
+    (see orbits._least_lanes): [0 | v] -> [v | 0], and [g | k] ->
+    [g ^ k | g] for g != 0.  As (lo ^ mid, lo) it reads no lane layout, so
+    one lane and a block of them decode alike.
 
-    Each decoded minimum is a valid word, so an i that round-trips is one.
+    Each decoded minimum is a valid word, so a lane that round-trips is one.
     [v | 0] has only 1s and 2s.  Else g < k < g ^ k, the least and middle rows; k lacks
     g's top bit t, or g ^ k would be below k, so k's top bit is higher.
     Then [g ^ k | g] has its first 3 or 4 at t, a 3, after a 2 at k's top
     bit: the growth rule.
     """
-    g, k = rep >> m, rep & ((1 << m) - 1)
-    return ((g ^ k) << m) | g
+    return lo ^ mid, lo
 
 
 def _tails_table(tails, m: int):
-    """(1^d, offsets) for increasing tails of d letters, else (None, None): as
-    the encoder places each letter's bits by position alone, prefix + t has
-    the index of prefix + 1^d xor t's offset, that of 1^(m - d) + t xor 1^m's."""
+    """(1^d, rep, g_offsets, k_offsets) for increasing tails of d letters,
+    else None.  As the encoder places each letter's bits by position alone,
+    prefix + t has the index of prefix + 1^d xor t's offset, that of
+    1^(m - d) + t xor 1^m's.  The offsets' g and k halves are packed as
+    lanes of m + 1 bits, tail j's in lane j (see orbits._least_lanes), and
+    rep has a 1 at the bottom of every lane: a block's g halves are then
+    its base's times rep, xor g_offsets, and its k halves likewise."""
     if any(s >= t for s, t in zip(tails, tails[1:])):
-        return None, None
-    ones, d = _word_index((1,) * m, m), len(tails[0])
-    return (1,) * d, [_word_index((1,) * (m - d) + t, m) ^ ones for t in tails]
+        return None
+    ones, d, mask = _word_index((1,) * m, m), len(tails[0]), (1 << m) - 1
+    rep = g_offsets = k_offsets = 0
+    for j, t in enumerate(tails):
+        offset, at = _word_index((1,) * (m - d) + t, m) ^ ones, (m + 1) * j
+        rep |= 1 << at
+        g_offsets |= offset >> m << at
+        k_offsets |= (offset & mask) << at
+    return (1,) * d, rep, g_offsets, k_offsets
 
 
 def verify_bridge(m: int) -> BridgeReport:
@@ -89,35 +103,43 @@ def verify_bridge(m: int) -> BridgeReport:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     spec = GroupSpec(2, m)
-    least = _least(spec)
     orbit_count = count_orbits_burnside(spec).orbit_count
 
     # the encoder reads each letter through one table per column, so it is
     # injective on words iff the four letters have distinct rows
-    index = _word_index
+    index, mask = _word_index, (1 << m) - 1
     if len({index((a,), 1) for a in ALPHABET}) == len(ALPHABET):
+        # each tails table's lanes, by the identity of the table: the walk
+        # yields one of a few tuples per block, and hashing one costs more
+        # than its block's round trip; an entry holds its table, so no
+        # other object takes its id
         tables, previous, word_count = {}, (), 0
         for prefix, tails in _blocks(m):
-            pad, offsets = tables.get(tails) or tables.setdefault(tails, _tails_table(tails, m))
-            if pad is None or prefix + tails[0] <= previous:  # after the last block
+            known, lanes = tables.get(id(tails), (None, None))
+            if known is not tails:
+                lanes = _tails_table(tails, m)
+                tables[id(tails)] = tails, lanes
+            if lanes is None or prefix + tails[0] <= previous:  # after the last block
                 break
-            block = list(map(index(prefix + pad, m).__xor__, offsets))
-            if list(map(_decode, map(least, block), repeat(m))) != block:
+            pad, rep, g_offsets, k_offsets = lanes
+            base = index(prefix + pad, m)
+            g, k = (base >> m) * rep ^ g_offsets, (base & mask) * rep ^ k_offsets
+            if _decode(*_least_lanes(g, k, m, rep << m)) != (g, k):
                 break
-            previous, word_count = prefix + tails[-1], word_count + len(block)
+            previous, word_count = prefix + tails[-1], word_count + len(tails)
         else:
             # distinct valid words on distinct orbits, so they cover all
             # orbits iff they are as many
             if word_count == orbit_count:
                 return BridgeReport(m, word_count, orbit_count, True, True, [], [])
-    return _certified(spec, least, orbit_count)
+    return _certified(spec, orbit_count)
 
 
-def _certified(spec: GroupSpec, least, orbit_count: int) -> BridgeReport:
+def _certified(spec: GroupSpec, orbit_count: int) -> BridgeReport:
     """The report with its certificates, from the letters alone: the first
     word per canonical image, each later word with that image as a collision,
     and the echelon minima no word reached."""
-    m = spec.n
+    m, least = spec.n, _least(spec)
     first: dict[int, RGWord] = {}  # canonical image -> first word reaching it
     collisions = []
     for word in (RGWord(prefix + t) for prefix, tails in _blocks(m) for t in tails):

@@ -166,16 +166,15 @@ def _least(spec: GroupSpec):
       plane with pivots j1 < j2, and lam = -(g_j1 k_j2 - k_j1 g_j2), since
       the determinant of the coordinates in that basis is invariant.
 
-    At p = 2 the minimum is (min, middle) of {g, k, g ^ k}.
+    At p = 2 the minimum is (min, middle) of {g, k, g ^ k}: _least_lanes
+    with one lane.
     """
     n, p, order = spec.n, spec.p, spec.group_order
     if p == 2:
         mask = order - 1
 
-        def least(i: int) -> int:
-            g = i >> n
-            k = i & mask
-            lo, mid, _ = sorted((g, k, g ^ k))
+        def least(i: int) -> int:  # one lane, its guard bit n being order = 2^n
+            lo, mid = _least_lanes(i >> n, i & mask, n, order)
             return (lo << n) | mid
         return least
 
@@ -201,6 +200,27 @@ def _least(spec: GroupSpec):
         return vector_rank(e2, p) * order + vector_rank(lam_e1, p)
 
     return least
+
+
+def _least_lanes(g: int, k: int, n: int, guard: int) -> tuple[int, int]:
+    """Lane by lane, the p = 2 orbit minimum [lo | mid] of the states
+    [g | k] whose halves g and k hold as lanes of n + 1 bits: lane j at bit
+    (n + 1) j, each value below 2^n, and guard holding bit n of every lane.
+    (lo, mid) is (min, middle) of {g, k, g ^ k} in every lane, by three
+    compare-exchanges on all lanes at once ("broadword" computing, Knuth,
+    TAOCP Vol. 4A, 7.1.3).  ((a | guard) - b) & guard keeps a lane's guard
+    bit iff a >= b there, as each lane's 2^n + a - b is positive and so
+    borrows from no other lane; that minus itself shifted down by n fills
+    those lanes with n ones, the mask of the lanes to swap."""
+    h = g ^ k
+    ge = ((g | guard) - k) & guard  # g >= k
+    swap = (ge - (ge >> n)) & h
+    lo, hi = g ^ swap, k ^ swap  # {lo, hi} = {g, k}, so lo ^ hi = h
+    ge = ((hi | guard) - h) & guard  # hi >= h
+    mid = hi ^ ((ge - (ge >> n)) & lo)  # min(hi, h), as hi ^ h = lo
+    ge = ((lo | guard) - mid) & guard  # lo >= mid
+    swap = (ge - (ge >> n)) & (lo ^ mid)
+    return lo ^ swap, mid ^ swap
 
 
 def _minimal(spec: GroupSpec):

@@ -9,7 +9,7 @@ somewhere earlier.
 from __future__ import annotations
 
 ALPHABET = (1, 2, 3, 4)
-_TAIL = 3  # the letters in each tails table of the word walk, or all m if fewer
+_TAIL = 4  # the letters in each tails table of the word walk, or all m if fewer
 # each letter's ASCII digit, for bytes.translate: the one spelling of words
 # (see spell); word_from_string parses through its inverse
 _SPELLING = bytes.maketrans(bytes(ALPHABET), "".join(map(str, ALPHABET)).encode())

@@ -1,6 +1,7 @@
 """Independent oracles that only the tests read: the object-level orbit
-closure and matrix action, the forward-difference recurrence, and the state
-builders, word speller, walk regroupers and flattener, parity grid and
+closure and matrix action, the forward-difference recurrence, the p = 2
+orbit minimum and word decoder one state at a time, and the state builders,
+word speller, lane packers, walk regroupers and flattener, parity grid and
 fresh-interpreter runner the test modules share.
 
 orbit_of closes a state under src's apply_s and apply_t alone, and
@@ -46,6 +47,32 @@ def blocks_of(listed, m):
     end = m - min(_TAIL, m)
     return [(prefix, tuple(w[end:] for w in run))
             for prefix, run in groupby(listed, key=lambda w: w[:end])]
+
+
+def least_sorted(i: int, n: int) -> int:
+    """The minimum of state i's orbit at p = 2, n rows: (min, middle) of the
+    bit rows {g, k, g ^ k}, by sorting them, one state at a time."""
+    g, k = i >> n, i & ((1 << n) - 1)
+    lo, mid, _ = sorted((g, k, g ^ k))
+    return (lo << n) | mid
+
+
+def decode_index(rep: int, n: int) -> int:
+    """The packed index of the word of the orbit whose minimum is rep at
+    p = 2, one state at a time: [g | k] -> [g ^ k | g]."""
+    g, k = rep >> n, rep & ((1 << n) - 1)
+    return ((g ^ k) << n) | g
+
+
+def to_lanes(values, n: int) -> int:
+    """values, each below 2^(n + 1), as lanes of n + 1 bits, the first lowest."""
+    return sum(v << (n + 1) * j for j, v in enumerate(values))
+
+
+def from_lanes(packed: int, n: int, count: int) -> list[int]:
+    """The count lanes of n + 1 bits of packed, the first lowest, each lane's
+    guard bit included, so a kernel that left one set is seen."""
+    return [packed >> (n + 1) * j & ((2 << n) - 1) for j in range(count)]
 
 
 def minima_of(runs):

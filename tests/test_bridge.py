@@ -3,12 +3,23 @@ from itertools import product
 
 import pytest
 
-from oracles import blocks_of, letters_of_rows, minima_of, pair
+from oracles import (
+    blocks_of,
+    decode_index,
+    from_lanes,
+    least_sorted,
+    letters_of_rows,
+    minima_of,
+    pair,
+    to_lanes,
+)
 from orbitlab import bridge, cli, orbits
 from orbitlab.bridge import encode_word, verify_bridge
+from orbitlab.formulas import r_formula
 from orbitlab.orbits import (
     _echelon_runs,
     _least,
+    _least_lanes,
     canonical_form,
     orbit_summaries,
 )
@@ -75,26 +86,30 @@ class TestEncodeWord:
     @pytest.mark.parametrize("relabel", [False, True], ids=["bits", "relabelled"])
     @pytest.mark.parametrize("m", [*range(1, 9), 1000])
     def test_block_base_xor_offset(self, monkeypatch, m, relabel):
-        # verify_bridge's block encoding: prefix + t has the index of
-        # prefix + 1^d xor t's offset in _tails_table, every word up to
-        # m = 8, then 4 seeded prefixes with all 64 tails; and so for an
-        # encoder that reads each letter through one table per column but
-        # gives the padding 1 a nonzero row (1 <-> 2, 3 <-> 4)
+        # verify_bridge's block encoding: lane j of the g halves, prefix +
+        # 1^d's times rep xor g_offsets from _tails_table, is the g half of
+        # prefix + tails[j]'s index, and so for the k halves, with nothing
+        # in the guard bits or above the top lane; every word up to m = 8,
+        # then 4 seeded prefixes with all 256 tails; and so for an encoder
+        # that reads each letter through one table per column but gives the
+        # padding 1 a nonzero row (1 <-> 2, 3 <-> 4)
         if relabel:
             real = bridge._word_index
             monkeypatch.setattr(bridge, "_word_index",
                                 lambda letters, m: real([((a - 1) ^ 1) + 1 for a in letters], m))
         blocks = _blocks(m)
         if m > 8:  # after 234 every letter may follow
-            rng, every = random.Random(m), list(_blocks(6))[-1][1]
-            assert len(every) == 4 ** 3
-            blocks = [((2, 3, 4, *(rng.choice(ALPHABET) for _ in range(m - 6))), every)
+            rng, every = random.Random(m), list(_blocks(7))[-1][1]
+            assert len(every) == 4 ** 4
+            blocks = [((2, 3, 4, *(rng.choice(ALPHABET) for _ in range(m - 7))), every)
                       for _ in range(4)]
-        index = bridge._word_index
+        index, mask = bridge._word_index, (1 << m) - 1
         for prefix, tails in blocks:
-            pad, offsets = bridge._tails_table(tails, m)
-            base = index(prefix + pad, m)
-            assert [base ^ o for o in offsets] == [index(prefix + t, m) for t in tails], prefix
+            pad, rep, g_offsets, k_offsets = bridge._tails_table(tails, m)
+            base, states = index(prefix + pad, m), [index(prefix + t, m) for t in tails]
+            assert rep == to_lanes([1] * len(tails), m)
+            assert (base >> m) * rep ^ g_offsets == to_lanes([i >> m for i in states], m), prefix
+            assert (base & mask) * rep ^ k_offsets == to_lanes([i & mask for i in states], m)
 
     def test_injective_on_words_up_to_8(self):
         for m in range(1, 9):
@@ -135,26 +150,30 @@ class TestVerifyBridge:
     def test_m8_count(self):
         assert verify_bridge(8).word_count == 11051
 
-    @pytest.mark.parametrize("m", [9, 10])
+    @pytest.mark.parametrize("m", [9, 10, 11, 12])
     def test_bijective_at_desk_scale_limit(self, m):
         report = verify_bridge(m)
         assert report.is_surjective_on_orbits
         assert report.is_injective_on_orbits
-        assert report.word_count == report.orbit_count
+        assert report.word_count == report.orbit_count == r_formula(2, m)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             verify_bridge(0)
 
     def test_encoder_runs_once_per_block(self, monkeypatch):
-        # not once per word: 11,051 words at m = 8, in 187 blocks
+        # not once per word: 11,051 words at m = 8, in 51 blocks; besides
+        # one call per block, the encoder reads the four letters once, and
+        # each of the walk's four tails tables (699 tails) once per walk
         real, calls = bridge._word_index, []
         monkeypatch.setattr(bridge, "_word_index",
                             lambda letters, m: calls.append(m) or real(letters, m))
         report = verify_bridge(8)
         assert report.is_injective_on_orbits and report.is_surjective_on_orbits
-        assert 0 < len(calls) < report.word_count / 20
-        assert len(list(_blocks(8))) == 187
+        blocks = list(_blocks(8))
+        tables = {id(tails): tails for _, tails in blocks}.values()
+        assert (len(blocks), len(tables), sum(map(len, tables))) == (51, 4, 699)
+        assert len(calls) == len(ALPHABET) + len(blocks) + sum(1 + len(t) for t in tables)
 
     def test_dropped_word_is_certified_as_missed_orbit(self, monkeypatch):
         dropped = enumerate_words(4)[17]
@@ -222,6 +241,16 @@ class TestVerifyBridge:
         assert report.missed_orbits == [state_index(canonical_form(encode_word(words4[17])))]
         assert not (report.is_injective_on_orbits or report.is_surjective_on_orbits)
 
+    def test_duplicate_across_blocks_is_certified(self, monkeypatch):
+        # as above, with the first word again after the last, as a block of
+        # its own whose one tail increases: only the block order catches it
+        words5 = enumerate_words(5)
+        patch_walk(monkeypatch, lambda ws: ws[:17] + ws[18:] + ws[:1])
+        report = verify_bridge(5)
+        assert (report.word_count, report.orbit_count) == (187, 187)
+        assert report.collisions == [(words5[0], words5[0])]
+        assert report.missed_orbits == [state_index(canonical_form(encode_word(words5[17])))]
+
     def test_duplicate_within_a_tails_table_is_certified(self, monkeypatch):
         # as above, with the repeat and the drop in one block: 2112 twice and
         # no 2113, so only the check that each tails table increases catches it
@@ -283,26 +312,62 @@ def merge_3_and_4(monkeypatch):
                         lambda letters, m: real([min(a, 3) for a in letters], m))
 
 
+def lanes_of(states, m):
+    """The g halves and the k halves of the packed states as lanes of m + 1
+    bits, the first state lowest, and the lanes' guard bits."""
+    mask = (1 << m) - 1
+    return (to_lanes([i >> m for i in states], m), to_lanes([i & mask for i in states], m),
+            to_lanes([1 << m] * len(states), m))
+
+
+def round_trip(states, m):
+    """The kernel's minima of the states, as one block of lanes, and the
+    decoded lanes, each as packed indices; both lane for lane equal to the
+    sorted-triple oracle's, guard bits and all."""
+    g, k, guard = lanes_of(states, m)
+    lo, mid = _least_lanes(g, k, m, guard)
+    reps = [least_sorted(i, m) for i in states]
+    assert (lo, mid) == lanes_of(reps, m)[:2]
+    back = bridge._decode(lo, mid)
+    assert back == lanes_of([decode_index(rep, m) for rep in reps], m)[:2]
+    count = len(states)
+    return ([a << m | b for a, b in zip(from_lanes(lo, m, count), from_lanes(mid, m, count))],
+            [a << m | b for a, b in zip(*(from_lanes(x, m, count) for x in back))])
+
+
+def decode(rep, m):
+    """bridge._decode on one lane: the packed index of the word of the orbit
+    whose minimum is rep."""
+    g, k = bridge._decode(rep >> m, rep & ((1 << m) - 1))
+    return g << m | k
+
+
 class TestRoundTrip:
     """decode against the letter-level oracles: the round trip alone keeps
     invalid words out of verify_bridge."""
 
     def test_round_trip_holds_exactly_on_words(self):
         # so the walk's two per-word checks, letter order and round trip,
-        # need no growth rule of their own; the encoder refuses the empty word
+        # need no growth rule of their own; the encoder refuses the empty
+        # word.  Every state takes it twice: as a one-lane block, through
+        # _least and decode, and as a lane of one block of all 4^m states
+        # (2-bit lanes at m = 1), through the kernel and bridge._decode
         for m in range(1, 8):
             least = _least(GroupSpec.uniform(2, m))
-            for letters in product(ALPHABET, repeat=m):
-                i = bridge._word_index(letters, m)
+            words = list(product(ALPHABET, repeat=m))
+            states = [bridge._word_index(letters, m) for letters in words]
+            reps, back = round_trip(states, m)
+            for letters, i, rep, j in zip(words, states, reps, back):
                 expected = _growth_violation(letters) is None
-                assert (bridge._decode(least(i), m) == i) == expected, letters
+                assert least(i) == rep, letters
+                assert (decode(rep, m) == i) == (j == i) == expected, letters
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_word_orbit_word(self, m):
         least = _least(GroupSpec.uniform(2, m))
         for letters in _words(m):
             i = bridge._word_index(letters, m)
-            assert bridge._decode(least(i), m) == i, letters
+            assert decode(least(i), m) == i, letters
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_orbit_word_orbit(self, m):
@@ -310,7 +375,7 @@ class TestRoundTrip:
         least = _least(spec)
         decoded = []
         for rep, _ in minima_of(_echelon_runs(spec)):
-            i = bridge._decode(rep, m)
+            i = decode(rep, m)
             assert least(i) == rep, rep
             decoded.append(i)
         # so decoding the minima gives exactly the words
@@ -323,7 +388,7 @@ class TestRoundTrip:
         least = _least(spec)
         fmt, rng = cli.state_formatter(spec), random.Random(m)
         for _ in range(200):
-            word = letters_of_rows(fmt(bridge._decode(least(rng.getrandbits(2 * m)), m)))
+            word = letters_of_rows(fmt(decode(least(rng.getrandbits(2 * m)), m)))
             assert _growth_violation(word) is None, word
 
     def test_invalid_walked_word_is_refused(self, monkeypatch):
@@ -335,3 +400,24 @@ class TestRoundTrip:
         patch_walk(monkeypatch, lambda ws: [*ws[:at], bad, *ws[at + 1:]])
         with pytest.raises(ValueError, match="breaks the growth bound"):
             verify_bridge(4)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 9])
+    def test_all_ones_in_the_top_lane(self, m):
+        # the top lane's values at their largest: nothing may carry above it
+        ones, rng = (1 << m) - 1, random.Random(m)
+        below = [rng.getrandbits(2 * m) for _ in range(7)]
+        for g, k in product((ones, ones - 1, 0), repeat=2):
+            round_trip([*below, g << m | k], m)
+
+    def test_invalid_word_in_the_top_lane_fails_its_block(self, monkeypatch):
+        # the walk's last word at m = 5, 23444, becomes 24111: the tails still
+        # increase, and only the top lane of the last block fails the round
+        # trip, so the certificate pass runs and refuses the word
+        block = [w for w in _words(5) if w[0] == 2][:-1] + [(2, 4, 1, 1, 1)]
+        states = [bridge._word_index(w, 5) for w in block]
+        back = round_trip(states, 5)[1]
+        assert [i for i, j in zip(states, back) if i != j] == states[-1:]
+        walks = patch_walk(monkeypatch, lambda ws: [*ws[:-1], block[-1]])
+        with pytest.raises(ValueError, match="breaks the growth bound"):
+            verify_bridge(5)
+        assert len(walks) == 2

@@ -152,10 +152,10 @@ class TestWalk:
 
     @pytest.mark.parametrize("m", range(9))
     def test_blocks_against_brute_force(self, m):
-        # each block's prefix is a valid word m - d letters long, d = min(3, m),
+        # each block's prefix is a valid word m - d letters long, d = min(4, m),
         # in order, and its tails table the increasing suffixes it allows
         blocks = list(_blocks(m))
-        d = min(3, m)
+        d = min(4, m)
         prefixes = [w for w in product(ALPHABET, repeat=m - d) if is_valid_word(w)]
         assert [prefix for prefix, _ in blocks] == prefixes
         for prefix, tails in blocks:  # product(...) is in order, so filtered, increasing
