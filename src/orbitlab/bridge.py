@@ -5,7 +5,8 @@ Each letter becomes one row of an m x 2 bit matrix (words.LETTER_BITS:
 word's letters to its packed index.  verify_bridge machine-checks that
 composing with the canonical form, (min, middle) of the bit rows
 {g, k, g ^ k}, hits every orbit exactly once: bijectivity is checked, never
-assumed.  It streams the word walk once, in blocks that share a prefix.
+assumed.  It streams the word walk once, in blocks that share a prefix,
+with one tails table per rank of words._RANKS, packed before the walk.
 Each word of a block is a lane of two integers, its index's g half and k
 half: one encoder call per block, times a row of ones and xor the packed
 offsets of its tails table, gives every lane (see _tails_table).  Every
@@ -109,24 +110,17 @@ def verify_bridge(m: int) -> BridgeReport:
     # injective on words iff the four letters have distinct rows
     index, mask = _word_index, (1 << m) - 1
     if len({index((a,), 1) for a in ALPHABET}) == len(ALPHABET):
-        # each tails table's lanes, by the identity of the table: the walk
-        # yields one of a few tuples per block, and hashing one costs more
-        # than its block's round trip; an entry holds its table, so no
-        # other object takes its id
-        tables, previous, word_count = {}, (), 0
-        for prefix, tails in _blocks(m):
-            known, lanes = tables.get(id(tails), (None, None))
-            if known is not tails:
-                lanes = _tails_table(tails, m)
-                tables[id(tails)] = tails, lanes
-            if lanes is None or prefix + tails[0] <= previous:  # after the last block
+        tails, walk = _blocks(m)
+        lanes, previous, word_count = [_tails_table(t, m) for t in tails], (), 0
+        for prefix, rank in walk:
+            if lanes[rank] is None or prefix + tails[rank][0] <= previous:  # after the last block
                 break
-            pad, rep, g_offsets, k_offsets = lanes
+            pad, rep, g_offsets, k_offsets = lanes[rank]
             base = index(prefix + pad, m)
             g, k = (base >> m) * rep ^ g_offsets, (base & mask) * rep ^ k_offsets
             if _decode(*_least_lanes(g, k, m, rep << m)) != (g, k):
                 break
-            previous, word_count = prefix + tails[-1], word_count + len(tails)
+            previous, word_count = prefix + tails[rank][-1], word_count + len(tails[rank])
         else:
             # distinct valid words on distinct orbits, so they cover all
             # orbits iff they are as many
@@ -142,7 +136,8 @@ def _certified(spec: GroupSpec, orbit_count: int) -> BridgeReport:
     m, least = spec.n, _least(spec)
     first: dict[int, RGWord] = {}  # canonical image -> first word reaching it
     collisions = []
-    for word in (RGWord(prefix + t) for prefix, tails in _blocks(m) for t in tails):
+    tails, walk = _blocks(m)
+    for word in (RGWord(prefix + t) for prefix, rank in walk for t in tails[rank]):
         rep = least(_word_index(word, m))
         if rep in first:
             collisions.append((first[rep], word))

@@ -265,10 +265,9 @@ def cmd_words(args) -> int:
     count = str(words.count_words(args.m))
     payload = {"m": args.m, "count": count}
     if args.list:  # the words stream block by block, each tails table spelled once
-        spell, spelled = words.spell, {}
-        listed = (word for prefix, tails in words._blocks(args.m)
-                  for word in map(spell(prefix).__add__, spelled.get(tails)
-                                  or spelled.setdefault(tails, [*map(spell, tails)])))
+        spell, (tails, walk) = words.spell, words._blocks(args.m)
+        spelled = [[*map(spell, t)] for t in tails]
+        listed = (w for prefix, rank in walk for w in map(spell(prefix).__add__, spelled[rank]))
         _emit(args.format, ["word"], ([w] for w in listed), payload, text=listed,
               listing="words")
     else:

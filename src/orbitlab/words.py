@@ -80,43 +80,48 @@ def word_from_string(text: str) -> RGWord:
     return RGWord(map(_LETTERS.get, text, text))
 
 
-def _blocks(m: int):
-    """Yield the valid words of length m, lexicographically, in blocks
-    (prefix, tails): the words prefix + tail for each tail in tails.
+# the ranks that count_words counts, 0 (only 1s), 1 (a 2, no 3) and 2 (a 3): after
+# each, the letters the growth bound allows, in order, each with its next rank
+_RANKS = (((1, 0), (2, 1)), ((1, 1), (2, 1), (3, 2)), ((1, 2), (2, 2), (3, 2), (4, 2)))
 
-    A depth-first walk over one shared letter list, on an explicit stack of
-    (place, letter, running maximum) entries, so no recursion limit bounds
-    m and the walk holds O(m) letters.  A prefix is extended only by the
-    letters the growth bound allows, and stops min(_TAIL, m) letters short
-    of m, where tails is the prebuilt increasing table of the suffixes the
-    bound allows after its running maximum: so every word is valid.
+
+def _blocks(m: int):
+    """The valid words of length m, lexicographically, as (tails, walk):
+    walk yields blocks (prefix, rank), the words prefix + t, t in tails[rank].
+
+    A depth-first walk of _RANKS over one shared letter list, on an explicit
+    stack of (place, letter, rank) entries, so no recursion limit bounds m
+    and the walk holds O(m) letters.  A prefix takes only the letters the
+    growth bound allows, and stops min(_TAIL, m) letters short of m, where
+    tails[rank] is the increasing table of the suffixes the bound allows
+    after its rank: so every word is valid.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    # after each running maximum: the letters the growth bound allows, in
-    # order, each with the running maximum it leaves; tails grows them into
-    # the allowed suffixes of the tail length, one table per running maximum
-    nexts = {r: [(a, max(a, r)) for a in range(1, min(4, r + 1) + 1)] for r in ALPHABET}
-    end, tails = m - min(_TAIL, m), dict.fromkeys(ALPHABET, ((),))
+    end, tails = m - min(_TAIL, m), (((),),) * len(_RANKS)
     for _ in range(m - end):
-        tails = {r: tuple((a, *t) for a, s in nexts[r] for t in tails[s]) for r in ALPHABET}
-    letters = [1] * (end + 1)  # the implicit leading 1 at place 0, then the prefix
-    stack = [(0, 1, 1)]
-    while stack:
-        place, a, running = stack.pop()
-        letters[place] = a  # letters[1:place] is already this entry's prefix
-        if place < end:
-            place += 1
-            for a, r in reversed(nexts[running]):  # descending: 1 pops first
-                stack.append((place, a, r))
-        else:
-            yield tuple(letters[1:]), tails[running]
+        tails = tuple(tuple((a, *t) for a, r in moves for t in tails[r]) for moves in _RANKS)
+
+    def walk():
+        letters = [1] * (end + 1)  # the implicit leading 1 at place 0, then the prefix
+        stack = [(0, 1, 0)]
+        while stack:
+            place, a, rank = stack.pop()
+            letters[place] = a  # letters[1:place] is already this entry's prefix
+            if place < end:
+                place += 1
+                for a, r in reversed(_RANKS[rank]):  # descending: 1 pops first
+                    stack.append((place, a, r))
+            else:
+                yield tuple(letters[1:]), rank
+    return tails, walk()
 
 
 def _words(m: int):
     """Yield the valid words of length m as letter tuples, lexicographically."""
-    for prefix, tails in _blocks(m):
-        yield from map(prefix.__add__, tails)
+    tails, walk = _blocks(m)
+    for prefix, rank in walk:
+        yield from map(prefix.__add__, tails[rank])
 
 
 def enumerate_words(m: int) -> list[RGWord]:

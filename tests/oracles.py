@@ -1,8 +1,9 @@
 """Independent oracles that only the tests read: the object-level orbit
 closure and matrix action, the forward-difference recurrence, the p = 2
 orbit minimum and word decoder one state at a time, and the state builders,
-word speller, lane packers, walk regroupers and flattener, parity grid and
-fresh-interpreter runner the test modules share.
+word speller, lane packers, walk regroupers, patcher and flattener,
+Stirling numbers, parity grid and fresh-interpreter runner the test modules
+share.
 
 orbit_of closes a state under src's apply_s and apply_t alone, and
 group_image applies every matrix of SL(2, Z_p), so their agreement is the
@@ -16,6 +17,7 @@ from collections import deque
 from itertools import groupby
 from pathlib import Path
 
+from orbitlab import bridge
 from orbitlab.formulas import _require_prime
 from orbitlab.residues import (
     PairState,
@@ -25,7 +27,7 @@ from orbitlab.residues import (
     enumerate_sl2,
     state_from_index,
 )
-from orbitlab.words import _TAIL, LETTER_BITS
+from orbitlab.words import _TAIL, LETTER_BITS, _words
 
 
 def pair(g, k, spec):
@@ -40,13 +42,38 @@ def letters_of_rows(text: str) -> tuple[int, ...]:
 
 
 def blocks_of(listed, m):
-    """The letter tuples listed regrouped as a words._blocks walk of length
-    m: each run of words sharing all but their last min(_TAIL, m) letters is
-    one (prefix, tails) block, so a test can feed a changed word list to
-    whatever walks the blocks."""
+    """The letter tuples listed regrouped as a words._blocks pair (tails,
+    walk) of length m: each run of words sharing all but their last
+    min(_TAIL, m) letters is one block (prefix, j), on a tails table of its
+    own, tails[j], so a test can feed a changed word list to whatever walks
+    the blocks."""
     end = m - min(_TAIL, m)
-    return [(prefix, tuple(w[end:] for w in run))
+    runs = [(prefix, tuple(w[end:] for w in run))
             for prefix, run in groupby(listed, key=lambda w: w[:end])]
+    return [tails for _, tails in runs], [(prefix, j) for j, (prefix, _) in enumerate(runs)]
+
+
+def patch_walk(monkeypatch, change):
+    """Make verify_bridge walk change(the real walk's list of letters), in
+    blocks as _blocks would group it; return the list of the m of each walk
+    it starts."""
+    walks = []
+
+    def walk(m):
+        walks.append(m)
+        return blocks_of(change(list(_words(m))), m)
+    monkeypatch.setattr(bridge, "_blocks", walk)
+    return walks
+
+
+def stirling2(n: int, k: int) -> int:
+    """The Stirling number of the second kind S(n, k), the partitions of n
+    things into k blocks, by its recurrence S(n, k) = k S(n - 1, k) +
+    S(n - 1, k - 1), one row at a time."""
+    row = [1] + [0] * k  # S(0, j) for j = 0..k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
 
 
 def least_sorted(i: int, n: int) -> int:

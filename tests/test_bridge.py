@@ -4,13 +4,13 @@ from itertools import product
 import pytest
 
 from oracles import (
-    blocks_of,
     decode_index,
     from_lanes,
     least_sorted,
     letters_of_rows,
     minima_of,
     pair,
+    patch_walk,
     to_lanes,
 )
 from orbitlab import bridge, cli, orbits
@@ -97,12 +97,14 @@ class TestEncodeWord:
             real = bridge._word_index
             monkeypatch.setattr(bridge, "_word_index",
                                 lambda letters, m: real([((a - 1) ^ 1) + 1 for a in letters], m))
-        blocks = _blocks(m)
         if m > 8:  # after 234 every letter may follow
-            rng, every = random.Random(m), list(_blocks(7))[-1][1]
+            rng, every = random.Random(m), _blocks(7)[0][2]
             assert len(every) == 4 ** 4
             blocks = [((2, 3, 4, *(rng.choice(ALPHABET) for _ in range(m - 7))), every)
                       for _ in range(4)]
+        else:
+            tails, walk = _blocks(m)
+            blocks = [(prefix, tails[rank]) for prefix, rank in walk]
         index, mask = bridge._word_index, (1 << m) - 1
         for prefix, tails in blocks:
             pad, rep, g_offsets, k_offsets = bridge._tails_table(tails, m)
@@ -164,16 +166,16 @@ class TestVerifyBridge:
     def test_encoder_runs_once_per_block(self, monkeypatch):
         # not once per word: 11,051 words at m = 8, in 51 blocks; besides
         # one call per block, the encoder reads the four letters once, and
-        # each of the walk's four tails tables (699 tails) once per walk
+        # each of the walk's three tails tables (443 tails) once per walk
         real, calls = bridge._word_index, []
         monkeypatch.setattr(bridge, "_word_index",
                             lambda letters, m: calls.append(m) or real(letters, m))
         report = verify_bridge(8)
         assert report.is_injective_on_orbits and report.is_surjective_on_orbits
-        blocks = list(_blocks(8))
-        tables = {id(tails): tails for _, tails in blocks}.values()
-        assert (len(blocks), len(tables), sum(map(len, tables))) == (51, 4, 699)
-        assert len(calls) == len(ALPHABET) + len(blocks) + sum(1 + len(t) for t in tables)
+        tables, walk = _blocks(8)
+        blocks = list(walk)
+        assert (len(blocks), len(tables), sum(map(len, tables))) == (51, 3, 443)
+        assert len(calls) == len(ALPHABET) + len(blocks) + sum(1 + len(t) for t in tables) == 501
 
     def test_dropped_word_is_certified_as_missed_orbit(self, monkeypatch):
         dropped = enumerate_words(4)[17]
@@ -290,19 +292,6 @@ class TestVerifyBridge:
         report = verify_bridge(5)
         assert len(walks) == 1
         assert report.is_injective_on_orbits and report.is_surjective_on_orbits
-
-
-def patch_walk(monkeypatch, change):
-    """Make verify_bridge walk change(the real walk's list of letters), in
-    blocks as _blocks would group it; return the list of the m of each walk
-    it starts."""
-    walks = []
-
-    def walk(m):
-        walks.append(m)
-        return blocks_of(change(list(_words(m))), m)
-    monkeypatch.setattr(bridge, "_blocks", walk)
-    return walks
 
 
 def merge_3_and_4(monkeypatch):

@@ -12,8 +12,8 @@ import pytest
 import cli_corpus
 from oracles import (
     PARITY_GRID,
-    blocks_of,
     minima_of,
+    patch_walk,
     python_head,
     python_peak,
     python_run,
@@ -279,10 +279,8 @@ class TestVerify:
     ], ids=["duplicate", "drop"])
     def test_bridge_failure_evidence(self, monkeypatch, change, evidence):
         # word 17 at m = 4 is 2113, whose orbit minimum has rows 01 00 00 10
-        real = cli.bridge._blocks
-        monkeypatch.setattr(
-            cli.bridge, "_blocks",
-            lambda m: blocks_of(change(list(words._words(m))), m) if m == 4 else real(m))
+        # at m < 4 there is no word 17 for either change to touch
+        patch_walk(monkeypatch, change)
         code, out, err = run("verify", "--m-max", "4")
         assert code == 1
         assert out.splitlines()[-1] == "4 PASS PASS FAIL FAIL FAIL 51"

@@ -1,10 +1,11 @@
 import copy
 import pickle
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from oracles import python_peak
+from oracles import python_peak, stirling2
 from orbitlab import words
 from orbitlab.formulas import r_formula
 from orbitlab.words import (
@@ -154,17 +155,39 @@ class TestWalk:
     def test_blocks_against_brute_force(self, m):
         # each block's prefix is a valid word m - d letters long, d = min(4, m),
         # in order, and its tails table the increasing suffixes it allows
-        blocks = list(_blocks(m))
+        tails, walk = _blocks(m)
+        blocks = list(walk)
         d = min(4, m)
         prefixes = [w for w in product(ALPHABET, repeat=m - d) if is_valid_word(w)]
         assert [prefix for prefix, _ in blocks] == prefixes
-        for prefix, tails in blocks:  # product(...) is in order, so filtered, increasing
+        for prefix, rank in blocks:  # product(...) is in order, so filtered, increasing
             expected = tuple(t for t in product(ALPHABET, repeat=d) if is_valid_word(prefix + t))
-            assert tails == expected, prefix
+            assert tails[rank] == expected, prefix
 
-    def test_blocks_share_four_tails_tables(self):
-        # one table per running maximum, built once per walk
-        assert len({id(tails) for _, tails in _blocks(8)}) == 4
+    def test_blocks_share_three_tails_tables(self):
+        # one table per rank, built once per walk, and every rank walked
+        tails, walk = _blocks(8)
+        assert len(tails) == len(words._RANKS) == 3
+        assert {rank for _, rank in walk} == {0, 1, 2}
+
+    def test_walk_and_count_share_one_machine(self):
+        # _RANKS' edges from rank to rank are count_words' recurrence:
+        # c0 <- c0, c1 <- c0 + 2 c1, c2 <- c1 + 4 c2
+        edges = Counter((rank, r) for rank, moves in enumerate(words._RANKS) for _, r in moves)
+        assert edges == {(0, 0): 1, (0, 1): 1, (1, 1): 2, (1, 2): 1, (2, 2): 4}
+        counts = [1, 0, 0]
+        for m in range(30):
+            assert sum(counts) == count_words(m), m
+            counts = [sum(counts[rank] * n for (rank, r), n in edges.items() if r == s)
+                      for s in range(3)]
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_stirling_split(self, m):
+        # words with only 1s, a 2 but no 3, and a 3 are the partitions of
+        # m + 1 things into 1 block, 2 blocks, and 3 or 4 blocks
+        split = Counter(min(max(w, default=1), 3) for w in _words(m))
+        assert [split[1], split[2], split[3]] == [
+            stirling2(m + 1, 1), stirling2(m + 1, 2), stirling2(m + 1, 3) + stirling2(m + 1, 4)]
 
     def test_agrees_with_filter_up_to_8(self):
         for m in range(9):
