@@ -230,8 +230,9 @@ def _minimal(spec: GroupSpec):
     for the g's that lead with 1 at place value p^t, k is nonzero before it
     and 0 at it; for those that lead with more than 1 (only at p > 2),
     never.  Each test is a lookup in a table of its value at every k, built
-    from the test as its case comes, so one table is held at a time, p^n
-    entries."""
+    by calling the test at every k as its case comes, so one table is held
+    at a time, p^n entries; the census sums each table once for all the
+    g's of its case."""
     p, ks = spec.p, range(spec.group_order)
     lead = [p ** t for t in range(spec.n)]
     tabulate = lambda test: list(map(test, ks)).__getitem__
@@ -251,11 +252,12 @@ def canonical_form(s: PairState) -> PairState:
 
 def count_orbits_canonical(spec: GroupSpec) -> CensusReport:
     """Count the states that are their orbit's minimum, in p^n entries of
-    extra memory (see _minimal).  The sweep walks g's cases in order, and
-    every half k under each g of a case reaches its test: one lookup per
-    state."""
+    extra memory (see _minimal).  The sweep walks g's cases in order.
+    Every g of a case reads the same table, so each case sums its test at
+    every k once and counts that sum once per g: one table sum per case,
+    at most 2n + 1 of them."""
     ks = range(spec.group_order)
-    return CensusReport(sum(sum(map(test, ks)) for gs, test in _minimal(spec) for _ in gs))
+    return CensusReport(sum(len(gs) * sum(map(test, ks)) for gs, test in _minimal(spec)))
 
 
 def count_orbits_burnside(spec: GroupSpec) -> CensusReport:

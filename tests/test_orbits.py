@@ -247,18 +247,45 @@ class TestCanonicalCensus:
 
     @pytest.mark.parametrize("p,n", [(2, 0), (2, 5), (3, 3), (5, 2), (17, 1)])
     def test_every_state_reaches_one_test(self, p, n, monkeypatch):
-        # no range bound or closed form stands in for a state: the census
-        # would become the echelon listing or the formula it checks
-        calls = []
+        # every state [g | k] lies under exactly one case's test: g in one
+        # case's gs, k at one of that test's calls.  The g's of a case read
+        # one table, so the census sums it once per case: a sum per g would
+        # repeat it and check nothing.  No range bound or closed form stands
+        # in for a k: the census would become the echelon listing or the
+        # formula it checks
+        cases = []
         real = orbits._minimal
 
         def counted(spec):
             for gs, test in real(spec):
-                yield gs, lambda k, test=test: calls.append(k) or test(k)
+                calls = []
+                cases.append((gs, calls))
+                yield gs, lambda k, test=test, calls=calls: calls.append(k) or test(k)
         monkeypatch.setattr(orbits, "_minimal", counted)
-        spec = GroupSpec.uniform(p, n)
+        spec, order = GroupSpec.uniform(p, n), p ** n
         assert count_orbits_canonical(spec).orbit_count == r_formula(p, n)
-        assert len(calls) == p ** (2 * n)
+        assert [g for gs, _ in cases for g in gs] == list(range(order))  # in order
+        assert len(cases) == (1 + n if p == 2 else 1 + 2 * n)
+        assert all(calls == list(range(order)) for _, calls in cases)
+
+    @pytest.mark.parametrize("p,n", [(2, 6), (5, 2)])
+    def test_one_wrong_entry_counts_once_per_g(self, p, n, monkeypatch):
+        # the weight len(gs) does not mask a wrong table: one entry flipped
+        # in the case of the last g moves the count by exactly its g's
+        real = orbits._minimal
+        flipped = []
+
+        def one_wrong(spec):
+            for gs, test in real(spec):
+                if spec.group_order - 1 in gs:
+                    flipped.append((gs, test(0)))
+                    test = lambda k, test=test: not test(0) if k == 0 else test(k)
+                yield gs, test
+        monkeypatch.setattr(orbits, "_minimal", one_wrong)
+        count = count_orbits_canonical(GroupSpec.uniform(p, n)).orbit_count
+        (gs, was), = flipped
+        assert len(gs) > 1
+        assert count - r_formula(p, n) == (-1 if was else 1) * len(gs)
 
     def test_reads_no_listing(self, monkeypatch):
         # the census tests every state; the echelon runs are the answer it checks
