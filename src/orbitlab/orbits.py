@@ -229,19 +229,17 @@ def _minimal(spec: GroupSpec):
     _least), for every g in the range gs.  At g = 0, k is 0 or leads with 1;
     for the g's that lead with 1 at place value p^t, k is nonzero before it
     and 0 at it; for those that lead with more than 1 (only at p > 2),
-    never.  Each test is a lookup in a table of its value at every k, built
-    by calling the test at every k as its case comes, so one table is held
-    at a time, p^n entries; the census sums each table once for all the
-    g's of its case."""
-    p, ks = spec.p, range(spec.group_order)
+    never.  Each test is the predicate itself, its place and step bound
+    when it is made, so a caller may hold every case before calling any."""
+    p = spec.p
     lead = [p ** t for t in range(spec.n)]
-    tabulate = lambda test: list(map(test, ks)).__getitem__
-    yield range(1), tabulate(lambda k: not k or any(k // place == 1 for place in lead))
+    yield range(1), lambda k: not k or any(k // place == 1 for place in lead)
     for place in lead:
         step = place * p
-        yield range(place, 2 * place), tabulate(lambda k: k >= step and not k // place % p)
+        yield range(place, 2 * place), lambda k, place=place, step=step: (
+            k >= step and not k // place % p)
         if p > 2:
-            yield range(2 * place, step), tabulate(lambda k: False)
+            yield range(2 * place, step), lambda k: False
 
 
 def canonical_form(s: PairState) -> PairState:
@@ -251,11 +249,11 @@ def canonical_form(s: PairState) -> PairState:
 
 
 def count_orbits_canonical(spec: GroupSpec) -> CensusReport:
-    """Count the states that are their orbit's minimum, in p^n entries of
-    extra memory (see _minimal).  The sweep walks g's cases in order.
-    Every g of a case reads the same table, so each case sums its test at
-    every k once and counts that sum once per g: one table sum per case,
-    at most 2n + 1 of them."""
+    """Count the states that are their orbit's minimum, in O(1) extra
+    memory (see _minimal).  The sweep walks g's cases in order.  Every g of
+    a case has the same test, so each case sums its test once over every k
+    and counts that sum once per g: at most 2n + 1 sums of p^n test calls,
+    and no table."""
     ks = range(spec.group_order)
     return CensusReport(sum(len(gs) * sum(map(test, ks)) for gs, test in _minimal(spec)))
 

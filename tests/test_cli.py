@@ -502,9 +502,15 @@ FINISHES = {
     # 1,018,081 states, each decided by row reduction, not by 1e9 matrices
     "orbits --p 1009 --n 1 --method canonical": "2\n",
     "orbits --p 1009 --n 1 --method burnside": "2\n",  # O(p^2): about a million diagonals
-    # 4^14 states, exactly the default budget: 15 table sums of 2^14
-    # entries, one per case of g
+    # 4^14 states, exactly the default budget: 15 sums of 2^14 test
+    # calls, one per case of g
     "orbits --p 2 --n 14 --method canonical": "44747435\n",
+    # the largest n the default budget admits at each prime: p^(2n) <= 2^28
+    "orbits --p 3 --n 8 --method canonical": "1795801\n",
+    "orbits --p 5 --n 6 --method canonical": "2037631\n",
+    "orbits --p 11 --n 4 --method canonical": "163725\n",
+    "orbits --p 127 --n 2 --method canonical": "255\n",
+    "orbits --p 16381 --n 1 --method canonical": "2\n",
     # two orbits at n = 1: the listing must not build all p vectors
     "orbits --p 1000000007 --n 1 --list --method formula --budget 10000000000000000000":
         "0:0 1 1000000021000000146000000336\n0:1 1000000014000000048 1000000007\n",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from oracles import PARITY_GRID, all_states, apply_mat, group_image, minima_of, orbit_of, pair
@@ -248,8 +250,8 @@ class TestCanonicalCensus:
     @pytest.mark.parametrize("p,n", [(2, 0), (2, 5), (3, 3), (5, 2), (17, 1)])
     def test_every_state_reaches_one_test(self, p, n, monkeypatch):
         # every state [g | k] lies under exactly one case's test: g in one
-        # case's gs, k at one of that test's calls.  The g's of a case read
-        # one table, so the census sums it once per case: a sum per g would
+        # case's gs, k at one of that test's calls.  The g's of a case share
+        # one test, so the census sums it once per case: a sum per g would
         # repeat it and check nothing.  No range bound or closed form stands
         # in for a k: the census would become the echelon listing or the
         # formula it checks
@@ -270,8 +272,8 @@ class TestCanonicalCensus:
 
     @pytest.mark.parametrize("p,n", [(2, 6), (5, 2)])
     def test_one_wrong_entry_counts_once_per_g(self, p, n, monkeypatch):
-        # the weight len(gs) does not mask a wrong table: one entry flipped
-        # in the case of the last g moves the count by exactly its g's
+        # the weight len(gs) does not mask a wrong test: its value flipped at
+        # one k in the case of the last g moves the count by exactly its g's
         real = orbits._minimal
         flipped = []
 
@@ -286,6 +288,21 @@ class TestCanonicalCensus:
         (gs, was), = flipped
         assert len(gs) > 1
         assert count - r_formula(p, n) == (-1 if was else 1) * len(gs)
+
+    def test_holds_no_table(self):
+        # each case's test is summed straight from the predicate: one call's
+        # traced peak stays far below that of a p^n table per case, which
+        # peaks at 68 KB at (2, 12), 39 KB at (3, 7) and 172 KB at (101, 2)
+        for p, n in [(2, 12), (3, 7), (101, 2)]:
+            spec = GroupSpec.uniform(p, n)
+            count_orbits_canonical(spec)  # warm up: the spec's cached values
+            tracemalloc.start()
+            try:
+                count_orbits_canonical(spec)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 1024, (p, n, peak)
 
     def test_reads_no_listing(self, monkeypatch):
         # the census tests every state; the echelon runs are the answer it checks
