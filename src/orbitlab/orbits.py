@@ -1,20 +1,20 @@
 """Orbit enumeration for the pair action, three independent ways.
 
 The three counting routes are a visited sweep closing each orbit under the
-two moves, read from lookup tables on its own row-packed indices (see
-_row_moves); a canonical-form count on packed state indices (a state is
-counted when it has the row-reduced shape of its orbit's minimum); and
-class-equation averaging of fixed-point counts.  The sweep shares no code
-with the other routes, and those two share only the index packing, which is
-the point: they are meant to disagree loudly if any one of them is wrong.
-The sweep reads one value it does not derive from the moves: the group
-order, through GroupSpec.sl2_order, which Burnside divides by too.  It
-takes the orbits above a head orbit of that size in bulk (see _bfs_orbits).
-A wrong order cannot make the routes agree falsely: one that matches no
-head orbit's size only sends every state through the slower FIFO, and one
-that matches the size of a smaller head orbit counts one orbit per tail
-above it, where fewer lie: a count that the canonical and formula routes,
-which do not read the order, do not share.
+two moves a row at a time, read from lookup tables on its own row-packed
+indices (see _bfs_runs); a canonical-form count on packed state indices (a
+state is counted when it has the row-reduced shape of its orbit's minimum);
+and class-equation averaging of fixed-point counts.  The sweep shares no
+code with the other routes, and those two share only the index packing,
+which is the point: they are meant to disagree loudly if any one of them is
+wrong.  The sweep reads one value it does not derive from the moves: the
+group order, through GroupSpec.sl2_order, which Burnside divides by too.  It
+counts the orbits above a prefix orbit of that size as one run, and extends
+every other prefix by one more row.  A wrong order cannot make the routes
+agree falsely: one that matches no orbit's size only sends every prefix
+down to the last row, and one that matches the size of a smaller prefix
+orbit counts one orbit per tail above it, where fewer lie: a count that the
+canonical and formula routes, which do not read the order, do not share.
 
 The orbit listing enumerates the row-reduced minima directly and visits no
 state: each orbit is the packed index of its minimum and its size, unpacked
@@ -23,7 +23,7 @@ into a PairState only when a caller asks for one.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from itertools import chain, repeat
 
 from .formulas import exact_div
@@ -57,102 +57,93 @@ class OrbitSummary(namedtuple("OrbitSummary", "index size spec")):
 CensusReport = namedtuple("CensusReport", "orbit_count")
 
 
-def _row_moves(p: int, n: int):
-    """Return (base, (s_hi, t_hi), (s_lo, t_lo)): the two moves on row-packed
-    indices, row t the base-p^2 digit k_t p + g_t, the first row most
-    significant.  With (hi, lo) = divmod(i, base), S(i) = s_hi[hi] +
-    s_lo[lo] and T(i) = (t_hi[hi] + t_lo[lo]) mod p^(2n); lo is the last
-    n // 2 rows.  At n = 1, where a p^2-entry table would be as long as the
-    state count, hi = k, lo = g and base = p; T's k + g there overflows
-    only past the top digit, so the sum is below twice the state count.
-    At n != 1 each row's digit wraps inside its own table entry, and the
-    sum is T(i) itself."""
-    def chunk(rows: int, digits, scale: int):
-        # the images, times scale, of every chunk of rows, each row digit in digits
-        s_row = [(-d % p * p + d // p) * scale for d in digits]  # (k, -g)
-        t_row = [((d // p + d) % p * p + d % p) * scale for d in digits]  # (g, k + g)
-        s = t = [0]
-        for _ in range(rows):
-            s = [x * p * p + y for x in s for y in s_row]
-            t = [x * p * p + y for x in t for y in t_row]
-        return s, t
-
-    row = range(p * p if n else 0)  # n = 0: one state, and no row to move
-    if n == 1:
-        return p, chunk(1, row[::p], 1), chunk(1, range(p), 1)
-    base = p ** (2 * (n // 2))
-    return base, chunk(n - n // 2, row, base), chunk(n // 2, row, 1)
+def _level_moves(q: int, S: list[int], T: list[int]):
+    """Return (s_hi, s_lo, t_hi, t_lo): the two moves on one level's
+    candidates (see _bfs_runs), c = k qL + g L + x for the L = len(S)
+    kept prefixes x, whose images are S[x] and T[x], times one more row
+    (g, k) of q values.  With (hi, lo) = divmod(c, qL), S(c) = s_hi[hi] +
+    s_lo[lo] and T(c) = t_hi[hi] + t_lo[lo], less q^2 L if the sum passes
+    it, which it does at most once: q-entry high tables and qL-entry low
+    ones."""
+    L = len(S)
+    width = q * L
+    return ([k * L for k in range(q)],  # S: (g, k) -> (k, -g)
+            [-g % q * width + x for g in range(q) for x in S],
+            [k * width for k in range(q)],  # T: (g, k) -> (g, k + g)
+            [g * (width + L) + x for g in range(q) for x in T])
 
 
-def _bfs_orbits(spec: GroupSpec):
-    """Visited sweep on row-packed states (see _row_moves; no other code
-    reads that packing), one visited byte each, skipping visited runs with
-    bytearray.find.  Yields (start, size) per orbit: start is the orbit's
-    least row-packed index, which is not in general its least packed one.
+def _bfs_runs(spec: GroupSpec):
+    """Visited sweep a row at a time: yield (prefix, depth, count, size)
+    for each run of count orbits of size states, one orbit over each tail
+    of a prefix orbit of depth rows.  prefix is the row-packed index of one
+    of its members, row t the base-p^2 digit k_t p + g_t, the first row
+    most significant (no other code reads that packing).
 
-    At n >= 2 an index i is a head hi = i // base (its first n - n // 2
-    rows) and a tail, and both moves carry heads to heads: s_hi[hi] // base
-    is S's image of hi.  So the heads are closed into orbits first, on one
-    byte each.  A head orbit with sl2_order members has a trivial
-    stabilizer, so each of the base states over its least head h lies in
-    its own orbit, and that orbit has one member over each head of the
-    head orbit: the orbits over it are h * base + l for every tail l, each
-    of sl2_order states.  Their states are marked visited one slice per
-    head and their orbits are yielded first, as a stream.
-
-    Every state left is then closed through one FIFO, so the queue holds a
-    frontier, never a whole orbit.  An index splits into (hi, lo) by one
-    floor division and one subtraction, and T's table sum, below twice the
-    state count, is brought back by one conditional subtraction."""
-    total, free = spec.state_count, spec.sl2_order
-    base, (s_hi, t_hi), (s_lo, t_lo) = _row_moves(spec.p, spec.n)
-    visited = bytearray(total)
-    if spec.n >= 2:  # at n = 1 the split falls inside the one row
-        ones = b"\x01" * base
-        seen = bytearray(len(s_hi))
-        h = 0
-        while h >= 0:
-            seen[h] = 1
-            heads = [h]
-            for x in heads:  # a head orbit has at most p(p^2 - 1) members
-                for y in (s_hi[x] // base, t_hi[x] // base):
-                    if not seen[y]:
-                        seen[y] = 1
-                        heads.append(y)
-            if len(heads) == free:
-                for x in heads:
-                    visited[x * base:(x + 1) * base] = ones
-                yield from zip(range(h * base, (h + 1) * base), repeat(free))
-            h = seen.find(0, h + 1)
-    queue = deque()
-    pop, push = queue.popleft, queue.append
-    start = visited.find(0)
-    while start >= 0:
-        size = 0
-        visited[start] = 1
-        push(start)
-        while queue:
-            i = pop()
-            size += 1
-            hi = i // base
-            lo = i - hi * base
-            j = s_hi[hi] + s_lo[lo]
-            if not visited[j]:
-                visited[j] = 1
-                push(j)
-            j = t_hi[hi] + t_lo[lo]
-            if j >= total:
-                j -= total
-            if not visited[j]:
-                visited[j] = 1
-                push(j)
-        yield start, size
-        start = visited.find(0, start + 1)
+    Level d extends the L prefixes kept from level d - 1, at positions x,
+    by one more row (g, k): candidate c = k pL + g L + x, whose new row's
+    digit is c // L, with the moves read from p-entry and pL-entry tables
+    (see _level_moves).  Each orbit among the candidates is closed one BFS
+    layer at a time, on one visited byte per candidate.  One of sl2_order
+    members has a trivial stabilizer, so each tail over one of its members
+    lies in its own orbit of as many states: a run of p^(2(n - d)) orbits.
+    On the last row each orbit is a run of one.  Every other orbit is
+    kept, its members renumbered through one dict for the next level's S,
+    T and rows.  Level 0 holds the empty prefix alone.  Runs that do not
+    cover the p^(2n) states exactly are a hard error."""
+    p, n, free = spec.p, spec.n, spec.sl2_order
+    S = T = rows = [0]  # the empty prefix, fixed by both moves
+    covered = 0
+    for d in range(n + 1):
+        q = p if d else 1  # the values of the new row's g and k; none at level 0
+        L = len(rows)
+        width = q * L
+        total = q * width
+        tail = p ** (2 * (n - d))
+        s_hi, s_lo, t_hi, t_lo = _level_moves(q, S, T)
+        visited = bytearray(total)
+        kept = []
+        start = 0
+        while start >= 0:
+            visited[start] = 1
+            layer, size = [start], 0
+            while layer:
+                size += len(layer)
+                if d < n:
+                    kept += layer
+                grown = []
+                for c in layer:
+                    hi = c // width
+                    lo = c - hi * width
+                    j = s_hi[hi] + s_lo[lo]
+                    if not visited[j]:
+                        visited[j] = 1
+                        grown.append(j)
+                    j = t_hi[hi] + t_lo[lo]
+                    if j >= total:
+                        j -= total
+                    if not visited[j]:
+                        visited[j] = 1
+                        grown.append(j)
+                layer = grown
+            if size == free or d == n:
+                yield rows[start % L] * q * q + start // L, d, tail, size
+                covered += size * tail
+                del kept[-size:]  # empty on the last row
+            start = visited.find(0, start + 1)
+        at = dict(zip(kept, range(len(kept))))
+        S = [at[s_hi[c // width] + s_lo[c % width]] for c in kept]
+        T = [at[(t_hi[c // width] + t_lo[c % width]) % total] for c in kept]
+        rows = [rows[c % L] * q * q + c // L for c in kept]
+    if covered != spec.state_count:
+        raise ArithmeticError(
+            f"the BFS runs cover {covered} states, not {spec.state_count}")
 
 
 def count_orbits_bfs(spec: GroupSpec) -> CensusReport:
-    """Exact orbit count by visited-sweep BFS over all p^(2n) states."""
-    return CensusReport(sum(1 for _ in _bfs_orbits(spec)))
+    """Exact orbit count by visited-sweep BFS, a row at a time: the sum of
+    the runs' orbit counts (see _bfs_runs)."""
+    return CensusReport(sum(count for _, _, count, _ in _bfs_runs(spec)))
 
 
 def _least(spec: GroupSpec):

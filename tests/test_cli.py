@@ -63,17 +63,27 @@ def run_measured(*argv, stdout=None):
 
 class TestOrbits:
     def test_each_answer_sweeps_the_states_at_most_once(self, monkeypatch):
-        # _row_moves is built once per BFS visited sweep and nowhere else
+        # _bfs_runs is walked once per BFS visited sweep and nowhere else
         sweeps = []
-        real = orbits._row_moves
-        monkeypatch.setattr(orbits, "_row_moves",
-                            lambda p, n: sweeps.append((p, n)) or real(p, n))
+        real = orbits._bfs_runs
+        monkeypatch.setattr(orbits, "_bfs_runs",
+                            lambda spec: sweeps.append((spec.p, spec.n)) or real(spec))
         code, out, _ = run("orbits", "--p", "2", "--n", "3", "--list")
         assert (code, len(out.splitlines()), len(sweeps)) == (0, 15, 1)
         sweeps.clear()
         report = bridge.verify_bridge(4)
         assert report.is_injective_on_orbits and report.is_surjective_on_orbits
         assert sweeps == []
+
+    def test_a_gap_in_the_bfs_cover_exits_2(self, monkeypatch):
+        # the runs must cover exactly p^(2n) states; a state count one off
+        # stands in for a sweep that loses a state, and the ArithmeticError
+        # goes out as every other one does
+        monkeypatch.setattr(GroupSpec, "state_count", property(lambda self: 65))
+        with pytest.raises(ArithmeticError, match=r"\b64\b.*\b65\b") as err:
+            orbits.count_orbits_bfs(GroupSpec(2, 3))
+        assert run("orbits", "--p", "2", "--n", "3", "--method", "bfs") == (
+            2, "", f"error: {err.value}\n")
 
     def test_list_builds_no_state(self, monkeypatch):
         # every row is read off a packed index: neither the summaries nor the
@@ -557,20 +567,26 @@ REFUSED = {
 PEAKS = {
     # row reduction holds O(n) values per state and no per-matrix table
     "orbits --p 31 --n 1 --method canonical": ("2\n", 128),
-    # the one row splits between its digits into p-entry tables: a
-    # p^2-entry one would be as long as the state count and lift the
-    # peak past 50 MiB
+    # the one row's p^2 candidates split between its digits into p-entry
+    # tables, and each orbit is closed a BFS layer at a time: p^2-entry
+    # tables lifted the peak to 134 MiB, and an orbit held whole in a
+    # list to 55 MiB
     "orbits --p 1021 --n 1 --method bfs": ("2\n", 32),
     # one state and no row: move tables built over all p^2 row digits
     # anyway took 7.9 s and peaked at 705 MiB
     "orbits --p 3001 --n 0 --method bfs": ("1\n", 32),
-    # orbits of 29,760 states beside a 923,521-byte visited map: the
-    # sweep's peak stays near the interpreter's own, about 16 MiB
+    # no prefix orbit of one row is free, so all 923,521 states are
+    # candidates of the second row, on one visited byte each: the
+    # sweep's peak stays near the interpreter's own, about 18 MiB
     "orbits --p 31 --n 2 --method bfs": ("63\n", 32),
-    # 700,075 orbits, most of them yielded in bulk above free head
-    # orbits, beside a 4 MiB visited map: held as a list of pairs they
-    # would lift the peak past 80 MiB
+    # 700,075 orbits in 4,084 runs, 3,071 of them on the last row: held
+    # as a list of one pair per orbit they would lift the peak past 80 MiB
     "orbits --p 2 --n 11 --method bfs": ("700075\n", 32),
+    # the default budget's edge at p = 2 and 3: a visited map of one byte
+    # per state peaked at 273 and 56 MiB, where the descent holds the
+    # candidates of one row
+    "orbits --p 2 --n 14 --method bfs": ("44747435\n", 48),
+    "orbits --p 3 --n 8 --method bfs": ("1795801\n", 32),
     # rows stream from the echelon runs as they are made: the peak holds
     # no summaries list and no copy of the text
     "orbits --p 2 --n 10 --list --method formula --format text": (175275, 64),

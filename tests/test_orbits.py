@@ -6,11 +6,11 @@ from oracles import PARITY_GRID, all_states, apply_mat, group_image, minima_of, 
 from orbitlab import orbits
 from orbitlab.formulas import r_formula
 from orbitlab.orbits import (
-    _bfs_orbits,
+    _bfs_runs,
     _echelon_runs,
     _least,
+    _level_moves,
     _minimal,
-    _row_moves,
     canonical_form,
     count_orbits_bfs,
     count_orbits_burnside,
@@ -52,7 +52,7 @@ def gaussian_binomial(n, k, p):
 
 
 def row_index(s):
-    """The row-packed index of _bfs_orbits: row t is the base-p^2 digit
+    """The row-packed index of _bfs_runs: row t is the base-p^2 digit
     k_t p + g_t, the first row most significant."""
     p, r = s.spec.p, 0
     for g, k in s.rows():
@@ -61,7 +61,8 @@ def row_index(s):
 
 
 def row_state(r, spec):
-    """The state whose row-packed index is r."""
+    """The state whose row-packed index is r, as _bfs_runs packs it: row t
+    is the base-p^2 digit k_t p + g_t, the first row most significant."""
     p, rows = spec.p, []
     for _ in range(spec.n):  # the last row first
         r, d = divmod(r, p * p)
@@ -71,16 +72,18 @@ def row_state(r, spec):
 
 
 def bfs_minima(spec):
-    """The BFS census as sorted (packed minimum, size) pairs.  Each orbit
-    is unpacked and re-closed by orbit_of: the closure must have the
-    yielded size, and the start must be its least row-packed index, since
-    the sweep runs in row-packed order."""
+    """The BFS census as sorted (packed minimum, size) pairs.  Every orbit
+    above each run's prefix, one per tail, is unpacked and re-closed by
+    orbit_of: the closure must have the run's size, and the run must count
+    one orbit per tail, p^(2(n - depth)), which is 1 on the last row."""
     found = []
-    for start, size in _bfs_orbits(spec):
-        orbit = orbit_of(row_state(start, spec))
-        assert len(orbit) == size, (start, size)
-        assert start == min(map(row_index, orbit)), start
-        found.append((min(map(state_index, orbit)), size))
+    for prefix, depth, count, size in _bfs_runs(spec):
+        tail = spec.p ** (2 * (spec.n - depth))
+        assert count == tail, (prefix, depth, count)
+        for t in range(tail):
+            orbit = orbit_of(row_state(prefix * tail + t, spec))
+            assert len(orbit) == size, (prefix, depth, t, size)
+            found.append((min(map(state_index, orbit)), size))
     return sorted(found)
 
 
@@ -131,55 +134,88 @@ class TestBfsCensus:
                                      (2, 1), (3, 1), (2, 2), (3, 3), (2, 0),
                                      (2, 6), (5, 3)])
     def test_move_table_shapes(self, p, n):
-        # odd n splits the rows into unequal chunks; n = 1 splits the one
-        # row between its digits; n = 2 splits the rows evenly; n = 0 has
-        # one state; at (2, 6) and (5, 3) most orbits lie over free head
-        # orbits and are yielded in bulk, so orbit_of re-closes them here
+        # n = 1 has one level of p^2 candidates over the empty prefix, with
+        # p-entry tables; n = 0 has one state and no row; at (2, 6) and
+        # (5, 3) most orbits lie over free prefix orbits and are counted a
+        # run at a time, so orbit_of re-closes each of them here
         spec = GroupSpec.uniform(p, n)
         assert bfs_minima(spec) == minima_of(_echelon_runs(spec))
         assert count_orbits_bfs(spec).orbit_count == r_formula(p, n)
 
     @pytest.mark.parametrize("p,n", [(2, 5), (3, 4)])
     def test_a_wrong_group_order_only_costs_time(self, p, n, monkeypatch):
-        # the orbits over a head orbit are yielded in bulk, and first, only
-        # when it has sl2_order members; an order that matches no head
-        # orbit sends every state through the FIFO, which finds the same
-        # orbits, starting from the zero state
+        # a prefix orbit is counted a run at a time only when it has
+        # sl2_order members; an order that matches no orbit's size sends
+        # every prefix down to the last row, which finds the same orbits
         spec = GroupSpec.uniform(p, n)
-        bulk = sorted(_bfs_orbits(spec))
-        assert next(_bfs_orbits(spec))[1] == p * (p * p - 1)
+        minima = bfs_minima(spec)
         monkeypatch.setattr(GroupSpec, "sl2_order", property(lambda self: 0))
-        assert next(_bfs_orbits(spec)) == (0, 1)
-        assert sorted(_bfs_orbits(spec)) == bulk
+        assert bfs_minima(spec) == minima
+        assert {depth for _, depth, _, _ in _bfs_runs(spec)} == {n}
+
+    @pytest.mark.parametrize("p,n,wrong,right", [(2, 5, 342, 187), (3, 4, 821, 301),
+                                                 (5, 3, 652, 156)])
+    def test_a_line_orbit_size_for_the_group_order_counts_wrong(
+            self, p, n, wrong, right, monkeypatch):
+        # p^2 - 1 is the size of a line's orbit, whose stabilizer is not
+        # trivial: its tails are counted one orbit each where fewer lie.
+        # The runs still cover every state, so the count is wrong without
+        # an error, and the canonical and formula routes, which do not
+        # read the order, do not share it
+        spec = GroupSpec.uniform(p, n)
+        assert count_orbits_bfs(spec).orbit_count == right == r_formula(p, n)
+        monkeypatch.setattr(GroupSpec, "sl2_order", property(lambda self: self.p ** 2 - 1))
+        runs = list(_bfs_runs(spec))
+        assert sum(count * size for _, _, count, size in runs) == spec.state_count
+        assert count_orbits_bfs(spec).orbit_count == wrong
+        assert count_orbits_canonical(spec).orbit_count == right
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_the_moves_act_freely_on_a_plane_basis(self, p):
-        # [e1 | e2] has a trivial stabilizer, the fact the bulk orbits rest
-        # on: closed under the two moves alone, it has sl2_order members
+        # [e1 | e2] has a trivial stabilizer, the fact the runs rest on:
+        # closed under the two moves alone, it has sl2_order members
         spec = GroupSpec.uniform(p, 2)
         assert len(orbit_of(pair([1, 0], [0, 1], spec))) == spec.sl2_order
 
     @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (3, 1), (13, 1), (2, 2), (3, 3), (5, 2)])
     def test_move_tables_are_the_moves(self, p, n):
-        # both images of every state, read off the tables as the sweep reads them
-        spec = GroupSpec.uniform(p, n)
-        base, (s_hi, t_hi), (s_lo, t_lo) = _row_moves(p, n)
+        # both images of every state, read off the tables of the last level
+        # as the sweep reads them, with every prefix of the first n - 1 rows
+        # kept at its row-packed index x: a state is the candidate
+        # (k p + g) L + x of its last row (g, k).  At n = 0 the one state
+        # is level 0's empty prefix, with no row
+        spec, q = GroupSpec.uniform(p, n), p if n else 1
+        prefixes = list(all_states(GroupSpec.uniform(p, max(n - 1, 0))))
+        prefixes.sort(key=row_index)
+        S = [row_index(apply_s(s)) for s in prefixes]
+        T = [row_index(apply_t(s)) for s in prefixes]
+        L, total = len(prefixes), q * q * len(prefixes)
+        s_hi, s_lo, t_hi, t_lo = _level_moves(q, S, T)
+
+        def candidate(s):
+            r = row_index(s)
+            return r % (q * q) * L + r // (q * q)
         for s in all_states(spec):
-            hi, lo = divmod(row_index(s), base)
-            assert s_hi[hi] + s_lo[lo] == row_index(apply_s(s)), s
-            assert (t_hi[hi] + t_lo[lo]) % spec.state_count == row_index(apply_t(s)), s
+            hi, lo = divmod(candidate(s), q * L)
+            assert s_hi[hi] + s_lo[lo] == candidate(apply_s(s)), s
+            assert (t_hi[hi] + t_lo[lo]) % total == candidate(apply_t(s)), s
 
     @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (3, 1), (13, 1), (2, 2), (3, 3),
                                      (5, 2), (2, 3), (3, 5)])
-    def test_t_sum_wraps_at_most_once(self, p, n):
+    def test_t_sum_wraps_at_most_once(self, p, n, monkeypatch):
         # the sweep brings T's table sum back with one conditional
-        # subtraction: every sum, so the largest, max + max, is below twice
-        # the state count, and at n != 1, where each row wraps inside its
-        # own entry, below it
-        total = GroupSpec.uniform(p, n).state_count
-        _, (_, t_hi), (_, t_lo) = _row_moves(p, n)
-        bound = 2 * total if n == 1 else total
-        assert max(t_hi) + max(t_lo) < bound
+        # subtraction: on every level it builds, the largest sum, max +
+        # max, is below twice the level's q^2 L candidates
+        levels = []
+
+        def recorded(q, S, T):
+            levels.append((q * q * len(S), _level_moves(q, S, T)))
+            return levels[-1][1]
+        monkeypatch.setattr(orbits, "_level_moves", recorded)
+        assert count_orbits_bfs(GroupSpec.uniform(p, n)).orbit_count == r_formula(p, n)
+        assert len(levels) == n + 1
+        for total, (_, _, t_hi, t_lo) in levels:
+            assert max(t_hi) + max(t_lo) < 2 * total
 
     def test_deterministic(self):
         assert count_orbits_bfs(Z2_2).orbit_count == count_orbits_bfs(Z2_2).orbit_count
