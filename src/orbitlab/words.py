@@ -50,7 +50,8 @@ def spell(letters) -> str:
 
 
 class RGWord(tuple):
-    """A valid word: the tuple of its letters, checked when it is made."""
+    """A valid word: the tuple of its letters, checked when it is made, one
+    word at a time here, or a walk block at a time by enumerate_words."""
 
     __slots__ = ()
 
@@ -125,8 +126,28 @@ def _words(m: int):
 
 
 def enumerate_words(m: int) -> list[RGWord]:
-    """All valid words of length m, lexicographically, by prefix extension."""
-    return [RGWord(w) for w in _words(m)]
+    """All valid words of length m, lexicographically, by prefix extension.
+
+    Each RGWord has passed the growth rule, checked a walk block at a time:
+    prefix + t is valid iff the prefix is and t is after the prefix's
+    running maximum, and maxima 3 and 4 allow the same letters.  So each
+    tails table is checked once, after a witness prefix of its rank, and
+    each prefix once, with its rank; a block that passes builds its words
+    unchecked, any other is rebuilt through RGWord, which raises at its
+    first invalid word exactly as RGWord(w) for w in _words(m) would.
+    """
+    tails, walk = _blocks(m)
+    sound = [all(_growth_violation(witness + t) is None for t in table)
+             for witness, table in zip(((), (2,), (2, 3)), tails)]
+    new, words = tuple.__new__, []
+    for prefix, rank in walk:
+        table = tails[rank]
+        if (_growth_violation(prefix) is None
+                and min(max(prefix, default=1), 3) - 1 == rank and sound[rank]):
+            words += [new(RGWord, prefix + t) for t in table]
+        else:
+            words += [RGWord(prefix + t) for t in table]
+    return words
 
 
 def count_words(m: int) -> int:

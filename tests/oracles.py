@@ -1,6 +1,7 @@
 """Independent oracles that only the tests read: the object-level orbit
 closure and matrix action, the forward-difference recurrence, the p = 2
-orbit minimum and word decoder one state at a time, and the state builders,
+orbit minimum and word decoder one state at a time, the word list checked
+one word at a time, and the state builders,
 word speller, lane packers, walk regroupers, patcher and flattener,
 Stirling numbers, parity grid and fresh-interpreter runner the test modules
 share.
@@ -27,7 +28,7 @@ from orbitlab.residues import (
     enumerate_sl2,
     state_from_index,
 )
-from orbitlab.words import _TAIL, LETTER_BITS, _words
+from orbitlab.words import _TAIL, LETTER_BITS, RGWord, _words
 
 
 def pair(g, k, spec):
@@ -39,6 +40,13 @@ def letters_of_rows(text: str) -> tuple[int, ...]:
     "gk gk ..." at p = 2: each row read back as its letter."""
     letter = {f"{g}{k}": a for a, (g, k) in LETTER_BITS.items()}
     return tuple(letter[row] for row in text.split(" "))
+
+
+def rgwords(m):
+    """enumerate_words by the definition: one RGWord, each checked when it
+    is made, per word of the walk, so it raises at the walk's first invalid
+    word."""
+    return [RGWord(w) for w in _words(m)]
 
 
 def blocks_of(listed, m):

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from oracles import python_peak, stirling2
+from oracles import python_peak, rgwords, stirling2
 from orbitlab import words
 from orbitlab.formulas import r_formula
 from orbitlab.words import (
@@ -18,6 +18,28 @@ from orbitlab.words import (
     is_valid_word,
     word_from_string,
 )
+
+# wrong word machines, changes of words._RANKS, and whether its walk yields
+# an invalid word for some m in 1..9
+_R0, _R1, _R2 = words._RANKS
+WRONG_MACHINES = {
+    "rank 0 allows 3": (((*_R0, (3, 2)), _R1, _R2), True),
+    "rank 1 allows 4": ((_R0, (*_R1, (4, 2)), _R2), True),
+    "letter 2 leads to rank 2": ((((1, 0), (2, 2)), _R1, _R2), True),
+    "rank 2 allows 5": ((_R0, _R1, (*_R2, (5, 2))), True),
+    # after a 3 the walk stays at rank 1, so it never takes a 4: every word
+    # it yields is valid, and a prefix with a 3 has the wrong rank
+    "letter 3 leads to rank 1": ((_R0, ((1, 1), (2, 1), (3, 1)), _R2), False),
+    # ranks 3, 4 and 5 count the leading 1s, deeper than a tails table
+    # reaches after its witness: the fourth 1 claims rank 1 with no 2 yet,
+    # which only a prefix's rank check catches (from m = 8)
+    "four 1s lead to rank 1": ((((1, 3), (2, 1)), _R1, _R2, ((1, 4), (2, 1)),
+                                ((1, 5), (2, 1)), ((1, 1), (2, 1))), True),
+    # ... or ranks 3 to 6 count four of them, and then a 3 claims rank 2,
+    # which only a prefix's own check catches (from m = 9: prefixes 5 long)
+    "four 1s then a 3": ((((1, 3), (2, 1)), _R1, _R2, ((1, 4), (2, 1)), ((1, 5), (2, 1)),
+                          ((1, 6), (2, 1)), ((1, 0), (2, 1), (3, 2))), True),
+}
 
 # row-major reading of the fifteen length-3 words
 WORDS_M3 = ["111", "112", "121", "122", "123",
@@ -146,10 +168,49 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_words(-1)
 
+    @pytest.mark.parametrize("m", range(11))
+    def test_equals_one_checked_word_per_walked_word(self, m):
+        ws = enumerate_words(m)
+        assert ws == rgwords(m) and all(type(w) is RGWord for w in ws)
+
+    @pytest.mark.parametrize("name", WRONG_MACHINES)
+    def test_wrong_machine_fails_as_one_check_per_word_would(self, monkeypatch, name):
+        # the same list or the same first error as rgwords, for every m; at
+        # m <= 4 every prefix is empty, so only the tails tables' check can
+        # catch the fault
+        machine, yields_invalid = WRONG_MACHINES[name]
+        monkeypatch.setattr(words, "_RANKS", machine)
+        raised = set()
+        for m in range(1, 10):
+            try:
+                expected = rgwords(m)
+            except ValueError as error:
+                raised.add(m)
+                with pytest.raises(ValueError) as got:
+                    enumerate_words(m)
+                assert str(got.value) == str(error), m
+            else:
+                assert enumerate_words(m) == expected, m
+        assert bool(raised) == yields_invalid
+        assert yields_invalid or len(expected) < count_words(9)  # still a wrong machine
+
+    def test_checks_each_block_and_table_entry_once(self, monkeypatch):
+        # 51 prefixes of length 4 and 51 + 136 + 256 tails: never one check per word
+        calls = []
+        check = words._growth_violation
+        monkeypatch.setattr(words, "_growth_violation",
+                            lambda letters: calls.append(letters) or check(letters))
+        assert len(enumerate_words(8)) == count_words(8) == 11051
+        tails, walk = _blocks(8)
+        assert len(list(walk)) == 51 and [len(t) for t in tails] == [51, 136, 256]
+        assert len(calls) == 494
+
 
 class TestWalk:
     """_blocks, the DFS that the listing and the bridge stream without
-    validating a word, and _words, its flattening; they yield letters only."""
+    validating a word, and _words, its flattening; they yield letters only.
+    enumerate_words checks the same blocks, one prefix and one tails table
+    at a time (see TestEnumerate)."""
 
     @pytest.mark.parametrize("m", range(9))
     def test_blocks_against_brute_force(self, m):
