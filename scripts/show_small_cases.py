@@ -13,7 +13,7 @@ from orbitlab.budget import check_budget
 from orbitlab.cli import main, state_formatter
 from orbitlab.orbits import _least, orbit_summaries
 from orbitlab.residues import GroupSpec
-from orbitlab.words import _words, count_words, spell
+from orbitlab.words import _blocks, _checked, count_words, spell
 
 
 def show_orbits(n: int) -> None:
@@ -32,9 +32,10 @@ def show_words(m: int) -> None:
     spec = GroupSpec(2, m)
     fmt = state_formatter(spec)
     least = _least(spec)
-    for letters in _words(m):  # streamed: no word list is held
-        word, i = spell(letters), _word_index(letters, m)
-        print(f"  {word}  ->  [{fmt(i)}]  class [{fmt(least(i))}]")
+    for block in _checked(*_blocks(m)):  # streamed: no word list is held
+        for letters in block:
+            word, i = spell(letters), _word_index(letters, m)
+            print(f"  {word}  ->  [{fmt(i)}]  class [{fmt(least(i))}]")
     print()
 
 

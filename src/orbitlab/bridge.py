@@ -20,9 +20,9 @@ have distinct rows, checked once), and that they are in the language,
 which the round trip implies (see _decode).  Surjectivity is then
 pigeonhole against the independent Burnside count (four diagonals at
 p = 2).  On success nothing is collected.  Only when a check fails does a
-second pass keep the first word per canonical image, for the collision
-certificates, and walk the orbit minima in echelon form for the missed
-orbits.
+second pass read the walk's checked blocks (words._checked), keep the
+first word per canonical image, for the collision certificates, and walk
+the orbit minima in echelon form for the missed orbits.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections import namedtuple
 
 from .orbits import _echelon_runs, _least, _least_lanes, count_orbits_burnside
 from .residues import GroupSpec, PairState, state_from_index
-from .words import ALPHABET, LETTER_BITS, RGWord, _blocks
+from .words import ALPHABET, LETTER_BITS, RGWord, _blocks, _checked
 
 # Word images against the orbit census at one length.  orbit_count is the
 # Burnside count; missed_orbits, read off only when the images are too few,
@@ -136,13 +136,13 @@ def _certified(spec: GroupSpec, orbit_count: int) -> BridgeReport:
     m, least = spec.n, _least(spec)
     first: dict[int, RGWord] = {}  # canonical image -> first word reaching it
     collisions = []
-    tails, walk = _blocks(m)
-    for word in (RGWord(prefix + t) for prefix, rank in walk for t in tails[rank]):
-        rep = least(_word_index(word, m))
-        if rep in first:
-            collisions.append((first[rep], word))
-        else:
-            first[rep] = word
+    for block in _checked(*_blocks(m)):
+        for word in block:
+            rep = least(_word_index(word, m))
+            if rep in first:
+                collisions.append((first[rep], word))
+            else:
+                first[rep] = word
     collisions.sort(key=lambda pair: least(_word_index(pair[0], m)))
     # a canonical image is always its orbit's minimal member, so distinct
     # images are distinct orbits, and they cover all orbits iff they are as many

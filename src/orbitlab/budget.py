@@ -1,5 +1,6 @@
 """Two size limits: the state budget, the one knob, caps the states a command
-visits; PRINT_DIGITS caps a printed count, whatever the interpreter's setting."""
+visits; PRINT_DIGITS caps a printed count whatever the interpreter's setting,
+though an interpreter limit below it stops a shorter count, by Python's message."""
 
 from __future__ import annotations
 

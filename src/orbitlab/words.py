@@ -8,6 +8,8 @@ somewhere earlier.
 
 from __future__ import annotations
 
+from itertools import chain
+
 ALPHABET = (1, 2, 3, 4)
 _TAIL = 4  # the letters in each tails table of the word walk, or all m if fewer
 # each letter's ASCII digit, for bytes.translate: the one spelling of words
@@ -51,7 +53,7 @@ def spell(letters) -> str:
 
 class RGWord(tuple):
     """A valid word: the tuple of its letters, checked when it is made, one
-    word at a time here, or a walk block at a time by enumerate_words."""
+    word at a time here, or a walk block at a time by _checked."""
 
     __slots__ = ()
 
@@ -118,36 +120,31 @@ def _blocks(m: int):
     return tails, walk()
 
 
-def _words(m: int):
-    """Yield the valid words of length m as letter tuples, lexicographically."""
-    tails, walk = _blocks(m)
+def _checked(tails, walk):
+    """Each block of a _blocks walk as its list of RGWords: the one checked
+    path from the walk to words.  prefix + t is valid iff the prefix is and
+    t is after the prefix's running maximum, and maxima 3 and 4 allow the
+    same letters.  So the first block of each key (tails index, min(running
+    maximum, 3)) checks its words, every later one only its prefix.  A block
+    that passes builds its words unchecked, any other is rebuilt through
+    RGWord, which raises at its first invalid word exactly as RGWord(w) for
+    each walked w would."""
+    new, sound = tuple.__new__, set()
     for prefix, rank in walk:
-        yield from map(prefix.__add__, tails[rank])
+        table = tails[rank]
+        if _growth_violation(prefix) is None:
+            key = rank, min(max(prefix, default=1), 3)
+            if key in sound or all(_growth_violation(prefix + t) is None for t in table):
+                sound.add(key)
+                yield [new(RGWord, prefix + t) for t in table]
+                continue
+        yield [RGWord(prefix + t) for t in table]
 
 
 def enumerate_words(m: int) -> list[RGWord]:
-    """All valid words of length m, lexicographically, by prefix extension.
-
-    Each RGWord has passed the growth rule, checked a walk block at a time:
-    prefix + t is valid iff the prefix is and t is after the prefix's
-    running maximum, and maxima 3 and 4 allow the same letters.  So each
-    tails table is checked once, after a witness prefix of its rank, and
-    each prefix once, with its rank; a block that passes builds its words
-    unchecked, any other is rebuilt through RGWord, which raises at its
-    first invalid word exactly as RGWord(w) for w in _words(m) would.
-    """
-    tails, walk = _blocks(m)
-    sound = [all(_growth_violation(witness + t) is None for t in table)
-             for witness, table in zip(((), (2,), (2, 3)), tails)]
-    new, words = tuple.__new__, []
-    for prefix, rank in walk:
-        table = tails[rank]
-        if (_growth_violation(prefix) is None
-                and min(max(prefix, default=1), 3) - 1 == rank and sound[rank]):
-            words += [new(RGWord, prefix + t) for t in table]
-        else:
-            words += [RGWord(prefix + t) for t in table]
-    return words
+    """All valid words of length m, lexicographically, by prefix extension,
+    each checked a walk block at a time (see _checked)."""
+    return list(chain.from_iterable(_checked(*_blocks(m))))
 
 
 def count_words(m: int) -> int:

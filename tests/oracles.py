@@ -1,10 +1,10 @@
 """Independent oracles that only the tests read: the object-level orbit
 closure and matrix action, the forward-difference recurrence, the p = 2
-orbit minimum and word decoder one state at a time, the word list checked
-one word at a time, and the state builders,
-word speller, lane packers, walk regroupers, patcher and flattener,
-Stirling numbers, parity grid and fresh-interpreter runner the test modules
-share.
+orbit minimum and word decoder one state at a time, the word walk's
+flattening and the word list checked one word at a time, and the state
+builders, word speller, lane packers, walk regroupers, patcher and
+flattener, Stirling numbers, parity grid and fresh-interpreter runner the
+test modules share.
 
 orbit_of closes a state under src's apply_s and apply_t alone, and
 group_image applies every matrix of SL(2, Z_p), so their agreement is the
@@ -28,7 +28,7 @@ from orbitlab.residues import (
     enumerate_sl2,
     state_from_index,
 )
-from orbitlab.words import _TAIL, LETTER_BITS, RGWord, _words
+from orbitlab.words import _TAIL, LETTER_BITS, RGWord, _blocks
 
 
 def pair(g, k, spec):
@@ -40,6 +40,13 @@ def letters_of_rows(text: str) -> tuple[int, ...]:
     "gk gk ..." at p = 2: each row read back as its letter."""
     letter = {f"{g}{k}": a for a, (g, k) in LETTER_BITS.items()}
     return tuple(letter[row] for row in text.split(" "))
+
+
+def _words(m: int):
+    """Yield the valid words of length m as letter tuples, lexicographically."""
+    tails, walk = _blocks(m)
+    for prefix, rank in walk:
+        yield from map(prefix.__add__, tails[rank])
 
 
 def rgwords(m):

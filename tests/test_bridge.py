@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from oracles import (
+    _words,
     decode_index,
     from_lanes,
     least_sorted,
@@ -13,7 +14,7 @@ from oracles import (
     patch_walk,
     to_lanes,
 )
-from orbitlab import bridge, cli, orbits
+from orbitlab import bridge, cli, orbits, words
 from orbitlab.bridge import encode_word, verify_bridge
 from orbitlab.formulas import r_formula
 from orbitlab.orbits import (
@@ -30,7 +31,6 @@ from orbitlab.words import (
     RGWord,
     _blocks,
     _growth_violation,
-    _words,
     enumerate_words,
 )
 
@@ -176,6 +176,20 @@ class TestVerifyBridge:
         blocks = list(walk)
         assert (len(blocks), len(tables), sum(map(len, tables))) == (51, 3, 443)
         assert len(calls) == len(ALPHABET) + len(blocks) + sum(1 + len(t) for t in tables) == 501
+
+    def test_certificate_pass_checks_blocks_not_words(self, monkeypatch):
+        # every block fails its round trip, so the certificate pass runs; it
+        # reads the checked blocks: 51 prefixes and the 443 words of each
+        # key's first block at m = 8, never one check per word (11,051)
+        calls = []
+        check = words._growth_violation
+        monkeypatch.setattr(words, "_growth_violation",
+                            lambda letters: calls.append(letters) or check(letters))
+        monkeypatch.setattr(bridge, "_decode", lambda lo, mid: (-1, -1))
+        report = verify_bridge(8)
+        assert len(calls) == 494
+        assert report.word_count == 11051
+        assert report.is_injective_on_orbits and report.is_surjective_on_orbits
 
     def test_dropped_word_is_certified_as_missed_orbit(self, monkeypatch):
         dropped = enumerate_words(4)[17]

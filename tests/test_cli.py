@@ -12,6 +12,7 @@ import pytest
 import cli_corpus
 from oracles import (
     PARITY_GRID,
+    _words,
     minima_of,
     patch_walk,
     python_head,
@@ -226,7 +227,7 @@ class TestWords:
             code, out, _ = run("words", "--m", str(m), "--list")
             lines = out.split("\n")[:-1]
             assert code == 0 and len(lines) == words.count_words(m), m
-            for line, letters in zip(lines, words._words(m)):
+            for line, letters in zip(lines, _words(m)):
                 assert line == str(words.RGWord(letters))
                 assert words.word_from_string(line).letters == letters
 
@@ -479,7 +480,7 @@ class TestContract:
 
     @pytest.mark.parametrize("m", [0, 1, 5])
     def test_json_word_listing_is_the_whole_document(self, m):
-        listed = ["".join(map(str, letters)) for letters in words._words(m)]
+        listed = ["".join(map(str, letters)) for letters in _words(m)]
         doc = {"m": m, "count": str(words.count_words(m)), "words": listed}
         code, out, _ = run("words", "--m", str(m), "--list", "--format", "json")
         assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")

@@ -5,14 +5,13 @@ from itertools import product
 
 import pytest
 
-from oracles import python_peak, rgwords, stirling2
+from oracles import _words, python_peak, rgwords, stirling2
 from orbitlab import words
 from orbitlab.formulas import r_formula
 from orbitlab.words import (
     ALPHABET,
     RGWord,
     _blocks,
-    _words,
     count_words,
     enumerate_words,
     is_valid_word,
@@ -30,15 +29,28 @@ WRONG_MACHINES = {
     # after a 3 the walk stays at rank 1, so it never takes a 4: every word
     # it yields is valid, and a prefix with a 3 has the wrong rank
     "letter 3 leads to rank 1": ((_R0, ((1, 1), (2, 1), (3, 1)), _R2), False),
-    # ranks 3, 4 and 5 count the leading 1s, deeper than a tails table
-    # reaches after its witness: the fourth 1 claims rank 1 with no 2 yet,
-    # which only a prefix's rank check catches (from m = 8)
+    # ranks 3, 4 and 5 count the leading 1s: the fourth 1 claims rank 1
+    # with no 2 yet, a new key whose first block checks its words and
+    # fails (from m = 8)
     "four 1s lead to rank 1": ((((1, 3), (2, 1)), _R1, _R2, ((1, 4), (2, 1)),
                                 ((1, 5), (2, 1)), ((1, 1), (2, 1))), True),
-    # ... or ranks 3 to 6 count four of them, and then a 3 claims rank 2,
-    # which only a prefix's own check catches (from m = 9: prefixes 5 long)
+    # ... or ranks 3 to 6 count four of them, and then a 3 claims rank 2
+    # (from m = 9: prefixes 5 long), in the first block of its key
     "four 1s then a 3": ((((1, 3), (2, 1)), _R1, _R2, ((1, 4), (2, 1)), ((1, 5), (2, 1)),
                           ((1, 6), (2, 1)), ((1, 0), (2, 1), (3, 2))), True),
+    # a word starting with five 2s claims rank 2 at its fifth 2, with running
+    # maximum 2 (ranks 3 to 7 keep the start apart): at m = 9 its block
+    # follows rank 2 blocks of maximum 3, so only the running maximum in a
+    # block's key catches it
+    "five 2s lead to rank 2": ((((1, 3), (2, 4)), _R1, _R2, ((1, 3), (2, 1)),
+                                ((1, 1), (2, 5), (3, 2)), ((1, 1), (2, 6), (3, 2)),
+                                ((1, 1), (2, 7), (3, 2)), ((1, 1), (2, 2), (3, 2))), True),
+    # ... or ranks 4 to 7 follow a start of 2, 1, 1, 1 and then allow a 4:
+    # at m = 9 that prefix is invalid, and its key's first block is valid,
+    # so only the prefix's own check catches it
+    "2, 1, 1, 1 allows 4": ((((1, 3), (2, 4)), _R1, _R2, ((1, 3), (2, 1)),
+                             ((1, 5), (2, 1), (3, 2)), ((1, 6), (2, 1), (3, 2)),
+                             ((1, 7), (2, 1), (3, 2)), (*_R1, (4, 2))), True),
 }
 
 # row-major reading of the fifteen length-3 words
@@ -176,8 +188,8 @@ class TestEnumerate:
     @pytest.mark.parametrize("name", WRONG_MACHINES)
     def test_wrong_machine_fails_as_one_check_per_word_would(self, monkeypatch, name):
         # the same list or the same first error as rgwords, for every m; at
-        # m <= 4 every prefix is empty, so only the tails tables' check can
-        # catch the fault
+        # m <= 4 every prefix is empty, so only a key's first block, checked
+        # word by word, can catch the fault
         machine, yields_invalid = WRONG_MACHINES[name]
         monkeypatch.setattr(words, "_RANKS", machine)
         raised = set()
@@ -195,7 +207,8 @@ class TestEnumerate:
         assert yields_invalid or len(expected) < count_words(9)  # still a wrong machine
 
     def test_checks_each_block_and_table_entry_once(self, monkeypatch):
-        # 51 prefixes of length 4 and 51 + 136 + 256 tails: never one check per word
+        # 51 prefixes of length 4, and the 51 + 136 + 256 words of the first
+        # block of each key: never one check per word
         calls = []
         check = words._growth_violation
         monkeypatch.setattr(words, "_growth_violation",
@@ -205,12 +218,28 @@ class TestEnumerate:
         assert len(list(walk)) == 51 and [len(t) for t in tails] == [51, 136, 256]
         assert len(calls) == 494
 
+    def test_check_reads_no_rank_meaning(self, monkeypatch):
+        # ranks 1 and 2 swapped, rank 0 still the start: the same language
+        # on relabelled tables, so the same words and the same 494 checks
+        swap = (0, 2, 1)
+        monkeypatch.setattr(words, "_RANKS", tuple(
+            tuple((a, swap[r]) for a, r in words._RANKS[swap[rank]]) for rank in range(3)))
+        assert [len(t) for t in _blocks(8)[0]] == [51, 256, 136]
+        expected = rgwords(8)
+        calls = []
+        check = words._growth_violation
+        monkeypatch.setattr(words, "_growth_violation",
+                            lambda letters: calls.append(letters) or check(letters))
+        assert enumerate_words(8) == expected
+        assert len(calls) == 494
+
 
 class TestWalk:
-    """_blocks, the DFS that the listing and the bridge stream without
-    validating a word, and _words, its flattening; they yield letters only.
-    enumerate_words checks the same blocks, one prefix and one tails table
-    at a time (see TestEnumerate)."""
+    """_blocks, the DFS that the listing and the bridge's fast pass stream
+    without validating a word, and _words, its flattening in the oracles;
+    they yield letters only.  enumerate_words and the bridge's certificate
+    pass read the same blocks checked, through words._checked (see
+    TestEnumerate)."""
 
     @pytest.mark.parametrize("m", range(9))
     def test_blocks_against_brute_force(self, m):
@@ -262,8 +291,9 @@ class TestWalk:
     def test_walk_memory_is_linear_in_m(self):
         # one shared letter list and O(m) stack entries: a walk that stacked
         # every pending sibling's whole prefix peaked at 141 MiB
-        code, _, peak = python_peak("from orbitlab.words import _words\n"
-                                    "assert next(_words(4000)) == (1,) * 4000\n", timeout=60)
+        code, _, peak = python_peak("from orbitlab.words import _blocks\n"
+                                    "assert next(_blocks(4000)[1]) == ((1,) * 3996, 0)\n",
+                                    timeout=60)
         assert code == 0
         assert peak < 32 * 1024  # KiB
 
