@@ -57,13 +57,15 @@ class ResidueVector(namedtuple("ResidueVector", "entries spec")):
         return super().__new__(cls, tuple(int(e) % spec.p for e in entries), spec)
 
     def __neg__(self) -> "ResidueVector":
-        return ResidueVector(tuple(-e for e in self.entries), self.spec)
+        p = self.spec.p
+        return _vector(tuple([-e % p for e in self.entries]), self.spec)
 
     def __add__(self, other: "ResidueVector") -> "ResidueVector":
         if self.spec != other.spec:
             raise ValueError("cannot add vectors over different group specs")
-        return ResidueVector(
-            tuple(a + b for a, b in zip(self.entries, other.entries)), self.spec)
+        p = self.spec.p
+        return _vector(tuple([(a + b) % p for a, b in zip(self.entries, other.entries)]),
+                       self.spec)
 
 
 class PairState(namedtuple("PairState", "g k")):
@@ -89,14 +91,25 @@ class PairState(namedtuple("PairState", "g k")):
         return list(zip(self.g.entries, self.k.entries))
 
 
+# The records of the moves and the index, built in C by tuple.__new__ from
+# what they just made: n entries in range(p) over one spec.  The public
+# constructors above still check whatever comes from outside.
+def _vector(entries: tuple[int, ...], spec: GroupSpec) -> ResidueVector:
+    return tuple.__new__(ResidueVector, (entries, spec))
+
+
+def _pair(g: ResidueVector, k: ResidueVector) -> PairState:
+    return tuple.__new__(PairState, (g, k))
+
+
 def apply_s(s: PairState) -> PairState:
     """(g, k) -> (k, -g)."""
-    return PairState(s.k, -s.g)
+    return _pair(s.k, -s.g)
 
 
 def apply_t(s: PairState) -> PairState:
     """(g, k) -> (g, k + g)."""
-    return PairState(s.g, s.k + s.g)
+    return _pair(s.g, s.k + s.g)
 
 
 def enumerate_sl2(p: int) -> list[tuple[int, int, int, int]]:
@@ -116,8 +129,17 @@ def enumerate_sl2(p: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
+# each entry below 36 as its digit, and each binary digit back as its bit
+_NUMERALS = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
+_BITS = bytes.maketrans(b"01", bytes(range(2)))
+
+
 def vector_rank(entries, p: int) -> int:
-    """Base-p rank with entry 0 most significant."""
+    """Base-p rank of entries in range(p), entry 0 most significant."""
+    if p <= 36 and (p == 2 or len(entries) <= 640):
+        # one base-p numeral read in C; 640 digits is the least limit that
+        # sys.set_int_max_str_digits can set on a base other than 2
+        return int(bytes(entries).translate(_NUMERALS) or b"0", p)
     r = 0
     for e in entries:
         r = r * p + e
@@ -125,6 +147,9 @@ def vector_rank(entries, p: int) -> int:
 
 
 def vector_unrank(r: int, p: int, n: int) -> tuple[int, ...]:
+    """The n base-p digits of r in range(p^n), entry 0 most significant."""
+    if p == 2:  # format(0, "00b") is "0", one digit
+        return tuple(format(r, f"0{n}b").encode().translate(_BITS)) if n else ()
     digits = []
     for _ in range(n):
         r, e = divmod(r, p)
@@ -142,9 +167,9 @@ def state_index(s: PairState) -> int:
 
 
 def state_from_index(i: int, spec: GroupSpec) -> PairState:
-    if not 0 <= i < spec.state_count:
-        raise ValueError(f"index {i} out of range [0, {spec.state_count})")
-    gr, kr = divmod(i, spec.group_order)
-    return PairState(
-        ResidueVector(vector_unrank(gr, spec.p, spec.n), spec),
-        ResidueVector(vector_unrank(kr, spec.p, spec.n), spec))
+    p, n = spec
+    order = p ** n
+    if not 0 <= i < order * order:
+        raise ValueError(f"index {i} out of range [0, {order * order})")
+    gr, kr = divmod(i, order)
+    return _pair(_vector(vector_unrank(gr, p, n), spec), _vector(vector_unrank(kr, p, n), spec))

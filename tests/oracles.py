@@ -1,10 +1,10 @@
 """Independent oracles that only the tests read: the object-level orbit
 closure and matrix action, the forward-difference recurrence, the p = 2
 orbit minimum and word decoder one state at a time, the word walk's
-flattening and the word list checked one word at a time, and the state
-builders, word speller, lane packers, walk regroupers, patcher and
-flattener, Stirling numbers, parity grid and fresh-interpreter runner the
-test modules share.
+flattening and the word list checked one word at a time, the base-p rank
+and unrank one digit at a time, and the state builders, word speller, lane
+packers, walk regroupers, patcher and flattener, Stirling numbers, parity
+grid and fresh-interpreter runner the test modules share.
 
 orbit_of closes a state under src's apply_s and apply_t alone, and
 group_image applies every matrix of SL(2, Z_p), so their agreement is the
@@ -33,6 +33,24 @@ from orbitlab.words import _TAIL, LETTER_BITS, RGWord, _blocks
 
 def pair(g, k, spec):
     return PairState(ResidueVector(tuple(g), spec), ResidueVector(tuple(k), spec))
+
+
+def rank_loop(entries, p: int) -> int:
+    """The base-p rank of entries, entry 0 most significant, one digit at a
+    time: what residues.vector_rank reads as one numeral."""
+    r = 0
+    for e in entries:
+        r = r * p + e
+    return r
+
+
+def unrank_loop(r: int, p: int, n: int) -> tuple[int, ...]:
+    """The n base-p digits of r, entry 0 most significant, by divmod."""
+    digits = []
+    for _ in range(n):
+        r, e = divmod(r, p)
+        digits.append(e)
+    return tuple(reversed(digits))
 
 
 def letters_of_rows(text: str) -> tuple[int, ...]:

@@ -98,6 +98,8 @@ class TestOrbits:
         for module in (orbits, residues):
             for name in ("PairState", "ResidueVector"):
                 monkeypatch.setattr(module, name, unbuildable, raising=False)
+        for name in ("_vector", "_pair"):  # the unchecked builders too
+            monkeypatch.setattr(residues, name, unbuildable)
         assert len(orbits.orbit_summaries(GroupSpec(2, 6))) == 715
         for fmt, result in expected.items():
             assert result[0] == 0 and run(*argv, fmt) == result, fmt

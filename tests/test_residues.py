@@ -1,8 +1,10 @@
+import random
+import sys
 from itertools import product
 
 import pytest
 
-from oracles import all_states, apply_mat, pair
+from oracles import all_states, apply_mat, pair, rank_loop, unrank_loop
 from orbitlab.residues import (
     GroupSpec,
     PairState,
@@ -12,6 +14,8 @@ from orbitlab.residues import (
     enumerate_sl2,
     state_from_index,
     state_index,
+    vector_rank,
+    vector_unrank,
 )
 
 
@@ -225,3 +229,76 @@ class TestVectors:
     def test_vector_mismatch_add(self):
         with pytest.raises(ValueError):
             ResidueVector((1,), Z2) + ResidueVector((1,), Z3)
+
+
+def exact(x):
+    """x itself, once its record types and entry types are held exact."""
+    records = (x.g, x.k) if type(x) is PairState else (x,)
+    assert all(type(v) is ResidueVector and type(v.entries) is tuple
+               and all(type(e) is int for e in v.entries) for v in records), x
+    return x
+
+
+# every state of the small cells, 300 seeded ones of the others; 31 and 37
+# are the primes either side of 36, where vector_rank stops reading numerals
+BUILDER_CELLS = [(2, 0), (2, 1), (2, 5), (3, 3), (31, 1), (37, 1), (2, 60), (3, 40), (101, 3)]
+
+
+class TestBuilders:
+    """state_from_index, the moves and the vector arithmetic build their
+    records unchecked; each must equal the record the checked constructors
+    make from the same entries, and be of exactly their types."""
+
+    @pytest.mark.parametrize("p,n", BUILDER_CELLS)
+    def test_builders_match_the_checked_constructors(self, p, n):
+        spec = GroupSpec(p, n)
+        order = spec.group_order
+        indices = range(spec.state_count)
+        if spec.state_count > 2000:
+            rng = random.Random(p * 1000 + n)
+            indices = [rng.randrange(spec.state_count) for _ in range(300)]
+        for i in indices:
+            g, k = (unrank_loop(r, p, n) for r in divmod(i, order))
+            s = exact(state_from_index(i, spec))
+            assert s == pair(g, k, spec), i
+            assert exact(apply_s(s)) == pair(k, [-e for e in g], spec), i
+            assert exact(apply_t(s)) == pair(g, [a + b for a, b in zip(k, g)], spec), i
+            assert exact(-s.g) == ResidueVector([-e for e in g], spec), i
+            assert exact(s.k + s.g) == ResidueVector([a + b for a, b in zip(k, g)], spec), i
+
+
+class TestNumerals:
+    """vector_rank reads a numeral at p <= 36 and vector_unrank writes one at
+    p = 2; each against its loop oracle on both sides of those bounds."""
+
+    @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 8), (3, 0), (3, 5), (5, 3),
+                                     (31, 0), (31, 2), (37, 0), (37, 2), (41, 1)])
+    def test_every_vector(self, p, n):
+        for r, v in enumerate(product(range(p), repeat=n)):
+            assert vector_rank(v, p) == vector_rank(list(v), p) == rank_loop(v, p) == r
+            digits = vector_unrank(r, p, n)
+            assert digits == v and type(digits) is tuple and all(type(e) is int for e in digits)
+
+    @pytest.mark.parametrize("p,n", [(2, 200), (3, 100), (31, 40), (37, 40), (1021, 5)])
+    def test_long_vectors(self, p, n):
+        rng = random.Random(n)
+        for _ in range(50):
+            v = tuple(rng.randrange(p) for _ in range(n))
+            r = rank_loop(v, p)
+            assert vector_rank(v, p) == r
+            assert vector_unrank(r, p, n) == unrank_loop(r, p, n) == v
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_past_the_least_digit_limit(self):
+        # 640 is the least limit an interpreter takes; a longer numeral at a
+        # base other than 2 would not be read, so vector_rank loops there
+        rng = random.Random(640)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for p, n in [(3, 640), (3, 641), (31, 2000), (2, 5000)]:
+                v = tuple(rng.randrange(p) for _ in range(n))
+                assert vector_rank(v, p) == rank_loop(v, p), (p, n)
+                assert vector_unrank(rank_loop(v, p), p, n) == v, (p, n)
+        finally:
+            sys.set_int_max_str_digits(limit)
