@@ -136,13 +136,15 @@ def _emit(fmt: str, header: list[str], rows, payload, text=None, listing=None) -
                           [tail, "\n"])
         else:
             lines = chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
-    elif fmt == "csv":  # as csv.writer quotes: nothing, but a lone empty field
-        lines = ((",".join(row) or '""') + "\n" for row in chain([header], rows))
-    else:
-        lines = (f"{line}\n" for line in (map(" ".join, rows) if text is None else text))
+    elif fmt == "csv":
+        lines = map(",".join, chain([header], rows))
+    else:  # text may be a list: islice of a list itself would restart at each chunk
+        lines = map(" ".join, rows) if text is None else iter(text)
     # one write per 4096 lines: under PYTHONUNBUFFERED each write is a syscall
-    while chunk := "".join(islice(lines, 4096)):
-        sys.stdout.write(chunk)
+    while chunk := list(islice(lines, 4096)):
+        if fmt == "csv" and not all(chunk):  # as csv.writer quotes: nothing, but a lone empty field
+            chunk = [line or '""' for line in chunk]
+        sys.stdout.write("".join(chunk) if fmt == "json" else "\n".join(chunk) + "\n")
 
 
 # The census routes, which share no counting code (see orbits): name ->
@@ -267,9 +269,9 @@ def cmd_words(args) -> int:
     if args.list:  # the words stream block by block, each tails table spelled once
         spell, (tails, walk) = words.spell, words._blocks(args.m)
         spelled = [[*map(spell, t)] for t in tails]
-        listed = (w for prefix, rank in walk for w in map(spell(prefix).__add__, spelled[rank]))
-        _emit(args.format, ["word"], ([w] for w in listed), payload, text=listed,
-              listing="words")
+        listed = chain.from_iterable(map(spell(prefix).__add__, spelled[rank])
+                                     for prefix, rank in walk)
+        _emit(args.format, ["word"], zip(listed), payload, text=listed, listing="words")
     else:
         _emit(args.format, ["m", "count"], [[str(args.m), count]], payload, text=[count])
     return 0

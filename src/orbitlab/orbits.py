@@ -23,6 +23,7 @@ into a PairState only when a caller asks for one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, repeat
 
@@ -217,14 +218,15 @@ def _least_lanes(g: int, k: int, n: int, guard: int) -> tuple[int, int]:
 def _minimal(spec: GroupSpec):
     """Yield (gs, test) for each case of g, in g order: test(k) says whether
     [g | k], index g * p^n + k, has the shape of its orbit's minimum (see
-    _least), for every g in the range gs.  At g = 0, k is 0 or leads with 1;
-    for the g's that lead with 1 at place value p^t, k is nonzero before it
-    and 0 at it; for those that lead with more than 1 (only at p > 2),
-    never.  Each test is the predicate itself, its place and step bound
-    when it is made, so a caller may hold every case before calling any."""
+    _least), for every g in the range gs.  At g = 0, k is 0 or leads with 1:
+    below twice its leading place, which one bisect of the places finds; for
+    the g's that lead with 1 at place value p^t, k is nonzero before it and
+    0 at it; for those that lead with more than 1 (only at p > 2), never.
+    Each test is the predicate itself, its place and step bound when it is
+    made, so a caller may hold every case before calling any."""
     p = spec.p
     lead = [p ** t for t in range(spec.n)]
-    yield range(1), lambda k: not k or any(k // place == 1 for place in lead)
+    yield range(1), lambda k: not k or k < 2 * lead[bisect_right(lead, k) - 1]
     for place in lead:
         step = place * p
         yield range(place, 2 * place), lambda k, place=place, step=step: (
@@ -256,17 +258,21 @@ def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
     action, so its fixed count is p^(n * (2 - rank(A - I))).  The rank is 0
     only at the identity; otherwise det(A - I) = 2 - trace makes it 1 exactly
     when a + d = 2, and 2 elsewhere.  bc = ad - 1 has 2p - 1 solutions (b, c)
-    when ad = 1 and p - 1 otherwise, so O(p^2) diagonals cover all
-    p(p^2 - 1) matrices, at every n.  The averaged sum must divide exactly;
-    a remainder is a hard error.
+    when ad = 1 and p - 1 otherwise.  So each entry a has p diagonals of the
+    default case, p - 1 solutions of rank 2, but at d = 1/a and d = 2 - a,
+    one d when a = 1: the sum takes them all at once and corrects at those
+    d's, O(p) steps for all p(p^2 - 1) matrices, at every n.  The averaged
+    sum must divide exactly; a remainder is a hard error.
     """
     n, p = spec.n, spec.p
     fixed = (p ** (2 * n), p ** n, 1)  # by rank of A - I
-    total = fixed[0] - fixed[1]  # the identity, counted below as rank 1
+    usual = (p - 1) * fixed[2]  # a diagonal with ad != 1 and a + d != 2
+    # every diagonal as usual; the identity, counted below as rank 1
+    total = fixed[0] - fixed[1] + p * p * usual
     for a in range(p):
-        for d in range(p):
+        for d in {(2 - a) % p, pow(a, -1, p)} if a else {2 % p}:
             solutions = 2 * p - 1 if a * d % p == 1 else p - 1
-            total += solutions * fixed[1 if (a + d - 2) % p == 0 else 2]
+            total += solutions * fixed[1 if (a + d - 2) % p == 0 else 2] - usual
     return CensusReport(exact_div(total, spec.sl2_order))
 
 

@@ -514,7 +514,10 @@ class TestContract:
 FINISHES = {
     # 1,018,081 states, each decided by row reduction, not by 1e9 matrices
     "orbits --p 1009 --n 1 --method canonical": "2\n",
-    "orbits --p 1009 --n 1 --method burnside": "2\n",  # O(p^2): about a million diagonals
+    # O(p) steps by entry a, though charged its p^2 diagonals: about a
+    # million here, and 268,337,161 at p = 16381, within the default budget
+    "orbits --p 1009 --n 1 --method burnside": "2\n",
+    "orbits --p 16381 --n 1 --method burnside": "2\n",
     # 4^14 states, exactly the default budget: 15 sums of 2^14 test
     # calls, one per case of g
     "orbits --p 2 --n 14 --method canonical": "44747435\n",
@@ -546,7 +549,8 @@ REFUSED = {
     "words --m 50000 --list": (3, over_budget(100000)),
     # 3^14000 is computed, and too long to print
     "orbits --p 3 --n 7000 --list": (3, over_budget(22189)),
-    # 100003^2 diagonals would take about an hour; refused at once
+    # 100003^2 diagonals are over the budget, though the sum takes O(p)
+    # steps; refused at once
     "orbits --p 100003 --n 0 --method burnside": (3, diagonals),
     "orbits --p 100003 --n 1 --method burnside": (3, diagonals),
     # 4^15 states' worth of words, charged once before the first row:

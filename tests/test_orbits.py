@@ -360,6 +360,20 @@ class TestCanonicalCensus:
                 i = g * order + k
                 assert bool(test(k)) == (least(i) == i), (g, k)
 
+    @pytest.mark.parametrize("p,n", [(2, 40), (3, 40), (5, 20), (101, 8)])
+    def test_zero_g_test_at_place_boundaries(self, p, n):
+        # past the exhaustive grid, the g = 0 test at each place p^t's
+        # boundaries: k = p^t - 1, p^t, 2 p^t - 1 and 2 p^t, where k's
+        # leading entry or its place changes; state [0 | k] has index k
+        spec = GroupSpec.uniform(p, n)
+        least = _least(spec)
+        (gs, test), *_ = _minimal(spec)
+        assert gs == range(1)
+        samples = {k for t in range(n + 1) for k in (p ** t - 1, p ** t, 2 * p ** t - 1, 2 * p ** t)
+                   if k < spec.group_order}
+        for k in sorted(samples):
+            assert bool(test(k)) == (least(k) == k), k
+
 
 class TestBurnsideCensus:
     def test_examples(self):
