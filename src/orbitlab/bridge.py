@@ -19,10 +19,11 @@ to block), that distinct words have distinct indices (the four letters
 have distinct rows, checked once), and that they are in the language,
 which the round trip implies (see _decode).  Surjectivity is then
 pigeonhole against the independent Burnside count (a sum over the two
-entries a at p = 2).  On success nothing is collected.  Only when a check fails does a
-second pass read the walk's checked blocks (words._checked), keep the
-first word per canonical image, for the collision certificates, and walk
-the orbit minima in echelon form for the missed orbits.
+diagonal entries a at p = 2).  On success nothing is collected.  Only when
+a check fails does a second pass read the walk's checked blocks
+(words._checked), keep the first word per canonical image, for the
+collision certificates, and walk the orbit minima in echelon form for the
+missed orbits.
 """
 
 from __future__ import annotations

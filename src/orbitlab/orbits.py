@@ -258,11 +258,11 @@ def count_orbits_burnside(spec: GroupSpec) -> CensusReport:
     action, so its fixed count is p^(n * (2 - rank(A - I))).  The rank is 0
     only at the identity; otherwise det(A - I) = 2 - trace makes it 1 exactly
     when a + d = 2, and 2 elsewhere.  bc = ad - 1 has 2p - 1 solutions (b, c)
-    when ad = 1 and p - 1 otherwise.  So each entry a has p diagonals of the
-    default case, p - 1 solutions of rank 2, but at d = 1/a and d = 2 - a,
-    one d when a = 1: the sum takes them all at once and corrects at those
-    d's, O(p) steps for all p(p^2 - 1) matrices, at every n.  The averaged
-    sum must divide exactly; a remainder is a hard error.
+    when ad = 1 and p - 1 otherwise.  So for each entry a, every diagonal
+    but d = 1/a and d = 2 - a (one d when a = 1) holds p - 1 matrices of
+    rank 2: the sum counts all p^2 diagonals so and corrects at those d's,
+    O(p) steps for all p(p^2 - 1) matrices, at every n.  The averaged sum
+    must divide exactly; a remainder is a hard error.
     """
     n, p = spec.n, spec.p
     fixed = (p ** (2 * n), p ** n, 1)  # by rank of A - I
