@@ -1,8 +1,9 @@
 """Orbit enumeration for the pair action, three independent ways.
 
-The three counting routes are a visited sweep closing each orbit under the
-two moves a row at a time, read from lookup tables on its own row-packed
-indices (see _bfs_runs); a canonical-form count on packed state indices (a
+The three counting routes are a visited sweep a row at a time, closing each
+orbit under the two moves in one container that the closure reads as it
+grows, with the moves read from lookup tables on its own row-packed indices
+(see _bfs_runs); a canonical-form count on packed state indices (a
 state is counted when it has the row-reduced shape of its orbit's minimum);
 and class-equation averaging of fixed-point counts.  The sweep shares no
 code with the other routes, and those two share only the index packing,
@@ -57,6 +58,10 @@ class OrbitSummary(namedtuple("OrbitSummary", "index size spec")):
 
 CensusReport = namedtuple("CensusReport", "orbit_count")
 
+# the group orders past which _bfs_runs closes each orbit of the last row in
+# one reused array: from p = 41 on, where an orbit may hold 2^16 members
+_ARRAY_ORDER = 1 << 16
+
 
 def _level_moves(q: int, S: list[int], T: list[int]):
     """Return (s_hi, s_lo, t_hi, t_lo): the two moves on one level's
@@ -84,14 +89,20 @@ def _bfs_runs(spec: GroupSpec):
     Level d extends the L prefixes kept from level d - 1, at positions x,
     by one more row (g, k): candidate c = k pL + g L + x, whose new row's
     digit is c // L, with the moves read from p-entry and pL-entry tables
-    (see _level_moves).  Each orbit among the candidates is closed one BFS
-    layer at a time, on one visited byte per candidate.  One of sl2_order
-    members has a trivial stabilizer, so each tail over one of its members
-    lies in its own orbit of as many states: a run of p^(2(n - d)) orbits.
-    On the last row each orbit is a run of one.  Every other orbit is
-    kept, its members renumbered through one dict for the next level's S,
-    T and rows.  Level 0 holds the empty prefix alone.  Runs that do not
-    cover the p^(2n) states exactly are a hard error."""
+    (see _level_moves).  Each orbit among the candidates is closed in one
+    container, on one visited byte per candidate: a for loop reads it while
+    appending each unvisited image, so it holds the orbit in BFS order.
+    That is a new list per orbit, except on the last row, which keeps no
+    member, when the group order (which bounds every orbit) passes
+    _ARRAY_ORDER: there it is one array of 4-byte entries (8 past 2^32
+    candidates), cleared per orbit, as a list would hold about 40 bytes per
+    member, p^2 - 1 of them in the one large orbit at n = 1.  One of
+    sl2_order members has a trivial stabilizer, so each tail over one of
+    its members lies in its own orbit of as many states: a run of
+    p^(2(n - d)) orbits.  On the last row each orbit is a run of one.
+    Every other orbit is kept, its members renumbered through one dict for
+    the next level's S, T and rows.  Level 0 holds the empty prefix alone.
+    Runs that do not cover the p^(2n) states exactly are a hard error."""
     p, n, free = spec.p, spec.n, spec.sl2_order
     S = T = rows = [0]  # the empty prefix, fixed by both moves
     covered = 0
@@ -104,33 +115,38 @@ def _bfs_runs(spec: GroupSpec):
         s_hi, s_lo, t_hi, t_lo = _level_moves(q, S, T)
         visited = bytearray(total)
         kept = []
+        queue = None
+        if d == n and free > _ARRAY_ORDER:
+            from array import array
+            queue = array("I" if total <= 1 << 32 else "Q")
         start = 0
         while start >= 0:
             visited[start] = 1
-            layer, size = [start], 0
-            while layer:
-                size += len(layer)
-                if d < n:
-                    kept += layer
-                grown = []
-                for c in layer:
-                    hi = c // width
-                    lo = c - hi * width
-                    j = s_hi[hi] + s_lo[lo]
-                    if not visited[j]:
-                        visited[j] = 1
-                        grown.append(j)
-                    j = t_hi[hi] + t_lo[lo]
-                    if j >= total:
-                        j -= total
-                    if not visited[j]:
-                        visited[j] = 1
-                        grown.append(j)
-                layer = grown
+            if queue is None:
+                orbit = [start]
+            else:
+                del queue[:]
+                queue.append(start)
+                orbit = queue
+            for c in orbit:  # reads each image the loop appends
+                hi = c // width
+                lo = c - hi * width
+                j = s_hi[hi] + s_lo[lo]
+                if not visited[j]:
+                    visited[j] = 1
+                    orbit.append(j)
+                j = t_hi[hi] + t_lo[lo]
+                if j >= total:
+                    j -= total
+                if not visited[j]:
+                    visited[j] = 1
+                    orbit.append(j)
+            size = len(orbit)
             if size == free or d == n:
                 yield rows[start % L] * q * q + start // L, d, tail, size
                 covered += size * tail
-                del kept[-size:]  # empty on the last row
+            else:
+                kept += orbit
             start = visited.find(0, start + 1)
         at = dict(zip(kept, range(len(kept))))
         S = [at[s_hi[c // width] + s_lo[c % width]] for c in kept]

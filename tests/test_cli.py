@@ -490,7 +490,8 @@ class TestContract:
 
     def test_cold_import_loads_only_what_runs(self):
         # dataclasses would pull in inspect, dis, ast and tokenize, and json
-        # and csv load only where those formats are written.  Sets, not the
+        # and csv load only where those formats are written, and array only
+        # where the BFS sweep reaches its last row.  Sets, not the
         # module list, as site may have loaded typing before orbitlab
         program = ("import sys\n"
                    "before = set(sys.modules)\n"
@@ -501,10 +502,11 @@ class TestContract:
         result = python_run("-c", program, timeout=30)
         imported, *table, after = result.stdout.splitlines()
         assert (result.returncode, table) == (0, ["0 1", "1 2", "2 5", "3 15"])
-        heavy = {"dataclasses", "inspect", "dis", "ast", "tokenize", "typing", "json", "csv"}
+        heavy = {"dataclasses", "inspect", "dis", "ast", "tokenize", "typing", "json", "csv",
+                 "array"}
         assert "orbitlab.cli" in imported.split()
         assert heavy & set(imported.split()) == set()
-        assert {"json", "csv"} & set(after.split()) == set()
+        assert {"json", "csv", "array"} & set(after.split()) == set()
 
 
 # Fresh-process contracts, one table each.  A row is an argv: one that starts
@@ -575,10 +577,13 @@ PEAKS = {
     # row reduction holds O(n) values per state and no per-matrix table
     "orbits --p 31 --n 1 --method canonical": ("2\n", 128),
     # the one row's p^2 candidates split between its digits into p-entry
-    # tables, and each orbit is closed a BFS layer at a time: p^2-entry
-    # tables lifted the peak to 134 MiB, and an orbit held whole in a
-    # list to 55 MiB
+    # tables, and each orbit is closed in one reused array of 4-byte
+    # entries: p^2-entry tables lifted the peak to 134 MiB, lists held per
+    # BFS layer to 27 MiB, and an orbit held whole in a list to 55 MiB
     "orbits --p 1021 --n 1 --method bfs": ("2\n", 32),
+    # p^2 - 1 = 4,157,520 states in one orbit: lists held per BFS layer
+    # peaked at 66 MiB, the array at 35 MiB
+    "orbits --p 2039 --n 1 --method bfs": ("2\n", 48),
     # one state and no row: move tables built over all p^2 row digits
     # anyway took 7.9 s and peaked at 705 MiB
     "orbits --p 3001 --n 0 --method bfs": ("1\n", 32),

@@ -1,3 +1,4 @@
+import array
 import tracemalloc
 
 import pytest
@@ -152,6 +153,25 @@ class TestBfsCensus:
         monkeypatch.setattr(GroupSpec, "sl2_order", property(lambda self: 0))
         assert bfs_minima(spec) == minima
         assert {depth for _, depth, _, _ in _bfs_runs(spec)} == {n}
+
+    @pytest.mark.parametrize("p,n,order", [(2, 1, 0), (2, 6, 0), (3, 4, 0), (5, 3, 0),
+                                           (7, 2, 0), (13, 1, 0), (43, 1, None), (2, 0, 0)])
+    def test_the_array_closes_the_orbits_the_lists_do(self, p, n, order, monkeypatch):
+        # the last row closes each orbit in a new list, or, past
+        # _ARRAY_ORDER, in one array made per sweep and cleared per orbit:
+        # with the switch at 0 every last row takes the array, with it at
+        # the group order none does, and the runs are the same run for run.
+        # From p = 41 on the array is the default
+        made, real = [], array.array
+        monkeypatch.setattr(array, "array", lambda code: made.append(code) or real(code))
+        spec = GroupSpec.uniform(p, n)
+        if order is not None:
+            monkeypatch.setattr(orbits, "_ARRAY_ORDER", order)
+        runs = list(_bfs_runs(spec))
+        assert made == ["I"]
+        monkeypatch.setattr(orbits, "_ARRAY_ORDER", spec.sl2_order)
+        assert list(_bfs_runs(spec)) == runs and made == ["I"]
+        assert sum(count for _, _, count, _ in runs) == r_formula(p, n)
 
     @pytest.mark.parametrize("p,n,wrong,right", [(2, 5, 342, 187), (3, 4, 821, 301),
                                                  (5, 3, 652, 156)])
