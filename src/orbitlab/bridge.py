@@ -86,17 +86,20 @@ def _tails_table(tails, m: int):
     1^(m - d) + t xor 1^m's.  The offsets' g and k halves are packed as
     lanes of m + 1 bits, tail j's in lane j (see orbits._least_lanes), and
     rep has a 1 at the bottom of every lane: a block's g halves are then
-    its base's times rep, xor g_offsets, and its k halves likewise."""
+    its base's times rep, xor g_offsets, and its k halves likewise.  One
+    encoder call reads them all, on the tails in reverse lane order and then
+    1^d, each after 1s to m + 1 letters: the bottom lane of each half is
+    then 1^(m + 1)'s, and xor its copy in every lane takes 1^m's off the
+    tails' (and the 1s' bit off the top of each lane)."""
     if any(s >= t for s, t in zip(tails, tails[1:])):
         return None
-    ones, d, mask = _word_index((1,) * m, m), len(tails[0]), (1 << m) - 1
-    rep = g_offsets = k_offsets = 0
-    for j, t in enumerate(tails):
-        offset, at = _word_index((1,) * (m - d) + t, m) ^ ones, (m + 1) * j
-        rep |= 1 << at
-        g_offsets |= offset >> m << at
-        k_offsets |= (offset & mask) << at
-    return (1,) * d, rep, g_offsets, k_offsets
+    d, width, count = len(tails[0]), m + 1, len(tails)
+    pad = bytes((1,) * (width - d))
+    joined = pad + pad.join(map(bytes, (*reversed(tails), (1,) * d)))
+    g, k = divmod(_word_index(joined, len(joined)), 1 << len(joined))
+    rep = ((1 << width * count) - 1) // ((1 << width) - 1)
+    (g, g_ones), (k, k_ones) = divmod(g, 1 << width), divmod(k, 1 << width)
+    return (1,) * d, rep, g ^ g_ones * rep, k ^ k_ones * rep
 
 
 def verify_bridge(m: int) -> BridgeReport:

@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 from collections import Counter
-from itertools import chain, islice, repeat
+from itertools import repeat, starmap
 
 from . import bridge, formulas, orbits, words
 from .budget import BudgetExceeded, check_budget, check_printable
@@ -25,16 +25,17 @@ TABLE_ROWS = 4096  # the most strings one formatter's table holds
 
 
 class _Rows:
-    """The one-row strings g:k, indexed g * p + k, for p too large to tabulate."""
+    """The one-row strings g:k, each then tail, indexed g * p + k, for p too
+    large to tabulate."""
 
-    def __init__(self, p: int):
-        self.p = p
+    def __init__(self, p: int, tail: str = ""):
+        self.p, self.tail = p, tail
 
     def __getitem__(self, x):
         if isinstance(x, slice):  # its strings, as from a list
             return map(self.__getitem__, range(x.start, x.stop))
         g, k = divmod(x, self.p)
-        return f"{g}:{k}"
+        return f"{g}:{k}{self.tail}"
 
 
 def state_formatter(spec: GroupSpec):
@@ -43,24 +44,26 @@ def state_formatter(spec: GroupSpec):
 
 
 def _formatters(spec: GroupSpec):
-    """Return (fmt, run).  fmt(i): the n rows of the state with packed index
-    i = G * p^n + K as digit strings, row j the j-th base-p digits g_j then
-    k_j of G and K (with a ":" between them when p > 10), the first row
-    most significant, joined by spaces; "-" at n = 0.
+    """Return (fmt, pieces, body).  fmt(i): the n rows of the state with
+    packed index i = G * p^n + K as digit strings, row j the j-th base-p
+    digits g_j then k_j of G and K (with a ":" between them when p > 10),
+    the first row most significant, joined by spaces; "-" at n = 0.
 
-    fmt looks up c rows at a time in a table of their p^(2c) joined strings,
-    c as large as keeps it at TABLE_ROWS entries (and at most n).  Each
-    table is the last one with one more row appended, so building them costs
-    about TABLE_ROWS concatenations.  When p^2 is over TABLE_ROWS, c is 1
-    and the rows come from _Rows.  A state of more than c rows is cut in
-    two, its low part about half its whole chunks, and each part is cut
-    again: so numbers of O(n) digits are divided O(log(n / c)) deep, and
-    only the top piece can be short of c rows, read from the table of its
-    own number of rows.
+    A state's last c rows are one entry of body, the table of the p^(2c)
+    strings of c rows, c as large as keeps it at TABLE_ROWS entries (and at
+    most n).  Each table of j rows is the last one with one more row
+    appended, so building them costs about TABLE_ROWS concatenations.  When
+    p^2 is over TABLE_ROWS, c is 1 and the rows come from _Rows.  The n - c
+    rows above the body's, each then a space, are the state's head: one
+    table lookup when they are at most c rows.  More are cut in two, the low
+    part about half its whole chunks, and each part is cut again: so numbers
+    of O(n) digits are divided O(log(n / c)) deep, and only the top piece
+    can be short of c rows, read from the table of its own number of rows.
 
-    run(first, count) yields the strings of the count states from first, a
-    piece of consecutive indices that differ only in their last c rows at a
-    time: one fmt call for its upper rows, then one slice of body, in C.
+    pieces(runs) yields (key, head, lo, hi) for each run (first, count,
+    key) of the count states from first, a piece of consecutive indices
+    that differ only in their last c rows at a time: their strings are
+    head + body[j], j from lo to hi.
     """
     p, n = spec.p, spec.n
     if p * p > TABLE_ROWS:
@@ -68,7 +71,7 @@ def _formatters(spec: GroupSpec):
     else:
         colon = "" if p <= 10 else ":"
         cells = [f"{g}{colon}{k}" for g in range(p) for k in range(p)]
-    c = 1
+    c = min(n, 1)
     while c < n and p ** (2 * c + 2) <= TABLE_ROWS:
         c += 1
     tables = [cells]  # tables[j]: the strings of j + 1 rows, index G * p^(j+1) + K
@@ -79,8 +82,9 @@ def _formatters(spec: GroupSpec):
         tables.append([left + right
                        for gs in range(0, q * q, q) for row in appended
                        for left in last[gs:gs + q] for right in row])
-    body = tables[c - 1] if n else ["-"]  # n = 0: the one state, "-", is its own chunk
-    base, order = p ** c, p ** n
+    body = tables[c - 1] if n else ["-"]  # n = 0: the one state, "-", is all body
+    base, order, top = p ** c, p ** n, n - c  # top: the head's rows
+    above = p ** top
 
     def cut(g: int, k: int, count: int, parts: list) -> None:
         # append the strings of the count rows of g and k, the first row first
@@ -91,60 +95,117 @@ def _formatters(spec: GroupSpec):
             k, k_low = divmod(k, scale)
             cut(g, k, count - low, parts)
             cut(g_low, k_low, low, parts)
-        elif count:
+        else:
             parts.append(tables[count - 1][g * p ** count + k])
 
-    def fmt(i: int) -> str:
+    def head(g: int, k: int) -> str:
+        # the head of the states whose upper digits are g and k
+        if top <= c:
+            return tables[top - 1][g * above + k] + " " if top else ""
         parts = []
-        cut(*divmod(i, order), n, parts)
-        return " ".join(parts) or "-"
+        cut(g, k, top, parts)
+        return " ".join(parts) + " "
 
-    def piece(first: int, stop: int):
-        low = first // order % base * base + first % base  # first's last c rows, in body
-        text = fmt(first)
-        return map(text[:len(text) - len(body[low])].__add__, body[low:low + stop - first])
+    def fmt(i: int) -> str:
+        g, k = divmod(i, order)
+        return head(g // base, k // base) + body[g % base * base + k % base]
 
-    def run(first: int, count: int):
-        end = first + count
-        cuts = [first, *range(first - first % base + base, end, base), end]
-        return chain.from_iterable(map(piece, cuts, cuts[1:]))
+    def pieces(runs):
+        for first, count, key in runs:
+            end = first + count
+            while first < end:
+                g, k = divmod(first, order)
+                g, g_low = divmod(g, base)
+                k, k_low = divmod(k, base)
+                lo = g_low * base + k_low
+                stop = min(end, first + base - k_low)
+                yield key, head(g, k), lo, lo + stop - first
+                first = stop
 
-    return fmt, run
+    return fmt, pieces, body
 
 
-def _emit(fmt: str, header: list[str], rows, payload, text=None, listing=None) -> None:
-    """Write one result to stdout in the chosen format, a chunk at a time.
-
-    text: the text lines, by default each row joined by spaces; csv: header
-    then rows; json: payload, indented, in iterencode's chunks, or with the
+def _layout(fmt: str, header: list[str], payload=None, listing=None, numbers=()):
+    """(head, row, sep, tail) of a table of rows in fmt: the output is head,
+    the rows joined by sep, then tail, and a row is the template row % its
+    values.  text: the values joined by spaces, one row a line; csv: the
+    header line first, the values joined by commas; json: payload with the
     rows as its list `listing` (per row a dict by header, for one column a
-    string) from one row template: the bytes of json.dumps of the whole
-    document.  Neither the template nor a csv line needs escaping, as values
-    hold only digits, spaces, ":", "-" and letters (PASS, FAIL, header
-    names), so csv.writer would quote only a row of one empty field (the
-    word of `words --m 0 --list`).  Every listing has a first row (the zero
-    orbit, the all-1s word).  rows and text may be generators.
-    """
+    string), or without a payload the list of rows alone, as json.dumps
+    writes it with indent 2, the columns named in numbers as JSON numbers,
+    the rest as strings.  Neither the template nor a csv line needs
+    escaping, as values hold only digits, spaces, ":", "-" and letters."""
     if fmt == "json":
         import json  # here, not at the top: a text run never loads json
-        if listing:
-            placeholder = dict.fromkeys(header, "%s") if len(header) > 1 else "%s"
-            row = "    " + json.dumps(placeholder, indent=2).replace("\n", "\n    ")
-            head, tail = json.dumps({**payload, listing: [placeholder]}, indent=2).split(row)
-            rows = map(tuple, rows)
-            lines = chain([head, row % next(rows)], map((",\n" + row).__mod__, rows),
-                          [tail, "\n"])
-        else:
-            lines = chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
-    elif fmt == "csv":
-        lines = map(",".join, chain([header], rows))
-    else:  # text may be a list: islice of a list itself would restart at each chunk
-        lines = map(" ".join, rows) if text is None else iter(text)
-    # one write per 4096 lines: under PYTHONUNBUFFERED each write is a syscall
-    while chunk := list(islice(lines, 4096)):
-        if fmt == "csv" and not all(chunk):  # as csv.writer quotes: nothing, but a lone empty field
-            chunk = [line or '""' for line in chunk]
-        sys.stdout.write("".join(chunk) if fmt == "json" else "\n".join(chunk) + "\n")
+        placeholder = dict.fromkeys(header, "%s") if len(header) > 1 else "%s"
+        document, indent = (([placeholder], "  ") if payload is None else
+                            ({**payload, listing: [placeholder]}, "    "))
+        row = indent + json.dumps(placeholder, indent=2).replace("\n", "\n" + indent)
+        head, tail = json.dumps(document, indent=2).split(row)
+        for name in numbers:  # its placeholder loses its quotes
+            row = row.replace(f'"{name}": "%s"', f'"{name}": %s')
+        return head, row, ",\n", tail + "\n"
+    if fmt == "csv":
+        return ",".join(header) + "\n", ",".join(["%s"] * len(header)), "\n", "\n"
+    return "", " ".join(["%s"] * len(header)), "\n", "\n"
+
+
+def _write(head: str, pieces, sep: str, tail: str) -> None:
+    """Write head, the texts of pieces, then tail, one write per 4096 rows
+    or 1 MiB of text, whichever comes first: under PYTHONUNBUFFERED each
+    write is a syscall, and a row of `sequence` can hold 4300 digits.  A
+    piece is a pair (text, its number of rows), never none, and each text
+    begins with sep, which the first one's drops."""
+    pieces = iter(pieces)
+    text, rows = next(pieces)
+    chunk, size = [head, text[len(sep):]], len(text)
+    for text, count in pieces:
+        chunk.append(text)
+        rows += count
+        size += len(text)
+        if rows >= 4096 or size >= 1 << 20:
+            sys.stdout.write("".join(chunk))
+            chunk, rows, size = [], 0, 0
+    chunk.append(tail)
+    sys.stdout.write("".join(chunk))
+
+
+def _listing(fmt: str, header: list[str], payload: dict, name: str, tables: dict, pieces):
+    """A listing in fmt as _write's (head, pieces, sep, tail), a piece at a time.
+
+    tables maps each key to (body, columns): body a list of strings, or a
+    _Rows, and columns the strings of the columns after the first.  pieces
+    yields (key, head, lo, hi): the rows head + body[j] for j from lo to
+    hi, each then its key's columns.  The row template of _layout, split at
+    its first %s, gives each row's lead, and with the columns filled in,
+    its tail, appended to every string of body once per key.  So a piece is
+    one join in C, (sep + lead + head).join(["", *tailed[lo:hi]]), with the
+    sep before each row.  A row is empty only in the word of `words --m 0
+    --list`, where the body's one string is: in csv it is "", as
+    csv.writer quotes a row of one empty field."""
+    head, row, sep, tail = _layout(fmt, header, payload, name)
+    lead, rest = row.split("%s", 1)
+    blank = '""' if fmt == "csv" else ""
+    tailed = {}
+    for key, (body, columns) in tables.items():
+        t = rest % tuple(columns)
+        tailed[key] = [s + t or blank for s in body] if type(body) is list else _Rows(body.p, t)
+
+    def render(key, prefix: str, lo: int, hi: int):
+        return (sep + lead + prefix).join(["", *tailed[key][lo:hi]]), hi - lo
+
+    return head, starmap(render, pieces), sep, tail
+
+
+def _emit(fmt: str, header: list[str], rows, payload, text) -> None:
+    """Write one short result to stdout whole: text, its lines; csv, header
+    then rows; json, payload indented as json.dumps writes it."""
+    if fmt == "json":
+        import json
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    else:
+        lines = text if fmt == "text" else map(",".join, [header, *rows])
+        sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 # The census routes, which share no counting code (see orbits): name ->
@@ -250,12 +311,11 @@ def cmd_orbits(args) -> int:
         print(f"orbits: {fault}", file=sys.stderr)
         return 1
     header = ["representative", "size", "stabilizer_order"]
-    _, run = _formatters(spec)
-    shown = {size: [str(size), str(formulas.exact_div(spec.sl2_order, size)) if args.n else "-"]
-             for size in listing["sizes"]}  # each orbit size: its two columns
-    rows = chain.from_iterable(zip(run(first, count), *map(repeat, shown[size]))
-                               for first, count, size in orbits._echelon_runs(spec))
-    _emit(args.format, header, rows, payload, listing="orbits")
+    _, pieces, body = _formatters(spec)
+    tables = {size: (body, [str(size), str(formulas.exact_div(spec.sl2_order, size))
+                            if args.n else "-"]) for size in listing["sizes"]}
+    listed = pieces(orbits._echelon_runs(spec))  # keyed by orbit size
+    _write(*_listing(args.format, header, payload, "orbits", tables, listed))
     return 0
 
 
@@ -268,10 +328,9 @@ def cmd_words(args) -> int:
     payload = {"m": args.m, "count": count}
     if args.list:  # the words stream block by block, each tails table spelled once
         spell, (tails, walk) = words.spell, words._blocks(args.m)
-        spelled = [[*map(spell, t)] for t in tails]
-        listed = chain.from_iterable(map(spell(prefix).__add__, spelled[rank])
-                                     for prefix, rank in walk)
-        _emit(args.format, ["word"], zip(listed), payload, text=listed, listing="words")
+        tables = {rank: ([*map(spell, t)], ()) for rank, t in enumerate(tails)}
+        blocks = ((rank, spell(prefix), 0, len(tails[rank])) for prefix, rank in walk)
+        _write(*_listing(args.format, ["word"], payload, "words", tables, blocks))
     else:
         _emit(args.format, ["m", "count"], [[str(args.m), count]], payload, text=[count])
     return 0
@@ -311,9 +370,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sequence(args) -> int:
     check_printable(args.p, args.n_max)  # r grows with n
-    table = [(n, str(r)) for n, r in formulas.sequence_table(args.p, args.n_max)]
-    _emit(args.format, ["n", "r"], [[str(n), r] for n, r in table],
-          [{"n": n, "r": r} for n, r in table])
+    table = formulas._sequence(args.p, args.n_max)
+    head, row, sep, tail = _layout(args.format, ["n", "r"], numbers=["n"])
+    _write(head, zip(map((sep + row).__mod__, table), repeat(1)), sep, tail)
     return 0
 
 

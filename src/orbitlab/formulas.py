@@ -8,6 +8,8 @@ remainder, because a nonzero remainder can only mean a bug or a composite p.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 
 # Miller-Rabin with the first thirteen prime bases is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
@@ -101,7 +103,12 @@ def r_telescoped(p: int, n: int) -> int:
 
 def sequence_table(p: int, n_max: int) -> list[tuple[int, int]]:
     """[(0, 1), (1, 2), ..., (n_max, r(p, n_max))]."""
+    return list(_sequence(p, n_max))
+
+
+def _sequence(p: int, n_max: int):
+    # sequence_table's rows, checked at once, each made as it is read
     _require_prime(p)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return [(n, _r(p, n)) for n in range(n_max + 1)]
+    return zip(range(n_max + 1), map(_r, repeat(p), range(n_max + 1)))

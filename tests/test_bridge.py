@@ -166,7 +166,8 @@ class TestVerifyBridge:
     def test_encoder_runs_once_per_block(self, monkeypatch):
         # not once per word: 11,051 words at m = 8, in 51 blocks; besides
         # one call per block, the encoder reads the four letters once, and
-        # each of the walk's three tails tables (443 tails) once per walk
+        # each of the walk's three tails tables (443 tails) in one call, not
+        # one per tail (501 calls when it did)
         real, calls = bridge._word_index, []
         monkeypatch.setattr(bridge, "_word_index",
                             lambda letters, m: calls.append(m) or real(letters, m))
@@ -175,7 +176,7 @@ class TestVerifyBridge:
         tables, walk = _blocks(8)
         blocks = list(walk)
         assert (len(blocks), len(tables), sum(map(len, tables))) == (51, 3, 443)
-        assert len(calls) == len(ALPHABET) + len(blocks) + sum(1 + len(t) for t in tables) == 501
+        assert len(calls) == len(ALPHABET) + len(blocks) + len(tables) == 58
 
     def test_certificate_pass_checks_blocks_not_words(self, monkeypatch):
         # every block fails its round trip, so the certificate pass runs; it

@@ -134,24 +134,37 @@ class TestOrbits:
         for i in indices:
             assert fmt(i) == format_state(i, spec), i
 
-    # the listing's rows a piece at a time: on every run of the listing, and
-    # on runs from anywhere that cross chunk boundaries; c is 6 at p = 2, so
-    # (2, 7) has a head row, the ":" shows from p = 11 on, and at p = 1021
-    # the rows come from _Rows
+    # the listing a piece at a time, in every format: on every run of the
+    # listing, and on runs from anywhere that cross chunk boundaries, each
+    # rendered row is the template's lead + fmt(i) + the tail of its
+    # columns, and each piece counts its rows; c is 6 at p = 2, so (2, 7)
+    # has a head row, the ":" shows from p = 11 on, and at p = 1021 the rows
+    # come from _Rows
     @pytest.mark.parametrize("p,n", [(2, 0), *PARITY_GRID, (2, 7), (3, 4), (5, 3), (11, 2),
                                      (1021, 1), (1021, 2)])
     def test_runs_match_the_one_row_path(self, p, n):
         spec = GroupSpec(p, n)
-        fmt, run = cli._formatters(spec)
-        for first, count, _ in orbits._echelon_runs(spec):
-            assert list(run(first, count)) == [*map(fmt, range(first, first + count))], first
+        fmt, pieces, body = cli._formatters(spec)
+        runs = [(first, count) for first, count, _ in orbits._echelon_runs(spec)]
         c = max(c for c in range(1, max(n, 1) + 1) if c == 1 or p ** (2 * c) <= cli.TABLE_ROWS)
         base, rng = p ** c, random.Random(p * n)
         for _ in range(40 if n else 0):  # each from before a chunk boundary to past it
             edge = base * rng.randrange(1, spec.state_count // base)
             first = edge - rng.randrange(1, base + 1)
-            count = min(edge - first + rng.randrange(1, 2 * base), spec.state_count - first)
-            assert list(run(first, count)) == [*map(fmt, range(first, first + count))], first
+            runs.append((first, min(edge - first + rng.randrange(1, 2 * base),
+                                    spec.state_count - first)))
+        header, payload = ["representative", "size", "stabilizer_order"], {"p": str(p)}
+        for form in ("text", "csv", "json"):
+            _, row, sep, _ = cli._layout(form, header, payload, "orbits")
+            lead, rest = row.split("%s", 1)
+            cut = list(pieces((first, count, 0) for first, count in runs))
+            texts = cli._listing(form, header, payload, "orbits", {0: (body, ["5", "7"])}, cut)[1]
+            rendered, counts = zip(*texts)
+            assert counts == tuple(hi - lo for _, _, lo, hi in cut), form
+            rows = "".join(rendered).removeprefix(sep + lead).split(sep + lead)
+            assert [lead + row for row in rows] == [
+                lead + fmt(i) + rest % ("5", "7")
+                for first, count in runs for i in range(first, first + count)], form
 
     def test_list_count_mismatch_fails(self, monkeypatch):
         # the listing is no census of its own: a short one must not pass
@@ -488,6 +501,17 @@ class TestContract:
         assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
         assert doc["count"] == str(len(listed))  # the count known before the walk
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_sequence_is_the_whole_table(self, fmt):
+        # the rows streamed, past 1 MiB of digits and so in more than one
+        # write, against the table built whole
+        table = formulas.sequence_table(2, 2000)
+        whole = {"text": "".join(f"{n} {r}\n" for n, r in table),
+                 "csv": "n,r\n" + "".join(f"{n},{r}\n" for n, r in table),
+                 "json": json.dumps([{"n": n, "r": str(r)} for n, r in table], indent=2) + "\n"}
+        assert sum(len(str(r)) for _, r in table) > 1 << 20
+        assert run("sequence", "--p", "2", "--n-max", "2000", "--format", fmt) == (0, whole[fmt], "")
+
     def test_cold_import_loads_only_what_runs(self):
         # dataclasses would pull in inspect, dis, ast and tokenize, and json
         # and csv load only where those formats are written, and array only
@@ -600,12 +624,21 @@ PEAKS = {
     "orbits --p 2 --n 14 --method bfs": ("44747435\n", 48),
     "orbits --p 3 --n 8 --method bfs": ("1795801\n", 32),
     # rows stream from the echelon runs as they are made: the peak holds
-    # no summaries list and no copy of the text
+    # no summaries list and no copy of the text, which at n = 12 (2,798,251
+    # rows) alone would be about 118 MiB
     "orbits --p 2 --n 10 --list --method formula --format text": (175275, 64),
     "orbits --p 2 --n 10 --list --method formula --format csv": (175276, 64),
-    # the words go out as the walk yields them: no word list is held
+    "orbits --p 2 --n 12 --list --method formula --format text": (2798251, 64),
+    "orbits --p 2 --n 12 --list --method formula --format csv": (2798252, 64),
+    # the words go out as the walk yields them: no word list is held, and
+    # at m = 12 a copy of the text would be about 36 MiB
     "words --m 10 --list --format text": (175275, 32),
     "words --m 10 --list --format csv": (175276, 32),
+    "words --m 12 --list --format text": (2798251, 32),
+    "words --m 12 --list --format csv": (2798252, 32),
+    # each row is made as it is written: the whole table, its strings and
+    # its row dicts held at once peaked at 41 MiB
+    "sequence --p 2 --n-max 7000 --format json": (7001 * 4 + 2, 24),
     # the bridge streams its words and holds no word list or image map:
     # at m = 10 that list and map alone lifted the peak past 70 MiB, and
     # one record per listed orbit to 41 MiB; both walked, it is 16 MiB
@@ -658,10 +691,14 @@ def test_refused_fast(argv, digits):
 
 
 @pytest.mark.parametrize("argv", PEAKS)
-def test_peak(argv):
+def test_peak(argv, tmp_path):
+    # the output goes to a file, read back a line at a time, so that a long
+    # listing is not held whole by this process
     want, cap = PEAKS[argv]
-    code, out, peak = run_measured(*argv.split())
-    assert (code, out if isinstance(want, str) else len(out.splitlines())) == (0, want)
+    with open(tmp_path / "out", "w+") as out:
+        code, _, peak = run_measured(*argv.split(), stdout=out)
+        out.seek(0)
+        assert (code, out.read() if isinstance(want, str) else sum(1 for _ in out)) == (0, want)
     assert peak < cap * 1024
 
 
