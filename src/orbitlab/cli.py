@@ -25,17 +25,16 @@ TABLE_ROWS = 4096  # the most strings one formatter's table holds
 
 
 class _Rows:
-    """The one-row strings g:k, each then tail, indexed g * p + k, for p too
-    large to tabulate."""
+    """The one-row strings g:k, indexed g * p + k, for p too large to tabulate."""
 
-    def __init__(self, p: int, tail: str = ""):
-        self.p, self.tail = p, tail
+    def __init__(self, p: int):
+        self.p = p
 
     def __getitem__(self, x):
         if isinstance(x, slice):  # its strings, as from a list
             return map(self.__getitem__, range(x.start, x.stop))
         g, k = divmod(x, self.p)
-        return f"{g}:{k}{self.tail}"
+        return f"{g}:{k}"
 
 
 def state_formatter(spec: GroupSpec):
@@ -54,11 +53,11 @@ def _formatters(spec: GroupSpec):
     most n).  Each table of j rows is the last one with one more row
     appended, so building them costs about TABLE_ROWS concatenations.  When
     p^2 is over TABLE_ROWS, c is 1 and the rows come from _Rows.  The n - c
-    rows above the body's, each then a space, are the state's head: one
-    table lookup when they are at most c rows.  More are cut in two, the low
-    part about half its whole chunks, and each part is cut again: so numbers
-    of O(n) digits are divided O(log(n / c)) deep, and only the top piece
-    can be short of c rows, read from the table of its own number of rows.
+    rows above the body's, then a space, are the state's head, from rows: c
+    rows or fewer are one table lookup, more are cut in two, the low part
+    about half its whole chunks, and each part spelled by rows again: so
+    numbers of O(n) digits are divided O(log(n / c)) deep, and only the top
+    piece can be short of c rows, read from the table of its own row count.
 
     pieces(runs) yields (key, head, lo, hi) for each run (first, count,
     key) of the count states from first, a piece of consecutive indices
@@ -84,27 +83,20 @@ def _formatters(spec: GroupSpec):
                        for left in last[gs:gs + q] for right in row])
     body = tables[c - 1] if n else ["-"]  # n = 0: the one state, "-", is all body
     base, order, top = p ** c, p ** n, n - c  # top: the head's rows
-    above = p ** top
 
-    def cut(g: int, k: int, count: int, parts: list) -> None:
-        # append the strings of the count rows of g and k, the first row first
-        if count > c:  # the high part first, then the low whole chunks
-            low = count // (2 * c) * c or c
-            scale = p ** low
-            g, g_low = divmod(g, scale)
-            k, k_low = divmod(k, scale)
-            cut(g, k, count - low, parts)
-            cut(g_low, k_low, low, parts)
-        else:
-            parts.append(tables[count - 1][g * p ** count + k])
+    def rows(g: int, k: int, count: int) -> str:
+        # the count rows of g and k, the first row first
+        if count <= c:
+            return tables[count - 1][g * p ** count + k]
+        low = count // (2 * c) * c or c  # the high part, then the low whole chunks
+        scale = p ** low
+        g, g_low = divmod(g, scale)
+        k, k_low = divmod(k, scale)
+        return rows(g, k, count - low) + " " + rows(g_low, k_low, low)
 
     def head(g: int, k: int) -> str:
         # the head of the states whose upper digits are g and k
-        if top <= c:
-            return tables[top - 1][g * above + k] + " " if top else ""
-        parts = []
-        cut(g, k, top, parts)
-        return " ".join(parts) + " "
+        return rows(g, k, top) + " " if top else ""
 
     def fmt(i: int) -> str:
         g, k = divmod(i, order)
@@ -178,33 +170,33 @@ def _listing(fmt: str, header: list[str], payload: dict, name: str, tables: dict
     yields (key, head, lo, hi): the rows head + body[j] for j from lo to
     hi, each then its key's columns.  The row template of _layout, split at
     its first %s, gives each row's lead, and with the columns filled in,
-    its tail, appended to every string of body once per key.  So a piece is
-    one join in C, (sep + lead + head).join(["", *tailed[lo:hi]]), with the
-    sep before each row.  A row is empty only in the word of `words --m 0
-    --list`, where the body's one string is: in csv it is "", as
-    csv.writer quotes a row of one empty field."""
+    its key's tail t.  So with start = sep + lead + head, a piece is one
+    join in C, start + (t + start).join(body[lo:hi]) + t: the tails are
+    joined in, and no body is copied per key.  A row is empty only in the
+    word of `words --m 0 --list`, whose piece is then sep alone: in csv the
+    row is "", as csv.writer quotes a row of one empty field."""
     head, row, sep, tail = _layout(fmt, header, payload, name)
     lead, rest = row.split("%s", 1)
-    blank = '""' if fmt == "csv" else ""
-    tailed = {}
-    for key, (body, columns) in tables.items():
-        t = rest % tuple(columns)
-        tailed[key] = [s + t or blank for s in body] if type(body) is list else _Rows(body.p, t)
+    blank = sep + '""' if fmt == "csv" else sep
+    tails = {key: (body, rest % tuple(columns)) for key, (body, columns) in tables.items()}
 
     def render(key, prefix: str, lo: int, hi: int):
-        return (sep + lead + prefix).join(["", *tailed[key][lo:hi]]), hi - lo
+        body, t = tails[key]
+        start = sep + lead + prefix
+        text = start + (t + start).join(body[lo:hi]) + t
+        return text if text != sep else blank, hi - lo
 
     return head, starmap(render, pieces), sep, tail
 
 
-def _emit(fmt: str, header: list[str], rows, payload, text) -> None:
-    """Write one short result to stdout whole: text, its lines; csv, header
-    then rows; json, payload indented as json.dumps writes it."""
+def _emit(fmt: str, header: list[str], row: list[str], payload, text) -> None:
+    """Write one record to stdout whole: text, its lines; csv, header then
+    row; json, payload indented as json.dumps writes it."""
     if fmt == "json":
         import json
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        lines = text if fmt == "text" else map(",".join, [header, *rows])
+        lines = text if fmt == "text" else map(",".join, [header, row])
         sys.stdout.write("".join(line + "\n" for line in lines))
 
 
@@ -302,7 +294,7 @@ def cmd_orbits(args) -> int:
 
     if not args.list:
         _emit(args.format, ["p", "n", "method", "orbit_count"],
-              [[str(args.p), str(args.n), args.method, str(count)]],
+              [str(args.p), str(args.n), args.method, str(count)],
               payload, text=[str(count)])
         return 0
 
@@ -332,7 +324,7 @@ def cmd_words(args) -> int:
         blocks = ((rank, spell(prefix), 0, len(tails[rank])) for prefix, rank in walk)
         _write(*_listing(args.format, ["word"], payload, "words", tables, blocks))
     else:
-        _emit(args.format, ["m", "count"], [[str(args.m), count]], payload, text=[count])
+        _emit(args.format, ["m", "count"], [str(args.m), count], payload, text=[count])
     return 0
 
 
@@ -344,7 +336,7 @@ def cmd_encode(args) -> int:
     least = orbits._least(spec)
     fmt = state_formatter(spec)
     rows, canon = fmt(i), fmt(least(i))
-    _emit(args.format, ["word", "rows", "canonical"], [[args.word, rows, canon]],
+    _emit(args.format, ["word", "rows", "canonical"], [args.word, rows, canon],
           {"word": args.word, "rows": rows.split(" "),
            "canonical": canon.split(" ")},
           text=[f"rows: {rows}", f"canonical: {canon}"])
@@ -356,16 +348,19 @@ def cmd_verify(args) -> int:
         raise ValueError(f"m-max must be >= 1, got {args.m_max}")
     GroupSpec(args.p, 0)  # a composite or unit p exits 2 before the budget
     check_budget(args.p, 2 * args.m_max, args.budget)  # the largest m has the most states
-    header, rows = ["m", *COLUMNS, "result", "r"], []
-    for m in range(1, args.m_max + 1):
+    header, failed = ["m", *COLUMNS, "result", "r"], False
+    head, row, sep, tail = _layout(args.format, header)
+    sys.stdout.write(" ".join(header) + "\n" if args.format == "text" else head)
+    for m in range(1, args.m_max + 1):  # each row out as its m finishes
         verdicts, evidence, r = check_cell(GroupSpec(args.p, m))
         if evidence:
             print(f"verify: m={m} FAIL {evidence}", file=sys.stderr)
-        rows.append([str(m), *("-" if ok is None else "PASS" if ok else "FAIL"
-                               for ok in (*verdicts.values(), not evidence)), str(r)])
-    _emit(args.format, header, rows, [dict(zip(header, row)) for row in rows],
-          text=[" ".join(row) for row in [header, *rows]])
-    return 1 if any(row[-2] == "FAIL" for row in rows) else 0  # the result column
+            failed = True
+        cells = (str(m), *("-" if ok is None else "PASS" if ok else "FAIL"
+                           for ok in (*verdicts.values(), not evidence)), str(r))
+        sys.stdout.write(row % cells + (sep if m < args.m_max else tail))
+        sys.stdout.flush()
+    return 1 if failed else 0
 
 
 def cmd_sequence(args) -> int:

@@ -89,14 +89,14 @@ def _bfs_runs(spec: GroupSpec):
     Level d extends the L prefixes kept from level d - 1, at positions x,
     by one more row (g, k): candidate c = k pL + g L + x, whose new row's
     digit is c // L, with the moves read from p-entry and pL-entry tables
-    (see _level_moves).  Each orbit among the candidates is closed in one
-    container, on one visited byte per candidate: a for loop reads it while
-    appending each unvisited image, so it holds the orbit in BFS order.
-    That is a new list per orbit, except on the last row, which keeps no
-    member, when the group order (which bounds every orbit) passes
-    _ARRAY_ORDER: there it is one array of 4-byte entries (8 past 2^32
-    candidates), cleared per orbit, as a list would hold about 40 bytes per
-    member, p^2 - 1 of them in the one large orbit at n = 1.  One of
+    (see _level_moves).  Each orbit among the candidates is closed in the
+    level's one container, cleared per orbit, on one visited byte per
+    candidate: a for loop reads it while appending each unvisited image, so
+    it holds the orbit in BFS order.  That is a list, except on the last
+    row, which keeps no member, when the group order (which bounds every
+    orbit) passes _ARRAY_ORDER: there it is an array of 4-byte entries (8
+    past 2^32 candidates), as a list would hold about 40 bytes per member,
+    p^2 - 1 of them in the one large orbit at n = 1.  One of
     sl2_order members has a trivial stabilizer, so each tail over one of
     its members lies in its own orbit of as many states: a run of
     p^(2(n - d)) orbits.  On the last row each orbit is a run of one.
@@ -114,20 +114,15 @@ def _bfs_runs(spec: GroupSpec):
         tail = p ** (2 * (n - d))
         s_hi, s_lo, t_hi, t_lo = _level_moves(q, S, T)
         visited = bytearray(total)
-        kept = []
-        queue = None
+        kept, orbit = [], []
         if d == n and free > _ARRAY_ORDER:
             from array import array
-            queue = array("I" if total <= 1 << 32 else "Q")
+            orbit = array("I" if total <= 1 << 32 else "Q")
         start = 0
         while start >= 0:
             visited[start] = 1
-            if queue is None:
-                orbit = [start]
-            else:
-                del queue[:]
-                queue.append(start)
-                orbit = queue
+            del orbit[:]
+            orbit.append(start)
             for c in orbit:  # reads each image the loop appends
                 hi = c // width
                 lo = c - hi * width

@@ -138,10 +138,11 @@ class TestOrbits:
     # listing, and on runs from anywhere that cross chunk boundaries, each
     # rendered row is the template's lead + fmt(i) + the tail of its
     # columns, and each piece counts its rows; c is 6 at p = 2, so (2, 7)
-    # has a head row, the ":" shows from p = 11 on, and at p = 1021 the rows
-    # come from _Rows
+    # has a head row, the ":" shows from p = 11 on, at p = 1021 the rows
+    # come from _Rows, and the heads of (5, 5) (c = 2) and (11, 3) (c = 1)
+    # are longer than c, so split
     @pytest.mark.parametrize("p,n", [(2, 0), *PARITY_GRID, (2, 7), (3, 4), (5, 3), (11, 2),
-                                     (1021, 1), (1021, 2)])
+                                     (5, 5), (11, 3), (1021, 1), (1021, 2)])
     def test_runs_match_the_one_row_path(self, p, n):
         spec = GroupSpec(p, n)
         fmt, pieces, body = cli._formatters(spec)
@@ -279,6 +280,21 @@ class TestVerify:
             "verify: m=2 FAIL bfs=5 canonical=5 burnside=5 formula=5 product=5 words=0 "
             "bridge_words=5 collisions=0 first_collision=- missed=0 first_missed=- "
             "listed=5 covered=16 sizes=1,3,6\n")
+
+    def test_an_error_keeps_the_finished_rows(self, monkeypatch):
+        # each row goes out as its m finishes: an error at m = 3 exits 2
+        # after the header and the rows of m = 1 and 2
+        real = cli.check_cell
+
+        def check_cell(spec):
+            if spec.n == 3:
+                raise ArithmeticError("the sweep lost a state")
+            return real(spec)
+        monkeypatch.setattr(cli, "check_cell", check_cell)
+        assert run("verify", "--m-max", "4") == (
+            2, "m methods formula words bridge result r\n"
+               "1 PASS PASS PASS PASS PASS 2\n2 PASS PASS PASS PASS PASS 5\n",
+            "error: the sweep lost a state\n")
 
     def test_product_failure_evidence(self, monkeypatch):
         # the product form off by one at m = 3: the formula column fails, and
